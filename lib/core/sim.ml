@@ -873,7 +873,12 @@ let transmit c instr =
   end
 
 let step_frontend t c =
-  if not (cs_is_running c) then ()
+  if not (cs_is_running c) then begin
+    (* A context switch's drain is also the reduction's: a core
+       preempted while its Vred waits must still release it, or
+       [Cs_draining] (which waits for [pending_red]) never ends. *)
+    if c.pending_red && pipeline_drained c then c.pending_red <- false
+  end
   else if c.halted then ()
   else if c.pending_vl >= 0 then
     c.blocked_vl_cycles <- c.blocked_vl_cycles + 1

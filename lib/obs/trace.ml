@@ -1,8 +1,11 @@
 (** Cycle-stamped event recorder.
 
     A trace is a fixed set of *tracks* (one per core, one for the lane
-    manager, or one per sweep worker), each a preallocated ring buffer
-    of [(cycle, event)] pairs. The design constraints, in order:
+    manager, or one per sweep worker), each a ring buffer of
+    [(cycle, event)] pairs. A track starts with [min_size] slots and
+    doubles when full until it holds [capacity] events, so a short run
+    allocates a few hundred words rather than [capacity] slots per
+    track. The design constraints, in order:
 
     - {b near-zero cost when disabled}: {!enabled} is a single immutable
       field read. Hot-path call sites must guard event {e construction}
@@ -12,15 +15,16 @@
     - {b race freedom under [-j N]}: a track has exactly one writer.
       Per-simulation traces live entirely inside one domain; sweep
       traces give every {!Occamy_util.Domain_pool} worker its own track;
-    - {b bounded memory}: the ring drops the oldest events on overflow
-      and counts the drops, so tracing a pathological run cannot OOM. *)
+    - {b bounded memory}: a track never grows past [capacity]; once full
+      it drops the oldest events and counts the drops, so tracing a
+      pathological run cannot OOM. *)
 
 type track = {
   tk_name : string;
-  cycles : int array;
-  events : Event.t array;
+  mutable cycles : int array;     (* size <= capacity *)
+  mutable events : Event.t array; (* same size as [cycles] *)
   mutable head : int;  (* next write position *)
-  mutable len : int;   (* live entries, <= capacity *)
+  mutable len : int;   (* live entries, <= size *)
   mutable dropped : int;
 }
 
@@ -32,8 +36,12 @@ type t = {
 
 let default_capacity = 65536
 
-(* Sentinel filling the preallocated slots; never observable because
-   [len] bounds every read. *)
+(* Initial slots per track. A fuzz simulation records a few dozen events
+   in all, so most of its tracks never grow. *)
+let min_size = 64
+
+(* Sentinel filling unused slots; never observable because [len] bounds
+   every read. *)
 let sentinel = Event.Oi_write { core = -1; oi = Occamy_isa.Oi.zero }
 
 let create ?(capacity = default_capacity) ~tracks () =
@@ -46,10 +54,11 @@ let create ?(capacity = default_capacity) ~tracks () =
       Array.of_list
         (List.map
            (fun name ->
+             let size = min capacity min_size in
              {
                tk_name = name;
-               cycles = Array.make capacity 0;
-               events = Array.make capacity sentinel;
+               cycles = Array.make size 0;
+               events = Array.make size sentinel;
                head = 0;
                len = 0;
                dropped = 0;
@@ -65,22 +74,43 @@ let[@inline] enabled t = t.enabled
 let num_tracks t = Array.length t.tracks
 let track_name t ~track = t.tracks.(track).tk_name
 
+(* Double a full track, up to [capacity]. A track smaller than
+   [capacity] has never dropped an event, so its [len] events fill
+   slots [0, len) in order and [head] has wrapped to 0: after the copy
+   the next write goes to slot [len]. *)
+let grow capacity tk =
+  let size = Array.length tk.cycles in
+  let size' = min capacity (2 * size) in
+  let cycles = Array.make size' 0 and events = Array.make size' sentinel in
+  Array.blit tk.cycles 0 cycles 0 size;
+  Array.blit tk.events 0 events 0 size;
+  tk.cycles <- cycles;
+  tk.events <- events;
+  tk.head <- size
+
 let record t ~track ~cycle ev =
   if t.enabled then begin
     let tk = t.tracks.(track) in
+    if tk.len = Array.length tk.cycles && tk.len < t.capacity then
+      grow t.capacity tk;
+    let size = Array.length tk.cycles in
     tk.cycles.(tk.head) <- cycle;
     tk.events.(tk.head) <- ev;
-    tk.head <- (tk.head + 1) mod t.capacity;
-    if tk.len < t.capacity then tk.len <- tk.len + 1
+    tk.head <- (tk.head + 1) mod size;
+    if tk.len < size then tk.len <- tk.len + 1
     else tk.dropped <- tk.dropped + 1
   end
+
+(* Slot of a track's [i]-th oldest retained event. *)
+let[@inline] slot tk i =
+  let size = Array.length tk.cycles in
+  (tk.head - tk.len + i + size) mod size
 
 (** Events of a track, oldest first. *)
 let events t ~track =
   let tk = t.tracks.(track) in
-  let first = (tk.head - tk.len + t.capacity) mod t.capacity in
   List.init tk.len (fun i ->
-      let j = (first + i) mod t.capacity in
+      let j = slot tk i in
       (tk.cycles.(j), tk.events.(j)))
 
 let dropped t ~track = t.tracks.(track).dropped
@@ -90,9 +120,11 @@ let total_events t =
 
 let iter t f =
   Array.iteri
-    (fun i tk ->
-      ignore tk;
-      List.iter (fun (cycle, ev) -> f ~track:i ~cycle ev) (events t ~track:i))
+    (fun track tk ->
+      for i = 0 to tk.len - 1 do
+        let j = slot tk i in
+        f ~track ~cycle:tk.cycles.(j) tk.events.(j)
+      done)
     t.tracks
 
 (* ------------------------------------------------------------------ *)

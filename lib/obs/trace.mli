@@ -1,4 +1,4 @@
-(** Preallocated ring-buffer recorder of cycle-stamped {!Event.t}s, with
+(** Bounded ring-buffer recorder of cycle-stamped {!Event.t}s, with
     one single-writer track per core / lane manager / sweep worker.
     Disabled tracing costs one flag check; guard event construction at
     the call site: [if Trace.enabled tr then Trace.record tr ...]. *)
@@ -6,9 +6,12 @@
 type t
 
 val create : ?capacity:int -> tracks:string list -> unit -> t
-(** An enabled trace with one ring of [capacity] (default 65536) events
-    per named track. Raises [Invalid_argument] on a non-positive
-    capacity or an empty track list. *)
+(** An enabled trace with one ring per named track, each retaining at
+    most [capacity] (default 65536) events. A ring starts small and
+    doubles on demand up to [capacity], which still bounds its memory;
+    only a ring at [capacity] drops its oldest events. Raises
+    [Invalid_argument] on a non-positive capacity or an empty track
+    list. *)
 
 val disabled : t
 (** The shared disabled trace: {!enabled} is [false], {!record} is a
@@ -31,6 +34,8 @@ val dropped : t -> track:int -> int
 
 val total_events : t -> int
 val iter : t -> (track:int -> cycle:int -> Event.t -> unit) -> unit
+(** Visit every retained event in place, track by track, each track
+    oldest first (the order of {!events}). *)
 
 val for_sim : ?capacity:int -> cores:int -> unit -> t
 (** Simulator layout: tracks [core0..core(N-1)] plus a final ["LaneMgr"]

@@ -10,6 +10,7 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Workload = Occamy_core.Workload
 module Trace = Occamy_obs.Trace
+module Attrib = Occamy_obs.Attrib
 module Invariant = Occamy_check.Invariant
 module Diff = Occamy_check.Diff
 module Corpus = Occamy_check.Corpus
@@ -21,14 +22,18 @@ module Suite = Occamy_workloads.Suite
 (* Run both loops on identical inputs; fail the test on any divergence
    in metrics or trace streams; hand back the fast-forwarding simulator
    so callers can also assert skip statistics. *)
-let run_both ?(cfg = Config.default) ?(context_switches = []) ~label ~arch
-    wls =
+let run_both ?(cfg = Config.default) ?(context_switches = [])
+    ?(attrib = false) ~label ~arch wls =
   let run fast_forward =
     let trace = Trace.for_sim ~cores:cfg.Config.cores () in
+    let attrib =
+      if attrib then Attrib.create ~cores:cfg.Config.cores ()
+      else Attrib.disabled
+    in
     let t =
       Sim.create
         ~cfg:{ cfg with Config.fast_forward }
-        ~trace ~context_switches ~arch wls
+        ~trace ~attrib ~context_switches ~arch wls
     in
     let m = Sim.run t in
     (t, m, trace)
@@ -97,6 +102,22 @@ let test_staggered_switches () =
            ~label:"preempt-staggered" ~arch wls))
     Arch.all
 
+let test_preempt_pending_reduction () =
+  (* Regression: core 1 of 6+1 is preempted while a Vred waits for its
+     pipeline to drain. The drain used to never release the reduction,
+     so the core stayed in Cs_draining and the run spun to max_cycles. *)
+  let pair = Option.get (Suite.find_pair "6+1") in
+  let wls = Suite.compile_pair pair in
+  let t =
+    run_both ~attrib:true
+      ~context_switches:[ (1, 3410); (1, 6558); (1, 9202) ]
+      ~label:"preempt-vred" ~arch:Arch.Occamy wls
+  in
+  Helpers.check_bool
+    (Printf.sprintf "finished at cycle %d, far below max_cycles" (Sim.cycle t))
+    true
+    (Sim.cycle t < Config.default.Config.max_cycles / 100)
+
 (* ---------------- 4-core group -------------------------------------- *)
 
 let test_four_core_group () =
@@ -162,5 +183,7 @@ let suites =
         Alcotest.test_case
           (Printf.sprintf "%d fresh fuzz cases" fuzz_cases)
           `Quick test_fresh_fuzz_cases;
+        Alcotest.test_case "preempted during a reduction" `Quick
+          test_preempt_pending_reduction;
       ] );
   ]

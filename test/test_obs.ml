@@ -13,6 +13,7 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Metrics = Occamy_core.Metrics
 module Motivating = Occamy_workloads.Motivating
+module Rng = Occamy_check.Rng
 
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
@@ -45,6 +46,88 @@ let test_ring_overflow_drops_oldest () =
   (* Oldest first, and the oldest retained is cycle 7. *)
   let cycles = List.map fst (Trace.events t ~track:0) in
   Alcotest.(check (list int)) "cycles" [ 7; 8; 9; 10 ] cycles
+
+(* Reference model of a track: every event ever recorded, newest first;
+   a ring of [capacity] must retain exactly the newest [capacity]. *)
+let check_against_model ~label t ~capacity ~track recorded =
+  let n = List.length recorded in
+  let retained = List.filteri (fun i _ -> i < capacity) recorded in
+  let expected = List.rev retained in
+  let got = Trace.events t ~track in
+  check_int (label ^ ": retained") (List.length expected) (List.length got);
+  check_bool (label ^ ": events oldest first") true (got = expected);
+  check_int (label ^ ": dropped") (max 0 (n - capacity))
+    (Trace.dropped t ~track);
+  let visited = ref [] in
+  Trace.iter t (fun ~track:tr ~cycle ev ->
+      if tr = track then visited := (cycle, ev) :: !visited);
+  check_bool (label ^ ": iter matches events") true
+    (List.rev !visited = expected)
+
+(* Record [count] events (cycle [i], distinct payload) on one track. *)
+let fill t ~track count =
+  let recorded = ref [] in
+  for i = 0 to count - 1 do
+    let ev = Event.Vl_grant { core = track; granted = i; al = i mod 7 } in
+    Trace.record t ~track ~cycle:i ev;
+    recorded := (i, ev) :: !recorded
+  done;
+  !recorded
+
+let test_ring_model_property () =
+  (* Seeded: capacities straddle the initial ring size and its
+     doublings, and two interleaved tracks must not disturb each
+     other. *)
+  let rng = Rng.create ~seed:20231 in
+  for trial = 1 to 200 do
+    let capacity = Rng.range rng 1 300 and count = Rng.range rng 0 1000 in
+    let t = Trace.create ~capacity ~tracks:[ "a"; "b" ] () in
+    let recorded = [| []; [] |] in
+    for i = 0 to count - 1 do
+      let track = if Rng.bool rng 0.5 then 0 else 1 in
+      let ev = Event.Vl_grant { core = track; granted = i; al = 0 } in
+      Trace.record t ~track ~cycle:i ev;
+      recorded.(track) <- (i, ev) :: recorded.(track)
+    done;
+    let label =
+      Printf.sprintf "trial %d (cap %d, %d events)" trial capacity count
+    in
+    check_int (label ^ ": total_events")
+      (min capacity (List.length recorded.(0))
+      + min capacity (List.length recorded.(1)))
+      (Trace.total_events t);
+    check_against_model ~label:(label ^ " a") t ~capacity ~track:0 recorded.(0);
+    check_against_model ~label:(label ^ " b") t ~capacity ~track:1 recorded.(1)
+  done
+
+let test_ring_growth_boundaries () =
+  (* Event counts on either side of the first two doublings, at the
+     default capacity, at a capacity that is not a power of two, and at
+     capacities equal to and just above the initial size. *)
+  List.iter
+    (fun (capacity, count) ->
+      let t = Trace.create ~capacity ~tracks:[ "a" ] () in
+      let recorded = fill t ~track:0 count in
+      let label = Printf.sprintf "cap %d, %d events" capacity count in
+      check_int (label ^ ": total_events") (min capacity count)
+        (Trace.total_events t);
+      check_against_model ~label t ~capacity ~track:0 recorded)
+    [
+      (65536, 63); (65536, 64); (65536, 65); (65536, 129);
+      (100, 63); (100, 64); (100, 65); (100, 129); (100, 250);
+      (64, 65); (65, 129); (1, 3);
+    ]
+
+let test_for_sim_allocates_little () =
+  (* A trace is created per simulation; its rings must start small
+     rather than at [capacity] slots per track (~393 K words for two
+     cores). Direct major-heap allocations are counted as well. *)
+  let major () = (Gc.quick_stat ()).Gc.major_words in
+  let minor0 = Gc.minor_words () and major0 = major () in
+  let t = Trace.for_sim ~cores:2 () in
+  let words = Gc.minor_words () -. minor0 +. (major () -. major0) in
+  check_int "tracks" 3 (Trace.num_tracks t);
+  check_bool (Printf.sprintf "allocated %.0f words" words) true (words < 4096.0)
 
 let test_disabled_trace_inert () =
   let t = Trace.disabled in
@@ -570,6 +653,12 @@ let suites =
       [
         Alcotest.test_case "ring basics" `Quick test_ring_basics;
         Alcotest.test_case "ring overflow" `Quick test_ring_overflow_drops_oldest;
+        Alcotest.test_case "ring model property" `Quick
+          test_ring_model_property;
+        Alcotest.test_case "ring growth boundaries" `Quick
+          test_ring_growth_boundaries;
+        Alcotest.test_case "for_sim allocates little" `Quick
+          test_for_sim_allocates_little;
         Alcotest.test_case "disabled inert" `Quick test_disabled_trace_inert;
         Alcotest.test_case "disabled allocates nothing" `Quick
           test_disabled_guard_no_allocation;
