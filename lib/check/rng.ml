@@ -1,90 +1,4 @@
-(** Splittable SplitMix64 (Steele, Lea & Flood, OOPSLA'14).
+(** The fuzzer's generator is the simulator's: {!Occamy_util.Rng}, kept
+    reachable under this name for callers outside the library. *)
 
-    Unlike {!Occamy_util.Rng} (a fixed-gamma SplitMix64 whose [split]
-    simply reseeds), this carries the per-generator *gamma* that makes
-    splitting principled: a child stream's increment is itself drawn and
-    whitened from the parent, so parent and child walk unrelated orbits
-    of the underlying Weyl sequence. The fuzzer leans on this heavily —
-    one generator per case, split again per schedule — so stream
-    independence is load-bearing, not cosmetic. *)
-
-type t = { mutable state : int64; gamma : int64 }
-
-let golden_gamma = 0x9E3779B97F4A7C15L
-
-(* Stafford variant 13 of the MurmurHash3 finalizer. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let popcount64 x =
-  let rec go acc x =
-    if Int64.equal x 0L then acc
-    else go (acc + 1) Int64.(logand x (sub x 1L))
-  in
-  go 0 x
-
-(* Gammas must be odd; reject weak (too-regular) candidates as in the
-   reference implementation. *)
-let mix_gamma z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
-  let z = logor (logxor z (shift_right_logical z 33)) 1L in
-  if popcount64 (logxor z (shift_right_logical z 1)) < 24 then
-    logxor z 0xAAAAAAAAAAAAAAAAL
-  else z
-
-let next_seed t =
-  t.state <- Int64.add t.state t.gamma;
-  t.state
-
-let bits64 t = mix64 (next_seed t)
-
-let create ~seed = { state = Int64.of_int seed; gamma = golden_gamma }
-
-let copy t = { state = t.state; gamma = t.gamma }
-
-let split t =
-  let s = next_seed t in
-  let g = next_seed t in
-  { state = mix64 s; gamma = mix_gamma g }
-
-(* The i-th case seed under a root seed, as a pure function: hash the
-   (seed, index) pair down to a non-negative int. Replaying case i must
-   not require generating cases 0..i-1. *)
-let case_seed ~seed i =
-  let open Int64 in
-  let h = mix64 (add (mul (of_int seed) golden_gamma) (of_int i)) in
-  to_int (logand (mix64 (add h 1L)) 0x3FFF_FFFF_FFFF_FFFFL)
-
-let float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
-
-let int t bound =
-  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let r = Int64.to_int (Int64.logand (bits64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
-  r mod bound
-
-let range t lo hi =
-  if hi < lo then invalid_arg "Rng.range: empty range";
-  lo + int t (hi - lo + 1)
-
-let bool t p = float t < p
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let choose t weighted =
-  let total = List.fold_left (fun acc (w, _) -> acc + max 0 w) 0 weighted in
-  if total <= 0 then invalid_arg "Rng.choose: no positive weight";
-  let k = int t total in
-  let rec go k = function
-    | [] -> invalid_arg "Rng.choose: impossible"
-    | (w, x) :: rest -> if k < max 0 w then x else go (k - max 0 w) rest
-  in
-  go k weighted
+include Occamy_util.Rng

@@ -50,6 +50,7 @@ let set_decision t ~core d =
   t.decision.(core) <- d
 
 let set_oi t ~core v = check_core t core; t.oi.(core) <- v
+let set_status t ~core v = check_core t core; t.status.(core) <- v
 
 (** Attempt the atomic update of §4.2.2. Returns [true] (and sets
     `<status>` to 1) when the requested number of lanes was available;

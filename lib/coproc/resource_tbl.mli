@@ -21,6 +21,9 @@ val cores : t -> int
 val set_decision : t -> core:int -> int -> unit
 val set_oi : t -> core:int -> Occamy_isa.Oi.t -> unit
 
+val set_status : t -> core:int -> int -> unit
+(** Rewrite `<status>`, as the OS does when it restores a task. *)
+
 val try_set_vl : t -> core:int -> int -> bool
 (** The atomic §4.2.2 update; [l = 0] releases and always succeeds.
     Sets `<status>` accordingly. *)

@@ -85,12 +85,15 @@ type phase_acc = {
 (* OS scheduling state of a core's task (§5): the OS drains the pipelines
    (including Occamy's), saves the five EM-SIMD dedicated registers,
    releases the lanes, and on restore rewrites <OI> to retrigger lane
-   partitioning before the task reacquires a vector length. *)
+   partitioning before the task reacquires a vector length. <status> is
+   saved too: releasing the lanes rewrites it, and a task preempted while
+   spinning on a denied MSR <VL> must read the denial again on return. *)
 type cs_state =
   | Cs_running
   | Cs_draining
-  | Cs_away of { resume_at : int; saved_vl : int; saved_oi : Oi.t }
-  | Cs_restoring of { saved_vl : int }
+  | Cs_away of
+      { resume_at : int; saved_vl : int; saved_oi : Oi.t; saved_status : int }
+  | Cs_restoring of { saved_vl : int; saved_status : int }
 
 type core_state = {
   id : int;
@@ -263,15 +266,16 @@ type t = {
   mutable ff_skipped : int;  (* cycles advanced without stepping *)
   mutable ff_jumps : int;    (* number of fast-forward jumps *)
   mutable work_cycle : int;
-      (* last cycle on which the machine did any work (executed,
-         transmitted, renamed, issued or retired something). Gates the
-         horizon computation: a cycle that did work almost certainly has
-         a successor event, so don't bother scanning for a skip. Purely
-         a filter on *attempting* skips — never affects timing. *)
+      (* last cycle whose step changed machine state beyond per-cycle
+         counters: executed, transmitted, renamed, issued or retired
+         something, resolved a <VL> request, released a reduction, or
+         moved a context switch along. Only a step after which it is
+         stale may be replayed by a fast-forward jump (see
+         [fast_forward_to]); besides that it never affects timing. *)
   mutable ff_quiet_until : int;
       (* a horizon pass proved no state change strictly before this
-         cycle; don't re-scan until we get there. Like [work_cycle],
-         only a filter on attempts. *)
+         cycle; don't re-scan until we get there. Only a filter on
+         attempts. *)
   (* per-cycle issue budgets; for FTS index 0 is the shared domain *)
   compute_budget : int array;
   mem_budget : int array;
@@ -279,17 +283,21 @@ type t = {
   (* -------- observability (never feeds back into timing) ----------- *)
   trace : Trace.t;
   prof : Prof.t;  (* self-profiling stage scopes; Prof.disabled by default *)
-  obs_prev_stalls : int array;  (* rename_stalls at the last episode scan *)
   obs_stall_start : int array;  (* open stall episode start, -1 if none *)
   obs_req_cycle : int array;    (* cycle of the pending MSR <VL>, -1 *)
+  (* -------- per-core effects of the last step ------------------------ *)
+  (* Each holds the counter's value at step start until the step ends,
+     then its increment over the step. The classifier and the stall
+     episode scan read them; a fast-forward jump replays them. *)
+  d_issued : int array;         (* issued_compute + issued_mem *)
+  d_stalls : int array;         (* rename_stalls *)
+  d_blocked : int array;        (* blocked_vl_cycles *)
   (* -------- top-down cycle accounting (also observational) ---------- *)
   at_on : bool;                 (* hoisted Attrib.enabled: one branch/cycle *)
   attrib : Attrib.t;
-  at_prev_issued : int array;   (* issued_compute+issued_mem last cycle *)
-  at_prev_stalls : int array;   (* rename_stalls last cycle *)
   at_mob_blocked : bool array;  (* a ready mem uop hit a MOB conflict this
                                    cycle (set by the dispatch sweep) *)
-  at_ff_buckets : int array;    (* scratch: per-core bucket for an FF jump *)
+  at_bucket : int array;        (* bucket index the last step chose *)
   (* -------- fault injection (observational marking only) ------------ *)
   inj_on : bool;
       (* hoisted [cfg.inject_rate > 0]: one branch per issue when off.
@@ -588,15 +596,15 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     bucket_width = 1000;
     trace;
     prof;
-    obs_prev_stalls = Array.make cfg.cores 0;
     obs_stall_start = Array.make cfg.cores (-1);
     obs_req_cycle = Array.make cfg.cores (-1);
+    d_issued = Array.make cfg.cores 0;
+    d_stalls = Array.make cfg.cores 0;
+    d_blocked = Array.make cfg.cores 0;
     at_on = Attrib.enabled attrib;
     attrib;
-    at_prev_issued = Array.make cfg.cores 0;
-    at_prev_stalls = Array.make cfg.cores 0;
     at_mob_blocked = Array.make cfg.cores false;
-    at_ff_buckets = Array.make cfg.cores 0;
+    at_bucket = Array.make cfg.cores 0;
     inj_on = cfg.inject_rate > 0.0;
   }
 
@@ -672,6 +680,7 @@ let resolve_vl_request t c l =
         (Event.Reconfig_blocked
            { core = c.id; start_cycle = req; cycles = t.cycle - req })
   end;
+  t.work_cycle <- t.cycle;
   (match t.arch with
   | Arch.Fts ->
     (* Temporal sharing: every core always executes at full width; the
@@ -873,25 +882,19 @@ let transmit c instr =
   end
 
 let step_frontend t c =
-  if not (cs_is_running c) then begin
-    (* A context switch's drain is also the reduction's: a core
-       preempted while its Vred waits must still release it, or
-       [Cs_draining] (which waits for [pending_red]) never ends. *)
-    if c.pending_red && pipeline_drained c then c.pending_red <- false
-  end
-  else if c.halted then ()
+  (* Vred waits for the core's pipeline to drain (the reduction reads
+     the architectural vector state; Table 2 ⟨SVE, Scalar⟩). A context
+     switch's drain is also the reduction's: a core preempted while its
+     Vred waits must still release it, or [Cs_draining] (which waits for
+     [pending_red]) never ends. *)
+  if c.pending_red && pipeline_drained c then begin
+    c.pending_red <- false;
+    t.work_cycle <- t.cycle
+  end;
+  if (not (cs_is_running c)) || c.halted then ()
   else if c.pending_vl >= 0 then
     c.blocked_vl_cycles <- c.blocked_vl_cycles + 1
-  else if c.pending_red then begin
-    (* Vred waits for the core's pipeline to drain (the reduction reads
-       the architectural vector state; Table 2 ⟨SVE, Scalar⟩). *)
-    if pipeline_drained c then c.pending_red <- false
-  end;
-  if
-    (not (cs_is_running c)) || c.halted || c.pending_vl >= 0
-    || c.pending_red
-  then ()
-  else begin
+  else if not c.pending_red then begin
     (* The 8-issue scalar core executes scalar instructions and, in
        parallel, transmits up to [transmit_width] SVE/EM-SIMD instructions
        per cycle to the co-processor (Figure 5); the two budgets are
@@ -1607,13 +1610,28 @@ let check_invariants t =
    granted again. The restored length is the fresh plan's suggestion on
    the elastic machine (the plan may have changed while away) and the
    saved length elsewhere. *)
+(* The vector length a returning task asks for. *)
+let restore_target t c ~saved_vl =
+  match t.arch with
+  | Arch.Occamy -> max 1 (Rtbl.decision t.rtbl ~core:c.id)
+  | Arch.Fts -> t.cfg.exebus
+  | Arch.Private | Arch.Vls -> saved_vl
+
+let set_cs_state t c s =
+  c.cs_state <- s;
+  t.work_cycle <- t.cycle
+
+let resume_task t c ~saved_status =
+  Rtbl.set_status t.rtbl ~core:c.id saved_status;
+  set_cs_state t c Cs_running
+
 let step_context_switch t c =
   match c.cs_state with
   | Cs_running -> (
     match c.cs_schedule with
     | cycle :: rest when t.cycle >= cycle && not c.halted ->
       c.cs_schedule <- rest;
-      c.cs_state <- Cs_draining
+      set_cs_state t c Cs_draining
     | cycle :: rest when c.halted ->
       ignore cycle;
       c.cs_schedule <- rest
@@ -1621,6 +1639,7 @@ let step_context_switch t c =
   | Cs_draining ->
     if pipeline_drained c && c.pending_vl < 0 && not c.pending_red then begin
       let saved_vl = c.vl and saved_oi = Rtbl.oi t.rtbl ~core:c.id in
+      let saved_status = Rtbl.status t.rtbl ~core:c.id in
       (match t.arch with
       | Arch.Fts -> c.vl <- 0
       | _ ->
@@ -1641,10 +1660,10 @@ let step_context_switch t c =
         if tracing t then trace_replan t ~trigger:c.id ~cause:Event.Preempt mgr;
         if Prof.sampled t.prof then Prof.exit t.prof
       | None -> ());
-      c.cs_state <-
-        Cs_away { resume_at = t.cycle + t.cfg.cs_away_cycles; saved_vl; saved_oi }
+      let resume_at = t.cycle + t.cfg.cs_away_cycles in
+      set_cs_state t c (Cs_away { resume_at; saved_vl; saved_oi; saved_status })
     end
-  | Cs_away { resume_at; saved_vl; saved_oi } ->
+  | Cs_away { resume_at; saved_vl; saved_oi; saved_status } ->
     if t.cycle >= resume_at then begin
       (* The OS restores <OI> (when non-zero), retriggering partitioning. *)
       Rtbl.set_oi t.rtbl ~core:c.id saved_oi;
@@ -1659,21 +1678,16 @@ let step_context_switch t c =
         if tracing t then trace_replan t ~trigger:c.id ~cause:Event.Resume mgr;
         if Prof.sampled t.prof then Prof.exit t.prof
       | _ -> ());
-      if saved_vl = 0 then c.cs_state <- Cs_running
-      else c.cs_state <- Cs_restoring { saved_vl }
+      if saved_vl = 0 then resume_task t c ~saved_status
+      else set_cs_state t c (Cs_restoring { saved_vl; saved_status })
     end
-  | Cs_restoring { saved_vl } ->
-    let target =
-      match t.arch with
-      | Arch.Occamy -> max 1 (Rtbl.decision t.rtbl ~core:c.id)
-      | Arch.Fts -> t.cfg.exebus
-      | Arch.Private | Arch.Vls -> saved_vl
-    in
+  | Cs_restoring { saved_vl; saved_status } ->
+    let target = restore_target t c ~saved_vl in
     (match t.arch with
     | Arch.Fts ->
       c.vl <- target;
       c.reconfigs <- c.reconfigs + 1;
-      c.cs_state <- Cs_running
+      resume_task t c ~saved_status
     | _ ->
       if Rtbl.try_set_vl t.rtbl ~core:c.id target then begin
         Config_tbl.reassign t.exebu_cfg ~core:c.id ~count:target;
@@ -1681,7 +1695,7 @@ let step_context_switch t c =
         refresh_owned_units t c;
         c.vl <- target;
         c.reconfigs <- c.reconfigs + 1;
-        c.cs_state <- Cs_running
+        resume_task t c ~saved_status
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -1689,13 +1703,12 @@ let step_context_switch t c =
 (* ------------------------------------------------------------------ *)
 
 (* Why did core [c] spend the cycle that just ended the way it did?
-   Exactly one bucket, first match wins. Inputs are end-of-cycle state
-   plus per-cycle deltas ([at_prev_issued]/[at_prev_stalls]) and the
-   dispatch sweep's MOB-conflict flag. The fast-forward loop batches
-   the same cascade over provably-inert stretches (see
-   [fast_forward_to]); the naive-vs-FF bit-identity suites hold the two
-   paths to equality, and [run] checks that every core's buckets sum to
-   exactly the simulated cycle count. *)
+   Exactly one bucket, first match wins. Inputs are end-of-cycle state,
+   the step's issue and stall deltas ([d_issued]/[d_stalls]) and the
+   dispatch sweep's MOB-conflict flag. This is the only classifier: a
+   fast-forward jump repeats the bucket it chose on the last step (see
+   [fast_forward_to]), and [run] checks that every core's buckets sum
+   to exactly the simulated cycle count. *)
 let classify_core t c =
   if not (cs_is_running c) then Attrib.Ctx_switch
   else if c.pending_vl >= 0 && not c.halted then Attrib.Reconfig_blocked
@@ -1705,9 +1718,8 @@ let classify_core t c =
        elastic-sharing lag the paper's figures are about. Never fires on
        Private/FTS, whose decisions are static. *)
     Attrib.Lane_starved
-  else if c.issued_compute + c.issued_mem > t.at_prev_issued.(c.id) then
-    Attrib.Issuing
-  else if c.rename_stalls > t.at_prev_stalls.(c.id) then Attrib.Rename_stall
+  else if t.d_issued.(c.id) > 0 then Attrib.Issuing
+  else if t.d_stalls.(c.id) > 0 then Attrib.Rename_stall
   else if c.pending_red && not c.halted then Attrib.Exe_latency
   else if Lsu.outstanding c.lsu > 0 then Attrib.of_level c.cur_level
   else if t.at_mob_blocked.(c.id) then Attrib.Mob_conflict
@@ -1717,15 +1729,32 @@ let classify_core t c =
 
 let classify_cores t =
   for i = 0 to Array.length t.cores - 1 do
-    let c = t.cores.(i) in
-    Attrib.add t.attrib ~core:i ~cycle:t.cycle (classify_core t c);
-    t.at_prev_issued.(i) <- c.issued_compute + c.issued_mem;
-    t.at_prev_stalls.(i) <- c.rename_stalls;
+    let b = classify_core t t.cores.(i) in
+    Attrib.add t.attrib ~core:i ~cycle:t.cycle b;
+    t.at_bucket.(i) <- Attrib.index b;
     t.at_mob_blocked.(i) <- false
+  done
+
+(* Open and close the step's per-core deltas; see the [d_*] fields. *)
+let begin_deltas t =
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    t.d_issued.(i) <- c.issued_compute + c.issued_mem;
+    t.d_stalls.(i) <- c.rename_stalls;
+    t.d_blocked.(i) <- c.blocked_vl_cycles
+  done
+
+let end_deltas t =
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    t.d_issued.(i) <- c.issued_compute + c.issued_mem - t.d_issued.(i);
+    t.d_stalls.(i) <- c.rename_stalls - t.d_stalls.(i);
+    t.d_blocked.(i) <- c.blocked_vl_cycles - t.d_blocked.(i)
   done
 
 let step t =
   t.cycle <- t.cycle + 1;
+  begin_deltas t;
   Prof.begin_cycle t.prof;
   let pr = Prof.sampled t.prof in
   Exebu.begin_cycle t.exebus ~cycle:t.cycle;
@@ -1773,19 +1802,16 @@ let step t =
       resolve_vl_request t c c.pending_vl
   done;
   if pr then Prof.exit t.prof;
+  end_deltas t;
   (* Rename-stall episode detection (observability only): a fresh stall
      this cycle opens an episode, the first stall-free cycle closes it. *)
   if tracing t then begin
     if pr then Prof.enter t.prof Prof.Trace_overhead;
     for i = 0 to n - 1 do
-      let c = t.cores.(i) in
-      let stalls = c.rename_stalls in
-      if stalls > t.obs_prev_stalls.(c.id) then begin
-        if t.obs_stall_start.(c.id) < 0 then
-          t.obs_stall_start.(c.id) <- t.cycle
+      if t.d_stalls.(i) > 0 then begin
+        if t.obs_stall_start.(i) < 0 then t.obs_stall_start.(i) <- t.cycle
       end
-      else trace_end_stall_episode t c ~upto:t.cycle;
-      t.obs_prev_stalls.(c.id) <- stalls
+      else trace_end_stall_episode t t.cores.(i) ~upto:t.cycle
     done;
     if pr then Prof.exit t.prof
   end;
@@ -1805,13 +1831,24 @@ let step t =
    cycle, advance [t.cycle] and every per-cycle counter in one jump.
 
    The proof obligation is bit-identical equivalence with the naive tick
-   loop ([Config.fast_forward = false]): during a skipped stretch no
-   instruction executes, transmits, renames, issues or retires, no RNG
-   is drawn, and no trace event fires, so the only per-cycle effects are
-   the deterministic counters batched by [fast_forward_to]. Anything the
-   horizon scan cannot prove inert raises [Horizon_now] and the
-   simulator just steps normally. The sim-vs-sim harness
-   (test_fastforward) and the nightly differential fuzzer hold both
+   loop ([Config.fast_forward = false]). A jump is only attempted after
+   an idle step: one that left [work_cycle] stale, so it changed no
+   state but per-cycle counters (stall, blocked-<VL> and sample
+   counters, attribution). Every state change that could alter those
+   counters on a later cycle stamps [work_cycle] — any executed,
+   transmitted, renamed, issued or retired instruction, a <VL>
+   resolution, a reduction's release and every context-switch edge —
+   and [horizon] proves that no such change happens before the target
+   (anything it cannot prove inert raises [Horizon_now]). The edges
+   matter even though nothing moves: a core preempted while its MSR
+   <VL> waits for the drain counts a blocked cycle on the switch's step
+   and none after it, and slow memory can leave that drain idle for
+   hundreds of cycles. So the idle
+   step is a fixed point: each skipped cycle would repeat it exactly,
+   and [fast_forward_to] adds [k] times the step's per-core deltas and
+   bucket instead of re-deriving them. No instruction moves, no RNG is
+   drawn and no trace event fires inside the stretch. The sim-vs-sim
+   harness (test_fastforward) and the differential fuzzer hold both
    loops to this equality on metrics, counters and trace streams. *)
 
 exception Horizon_now
@@ -1829,21 +1866,15 @@ let frontend_blocked t c =
      | _ -> false)
   && (c.p_tail - c.p_head >= c.p_limit || t.cfg.transmit_width <= 0)
 
-(* Post-step rename state: able to progress next cycle (an event),
-   deterministically stalled on an exhausted freelist (one counted
-   failed attempt per cycle), or inert (empty pool / full window). *)
-type rename_quiescence = Rq_inert | Rq_stalled | Rq_progress
-
-let rename_quiescence t c =
-  if
-    t.cfg.rename_width <= 0
-    || c.p_head = c.p_tail
-    || c.w_tail - c.w_head >= t.cfg.window
-  then Rq_inert
-  else
-    let needs_row = c.p_kind.(c.p_head land c.p_mask) <> k_store in
-    if needs_row && Freelist.free c.freelist = 0 then Rq_stalled
-    else Rq_progress
+(* Can rename move an instruction next cycle (an event)? Otherwise the
+   pool is empty, the window full, or the freelist exhausted — the last
+   a stall the idle step already counted. *)
+let rename_can_progress t c =
+  t.cfg.rename_width > 0
+  && c.p_head <> c.p_tail
+  && c.w_tail - c.w_head < t.cfg.window
+  && (c.p_kind.(c.p_head land c.p_mask) = k_store
+     || Freelist.free c.freelist > 0)
 
 (* [hz_note]/[t.hz_ev] replace the closure the horizon scan used to
    allocate per call: the accumulator lives on [t]. *)
@@ -1886,24 +1917,18 @@ let horizon t =
       (* Transitions (and resolves any pending <VL>) once drained. *)
       if pipeline_drained c then raise_notrace Horizon_now
     | Cs_away { resume_at; _ } -> hz_note t now resume_at
-    | Cs_restoring { saved_vl } -> (
-      match t.arch with
-      | Arch.Fts -> raise_notrace Horizon_now
-      | _ ->
-        let target =
-          match t.arch with
-          | Arch.Occamy -> max 1 (Rtbl.decision t.rtbl ~core:c.id)
-          | _ -> saved_vl
-        in
-        (* Feasible -> granted next cycle. Infeasible -> stable until
-           another core releases lanes, itself an event; the naive
-           loop's failing [try_set_vl] per cycle only rewrites
-           <status> to the value it already has. *)
-        if Rtbl.vl t.rtbl ~core:c.id + Rtbl.al t.rtbl >= target then
-          raise_notrace Horizon_now));
-    match rename_quiescence t c with
-    | Rq_progress -> raise_notrace Horizon_now
-    | Rq_inert | Rq_stalled -> ()
+    | Cs_restoring { saved_vl; _ } ->
+      (* FTS restores next cycle. Elsewhere a feasible target is granted
+         next cycle; an infeasible one is stable until another core
+         releases lanes, itself an event (the naive loop's failing
+         [try_set_vl] per cycle only rewrites <status>, which the
+         task's return restores anyway). *)
+      if
+        t.arch = Arch.Fts
+        || Rtbl.vl t.rtbl ~core:c.id + Rtbl.al t.rtbl
+           >= restore_target t c ~saved_vl
+      then raise_notrace Horizon_now);
+    if rename_can_progress t c then raise_notrace Horizon_now
   done;
   for i = 0 to Array.length t.cores - 1 do
     let c = t.cores.(i) in
@@ -1959,78 +1984,21 @@ let horizon t =
   done;
   t.hz_ev
 
-(* Would the naive loop's dispatch sweep have flagged a MOB conflict
-   for [c] on each cycle of an inert stretch? Mirrors the horizon scan's
-   memory branch plus [mem_possible]'s port gate: a dep-ready unissued
-   memory entry the LSU could accept into a non-full MOB, held back only
-   by an address conflict. Window/LSU/MOB state is constant across the
-   stretch (heap-parked entries have ready times past its end — the
-   horizon noted them as events), so one scan answers for every skipped
-   cycle. Allocation-free, like the rest of the FF path. *)
-let ff_mob_scan t c =
-  let now = t.cycle in
-  let rec scan q =
-    if q >= c.w_tail then false
-    else begin
-      let s = q land c.w_mask in
-      if
-        Bitset.mem c.w_unissued s
-        && c.w_kind.(s) < k_compute
-        && dep_issued c c.w_s1.(s)
-        && dep_issued c c.w_s2.(s)
-        && dep_issued c c.w_s3.(s)
-      then begin
-        let rdy =
-          let r1 = dep_done_at c c.w_s1.(s) in
-          let r2 = dep_done_at c c.w_s2.(s) in
-          let r3 = dep_done_at c c.w_s3.(s) in
-          let m = if r1 > r2 then r1 else r2 in
-          if m > r3 then m else r3
-        in
-        let is_store = c.w_kind.(s) = k_store in
-        if
-          rdy <= now
-          && t.cfg.mem_ports > 0
-          && Lsu.can_accept c.lsu ~is_store
-          && (not (Mob.is_full t.mob))
-          && Mob.conflicts t.mob ~arr:c.w_arr.(s) ~base:c.w_base.(s)
-               ~len:c.w_elems.(s) ~is_store
-        then true
-        else scan (q + 1)
-      end
-      else scan (q + 1)
-    end
-  in
-  scan c.w_head
-
 (* Jump to [target] (exclusive of the step that will execute
-   [target + 1]), batching exactly the per-cycle effects the naive loop
-   would have accumulated over cycles [t.cycle+1 .. target]. *)
+   [target + 1]), replaying the idle step that just ran once for each
+   cycle [t.cycle+1 .. target] the naive loop would have stepped. The
+   VL sample is re-taken from [c.vl], which is constant too. *)
 let fast_forward_to t ~target =
   let k = target - t.cycle in
   for i = 0 to Array.length t.cores - 1 do
     let c = t.cores.(i) in
-    (* Front-end blocked on MSR <VL>: one counted cycle each tick. *)
-    if cs_is_running c && (not c.halted) && c.pending_vl >= 0 then
-      c.blocked_vl_cycles <- c.blocked_vl_cycles + k;
-    (* Deterministic rename stall: one failed allocation per cycle. *)
-    let rq = rename_quiescence t c in
-    (match rq with
-    | Rq_stalled ->
-      c.rename_stalls <- c.rename_stalls + k;
-      (match c.cur_phase with
-      | Some pa -> pa.pa_stalls <- pa.pa_stalls + k
-      | None -> ());
-      Freelist.record_failures c.freelist ~count:k;
-      if tracing t then begin
-        (* The episode detector would have seen the first batched
-           stall at cycle+1; keep its start stamp and its
-           already-counted baseline exact. *)
-        if t.obs_stall_start.(c.id) < 0 then
-          t.obs_stall_start.(c.id) <- t.cycle + 1;
-        t.obs_prev_stalls.(c.id) <- c.rename_stalls
-      end
-    | Rq_inert | Rq_progress -> ());
+    c.blocked_vl_cycles <- c.blocked_vl_cycles + (k * t.d_blocked.(i));
+    let stalls = k * t.d_stalls.(i) in
+    c.rename_stalls <- c.rename_stalls + stalls;
+    (match c.cur_phase with
+    | Some pa -> pa.pa_stalls <- pa.pa_stalls + stalls
+    | None -> ());
+    Freelist.record_failures c.freelist ~count:stalls;
     (* Per-cycle sampling ([sample_stats]) for live cores. *)
     if not c.halted then begin
       Buckets.add_run_int c.vl_buckets ~cycle:(t.cycle + 1) ~len:k c.vl;
@@ -2039,38 +2007,11 @@ let fast_forward_to t ~target =
         pa.pa_vl_sum <- pa.pa_vl_sum + (k * c.vl);
         pa.pa_cycles <- pa.pa_cycles + k
       | None -> ()
-    end;
-    if t.at_on then begin
-      (* [classify_core]'s cascade over state that is constant for the
-         whole stretch. Nothing issues during a skip, so the Issuing
-         test is statically false; the rename-stall delta is [rq]; the
-         dispatch sweep's conflict flag becomes [ff_mob_scan]. *)
-      let b =
-        if not (cs_is_running c) then Attrib.Ctx_switch
-        else if c.pending_vl >= 0 && not c.halted then Attrib.Reconfig_blocked
-        else if
-          (not c.halted) && c.vl > 0 && c.vl < Rtbl.decision t.rtbl ~core:c.id
-        then Attrib.Lane_starved
-        else if rq = Rq_stalled then Attrib.Rename_stall
-        else if c.pending_red && not c.halted then Attrib.Exe_latency
-        else if Lsu.outstanding c.lsu > 0 then Attrib.of_level c.cur_level
-        else if ff_mob_scan t c then Attrib.Mob_conflict
-        else if c.w_head < c.w_tail || c.p_head < c.p_tail then
-          Attrib.Exe_latency
-        else if c.halted then Attrib.Idle
-        else Attrib.Scalar
-      in
-      t.at_ff_buckets.(i) <- Attrib.index b;
-      (* Resync the per-cycle deltas the naive classifier keeps: the
-         batched stalls above must not read as a fresh stall on the
-         first real step after the jump. *)
-      t.at_prev_issued.(i) <- c.issued_compute + c.issued_mem;
-      t.at_prev_stalls.(i) <- c.rename_stalls
     end
   done;
   if t.at_on then
     Attrib.add_run_all t.attrib ~start_cycle:(t.cycle + 1) ~len:k
-      ~buckets:t.at_ff_buckets;
+      ~buckets:t.at_bucket;
   (* The naive loop checks invariants at multiples of 1024; state is
      constant across the jump, so one check at the far end is
      equivalent whenever the jump crosses such a boundary. *)
@@ -2085,10 +2026,9 @@ let fast_forward_to t ~target =
 let ff_min_jump = 8
 
 let try_fast_forward t =
-  (* A cycle that did any work almost certainly has a successor event on
-     the very next cycle, so scanning for a horizon would be pure
-     overhead — only attempt a skip after provably idle cycles. (Purely
-     a filter on attempts: timing is unaffected either way.) *)
+  (* Only an idle step may be replayed (see above). A step that did
+     work also almost always has a successor event on the very next
+     cycle, so scanning for a horizon after it would be pure overhead. *)
   if
     t.work_cycle <> t.cycle
     && t.cycle >= t.ff_quiet_until

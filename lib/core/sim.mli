@@ -59,8 +59,9 @@ val create :
     cycle accounting: every simulated cycle of every core is attributed
     to exactly one cause bucket (issuing, lane-starved,
     reconfig-blocked, rename-stalled, LSU-bound by memory level,
-    MOB-conflicted, execution latency, context switch, scalar, idle),
-    batched across fast-forward jumps. It must cover at least
+    MOB-conflicted, execution latency, context switch, scalar, idle);
+    a fast-forward jump repeats the bucket of the idle step before it
+    for every skipped cycle. It must cover at least
     [cfg.cores] cores. Attribution is observational like [trace] and
     [prof]: timing results are bit-identical with it on or off, a
     disabled recorder costs one branch per cycle, and an enabled one

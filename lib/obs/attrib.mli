@@ -1,8 +1,9 @@
 (** Top-down cycle accounting: every simulated cycle of every core is
     attributed to exactly one cause bucket, in the spirit of Intel's
     top-down microarchitecture analysis. The simulator classifies each
-    core once per simulated cycle (and batches whole stretches across
-    fast-forward jumps); the per-core bucket sums are conserved — they
+    core once per stepped cycle (a fast-forward jump books the last
+    step's buckets for the whole skipped stretch); the per-core bucket
+    sums are conserved — they
     add up to exactly the number of simulated cycles — and the naive
     and fast-forward loops produce bit-identical accounts.
 
@@ -75,7 +76,7 @@ val add : t -> core:int -> cycle:int -> bucket -> unit
 val add_run_all : t -> start_cycle:int -> len:int -> buckets:int array -> unit
 (** Attribute [len] consecutive cycles starting at [start_cycle] for
     every core at once: core [i] gets [len] cycles in bucket index
-    [buckets.(i)]. Used by the fast-forward loop to batch a jump; the
+    [buckets.(i)]. Used by the fast-forward loop to book a jump; the
     window ring ends up bit-identical to [len] per-cycle {!add} sweeps
     over all cores. No-op on a disabled recorder or [len <= 0]. *)
 

@@ -31,8 +31,6 @@ let create ~seed =
      the sign into bits 62..63 exactly as [Int64.of_int] would. *)
   { hi = (seed asr 32) land mask32; lo = seed land mask32; zhi = 0; zlo = 0 }
 
-let copy t = { hi = t.hi; lo = t.lo; zhi = t.zhi; zlo = t.zlo }
-
 (* SplitMix64 step: advances the state and leaves 64 pseudo-random bits in
    [t.zhi]/[t.zlo]. Constants: golden gamma 0x9E3779B97F4A7C15, mixers
    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB, xor-shifts 30/27/31.
@@ -113,8 +111,19 @@ let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
 
+(** [choose t weighted] picks by positive integer weight. *)
+let choose t weighted =
+  let total = List.fold_left (fun acc (w, _) -> acc + max 0 w) 0 weighted in
+  if total <= 0 then invalid_arg "Rng.choose: no positive weight";
+  let k = int t total in
+  let rec go k = function
+    | [] -> invalid_arg "Rng.choose: impossible"
+    | (w, x) :: rest -> if k < max 0 w then x else go (k - max 0 w) rest
+  in
+  go k weighted
+
 (* ------------------------------------------------------------------ *)
-(* Pure per-opportunity decision hashing (fault injection)             *)
+(* Pure seed hashing (fuzz cases, fault injection)                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Stafford mix13 (the SplitMix64 finalizer) on boxed Int64 — this is
@@ -126,9 +135,17 @@ let stafford_mix64 z =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let golden = 0x9E3779B97F4A7C15L
+
+(* Hash the (seed, index) pair down to a non-negative int: replaying
+   case i must not require generating cases 0..i-1. *)
+let case_seed ~seed i =
+  let open Int64 in
+  let h = stafford_mix64 (add (mul (of_int seed) golden) (of_int i)) in
+  to_int (logand (stafford_mix64 (add h 1L)) 0x3FFF_FFFF_FFFF_FFFFL)
+
 let mix3 ~seed ~stream index =
   let open Int64 in
-  let golden = 0x9E3779B97F4A7C15L in
   let h = stafford_mix64 (add (mul (of_int seed) golden) (of_int stream)) in
   let h = stafford_mix64 (add (mul h golden) (of_int index)) in
   to_int (logand h 0x3FFF_FFFF_FFFF_FFFFL)
@@ -144,16 +161,3 @@ let flip_decision ~seed ~stream ~rate ~index ~len =
     else
       let h2 = mix3 ~seed ~stream ((2 * index) + 1) in
       Some ((h2 lsr 5) mod len, h2 land 31)
-
-(** [split t] derives an independent generator, leaving [t] advanced.
-
-    Matches the original implementation exactly: the 64-bit draw was
-    truncated to a 63-bit native int ([Int64.to_int]), xor'd with a
-    31-bit constant, and sign-extended back ([Int64.of_int]) — so the
-    derived state's bits 62..63 are copies of draw bit 62. *)
-let split t =
-  step t;
-  let lo = t.zlo lxor 0x5851F42D in
-  let hi0 = t.zhi land 0x7FFFFFFF in
-  let hi = if hi0 land 0x40000000 <> 0 then hi0 lor 0x80000000 else hi0 in
-  { hi; lo; zhi = 0; zlo = 0 }

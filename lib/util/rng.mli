@@ -1,16 +1,15 @@
 (** Deterministic pseudo-random number generation (SplitMix64).
 
-    Every stochastic component of the simulator draws from an explicitly
-    seeded generator so that experiments are reproducible run-to-run and
-    independent simulations never share hidden state. *)
+    Every stochastic component draws from an explicitly seeded generator
+    so that experiments are reproducible run-to-run and independent
+    simulations never share hidden state: the simulator's memory-level
+    draws, workload data, and the differential fuzzer, whose every case
+    is a replayable integer seed ({!case_seed}). *)
 
 type t
 
 val create : seed:int -> t
 (** A fresh generator. Equal seeds yield equal streams. *)
-
-val copy : t -> t
-(** An independent clone continuing from the same state. *)
 
 val float : t -> float
 (** Uniform in [0, 1). *)
@@ -34,8 +33,14 @@ val bool : t -> float -> bool
 val pick : t -> 'a array -> 'a
 (** Uniformly random element; raises on an empty array. *)
 
-val split : t -> t
-(** Derive an independent generator, advancing [t]. *)
+val choose : t -> (int * 'a) list -> 'a
+(** Pick by positive integer weight; raises on an empty or zero-weight
+    list. *)
+
+val case_seed : seed:int -> int -> int
+(** [case_seed ~seed i] is the non-negative replay seed of the [i]-th
+    fuzz case under root seed [seed] — a pure mixing function, so case
+    [i] can be re-run alone without generating cases [0..i-1]. *)
 
 val mix3 : seed:int -> stream:int -> int -> int
 (** Pure (stateless) 62-bit non-negative hash of a (seed, stream, index)

@@ -16,7 +16,7 @@ module Openmetrics = Occamy_obs.Openmetrics
 module Invariant = Occamy_check.Invariant
 module Diff = Occamy_check.Diff
 module Corpus = Occamy_check.Corpus
-module Rng = Occamy_check.Rng
+module Rng = Occamy_util.Rng
 module Codegen = Occamy_compiler.Codegen
 module Motivating = Occamy_workloads.Motivating
 module Suite = Occamy_workloads.Suite

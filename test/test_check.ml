@@ -3,7 +3,7 @@
    seeded-bug detection, and the regression corpus replay. *)
 
 module Check = Occamy_check
-module Rng = Occamy_check.Rng
+module Rng = Occamy_util.Rng
 module Gen = Occamy_check.Gen
 module Diff = Occamy_check.Diff
 module Shrink = Occamy_check.Shrink
@@ -13,7 +13,7 @@ module Loop_ir = Occamy_compiler.Loop_ir
 module Codegen = Occamy_compiler.Codegen
 module Json = Occamy_util.Json
 
-let draw_n rng n = List.init n (fun _ -> Rng.bits64 rng)
+let draw_n rng n = List.init n (fun _ -> Rng.bits53 rng)
 
 (* ---------------- Rng ---------------------------------------------- *)
 
@@ -25,23 +25,6 @@ let test_rng_deterministic () =
   Helpers.check_bool "different seeds, different streams" false
     (draw_n (Rng.create ~seed:42) 64 = draw_n c 64)
 
-let test_rng_split_independence () =
-  (* The child's stream must not depend on what is later drawn from the
-     parent, and vice versa: split first, interleave draws arbitrarily,
-     and both streams match their uninterleaved replays. *)
-  let p1 = Rng.create ~seed:7 in
-  let c1 = Rng.split p1 in
-  let parent_draws = draw_n p1 32 in
-  let child_draws = draw_n c1 32 in
-  let p2 = Rng.create ~seed:7 in
-  let c2 = Rng.split p2 in
-  let child_first = draw_n c2 32 in
-  let parent_after = draw_n p2 32 in
-  Helpers.check_bool "child stream replays" true (child_draws = child_first);
-  Helpers.check_bool "parent stream replays" true (parent_draws = parent_after);
-  Helpers.check_bool "parent and child streams differ" false
-    (parent_draws = child_draws)
-
 let test_rng_case_seed_pure () =
   let s1 = Rng.case_seed ~seed:0 5 in
   let s2 = Rng.case_seed ~seed:0 5 in
@@ -51,6 +34,29 @@ let test_rng_case_seed_pure () =
     (Rng.case_seed ~seed:0 5 = Rng.case_seed ~seed:0 6);
   Helpers.check_bool "seed-sensitive" false
     (Rng.case_seed ~seed:0 5 = Rng.case_seed ~seed:1 5)
+
+let test_rng_pinned_values () =
+  (* Every fuzz case, corpus entry and printed repro command names a
+     [case_seed]; these values must never move. *)
+  List.iter
+    (fun (seed, i, want) ->
+      Helpers.check_int
+        (Printf.sprintf "case_seed ~seed:%d %d" seed i)
+        want (Rng.case_seed ~seed i))
+    [
+      (0, 0, 1626386729513190885);
+      (0, 5, 515040379233760765);
+      (1, 5, 69589694765902181);
+      (-7, 3, 2191798639089014684);
+      (271828, 199, 2727481704353506974);
+      (max_int, 1, 1565308821920583515);
+    ];
+  let rng = Rng.create ~seed:42 in
+  let picks =
+    String.init 8 (fun _ ->
+        Rng.choose rng [ (3, 'a'); (0, 'z'); (2, 'b'); (1, 'c') ])
+  in
+  Alcotest.(check string) "choose stream" "caaabaaa" picks
 
 let test_rng_ranges () =
   let rng = Rng.create ~seed:99 in
@@ -262,9 +268,10 @@ let suites =
     ( "check.rng",
       [
         Alcotest.test_case "deterministic streams" `Quick test_rng_deterministic;
-        Alcotest.test_case "split independence" `Quick test_rng_split_independence;
         Alcotest.test_case "case_seed is pure" `Quick test_rng_case_seed_pure;
         Alcotest.test_case "ranges in bounds" `Quick test_rng_ranges;
+        Alcotest.test_case "pinned case_seed and choose values" `Quick
+          test_rng_pinned_values;
       ] );
     ( "check.gen",
       [

@@ -10,8 +10,8 @@ module Arch = Occamy_core.Arch
 module Config = Occamy_core.Config
 
 (* ------------------------------------------------------------------ *)
-(* Reference SplitMix64 over boxed Int64 — the original [Rng]
-   implementation, kept verbatim as the oracle for the limb version. *)
+(* Reference SplitMix64 over boxed Int64 — the original [Rng] draws,
+   kept as the oracle for the limb version. *)
 
 module Ref_rng = struct
   type t = { mutable state : int64 }
@@ -37,10 +37,6 @@ module Ref_rng = struct
 
   let range t lo hi = lo + int t (hi - lo + 1)
   let bool t p = float t < p
-
-  let split t =
-    let seed = Int64.to_int (next_int64 t) in
-    { state = Int64.of_int (seed lxor 0x5851F42D) }
 end
 
 let seeds =
@@ -69,31 +65,6 @@ let test_rng_matches_reference () =
               (Rng.bool r 0.3)
       done)
     seeds
-
-let test_rng_split_matches_reference () =
-  List.iter
-    (fun seed ->
-      let r = Rng.create ~seed and o = Ref_rng.create ~seed in
-      (* Chain splits: each derived generator must continue the same
-         stream, and the parent must stay in lockstep too. *)
-      let r' = Rng.split r and o' = Ref_rng.split o in
-      let r'' = Rng.split r' and o'' = Ref_rng.split o' in
-      List.iter
-        (fun (a, b) ->
-          for _ = 1 to 500 do
-            Helpers.check_int "split stream" (Ref_rng.int b 1_000_000)
-              (Rng.int a 1_000_000)
-          done)
-        [ (r, o); (r', o'); (r'', o'') ])
-    seeds
-
-let test_rng_copy () =
-  let r = Rng.create ~seed:7 in
-  for _ = 1 to 17 do ignore (Rng.float r) done;
-  let c = Rng.copy r in
-  for _ = 1 to 100 do
-    Helpers.check_int "copy lockstep" (Rng.int r 999983) (Rng.int c 999983)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Bitset vs sorted-list oracle. *)
@@ -214,9 +185,6 @@ let suites =
       [
         Alcotest.test_case "rng matches int64 reference" `Quick
           test_rng_matches_reference;
-        Alcotest.test_case "rng split matches reference" `Quick
-          test_rng_split_matches_reference;
-        Alcotest.test_case "rng copy lockstep" `Quick test_rng_copy;
         Alcotest.test_case "bitset vs list oracle" `Quick test_bitset_oracle;
         Alcotest.test_case "bitset edges" `Quick test_bitset_edges;
         Alcotest.test_case "freelist exhaustion/reuse" `Quick

@@ -14,7 +14,7 @@ module Attrib = Occamy_obs.Attrib
 module Invariant = Occamy_check.Invariant
 module Diff = Occamy_check.Diff
 module Corpus = Occamy_check.Corpus
-module Rng = Occamy_check.Rng
+module Rng = Occamy_util.Rng
 module Codegen = Occamy_compiler.Codegen
 module Motivating = Occamy_workloads.Motivating
 module Suite = Occamy_workloads.Suite
@@ -84,7 +84,7 @@ let test_context_switches () =
       (* Preempt at cycle 200, early enough that no architecture has
          finished the small pair (a halted core's switch is a no-op). *)
       let t =
-        run_both ~cfg ~context_switches:[ (0, 200); (1, 200) ]
+        run_both ~cfg ~attrib:true ~context_switches:[ (0, 200); (1, 200) ]
           ~label:"preempt" ~arch wls
       in
       Helpers.check_bool
@@ -98,7 +98,8 @@ let test_staggered_switches () =
   List.iter
     (fun arch ->
       ignore
-        (run_both ~context_switches:[ (0, 1000); (1, 4000); (0, 7000) ]
+        (run_both ~attrib:true
+           ~context_switches:[ (0, 1000); (1, 4000); (0, 7000) ]
            ~label:"preempt-staggered" ~arch wls))
     Arch.all
 
@@ -117,6 +118,69 @@ let test_preempt_pending_reduction () =
     (Printf.sprintf "finished at cycle %d, far below max_cycles" (Sim.cycle t))
     true
     (Sim.cycle t < Config.default.Config.max_cycles / 100)
+
+let test_preempt_denied_vl () =
+  (* Regression: core 0 of 10+4 is preempted while it spins on a denied
+     MSR <VL> with no lanes. Releasing the lanes on the way out used to
+     set <status> to 1, so the task came back reading "granted" and
+     issued SVE with <VL>=0. The OS now saves and restores <status>. *)
+  let pair = Option.get (Suite.find_pair "10+4") in
+  let wls = Suite.compile_pair ~tc_scale:0.1 pair in
+  ignore
+    (run_both ~attrib:true ~context_switches:[ (0, 534) ]
+       ~label:"preempt-denied-vl" ~arch:Arch.Occamy wls)
+
+let test_preempt_blocked_vl () =
+  (* A core alone on the machine is preempted while its MSR <VL> waits
+     for the drain, and slow memory leaves the drain idle for hundreds
+     of cycles. The step that takes the switch counts a blocked cycle
+     the next steps do not, so it must not be replayed by a jump. *)
+  let pair = Option.get (Suite.find_pair "1+13") in
+  let wls = [ List.hd (Suite.compile_pair ~tc_scale:0.3 pair) ] in
+  let cfg =
+    {
+      Config.default with
+      Config.cores = 1;
+      prefetch = false;
+      mem =
+        {
+          Config.default.Config.mem with
+          Occamy_mem.Hierarchy.vc_latency = 200;
+          l2_latency = 400;
+          dram_latency = 800;
+        };
+    }
+  in
+  let t =
+    run_both ~cfg ~attrib:true ~context_switches:[ (0, 1382) ]
+      ~label:"preempt-blocked-vl" ~arch:Arch.Private wls
+  in
+  Helpers.check_bool "skip path taken" true (Sim.ff_jumps t > 0)
+
+let test_random_preemptions () =
+  (* Every Figure 10 pair, small, on every arch under one seeded random
+     schedule each: 1-4 preemptions of either core and an away window of
+     50-3000 cycles. Jumps replay the last idle step's attribution
+     bucket, so attribution is on. *)
+  let rng = Rng.create ~seed:1618 in
+  List.iter
+    (fun (pair : Suite.pair) ->
+      let wls = Suite.compile_pair ~tc_scale:0.1 pair in
+      List.iter
+        (fun arch ->
+          let cfg =
+            { Config.default with Config.cs_away_cycles = Rng.range rng 50 3000 }
+          in
+          let context_switches =
+            List.init (Rng.range rng 1 4) (fun _ ->
+                (Rng.int rng cfg.Config.cores, Rng.range rng 1 4000))
+          in
+          ignore
+            (run_both ~cfg ~attrib:true ~context_switches
+               ~label:("preempt-random-" ^ pair.Suite.label)
+               ~arch wls))
+        Arch.all)
+    Suite.pairs
 
 (* ---------------- 4-core group -------------------------------------- *)
 
@@ -185,5 +249,11 @@ let suites =
           `Quick test_fresh_fuzz_cases;
         Alcotest.test_case "preempted during a reduction" `Quick
           test_preempt_pending_reduction;
+        Alcotest.test_case "preempted while denied a vector length" `Quick
+          test_preempt_denied_vl;
+        Alcotest.test_case "preempted while blocked on a vector length" `Quick
+          test_preempt_blocked_vl;
+        Alcotest.test_case "random preemptions of every pair" `Quick
+          test_random_preemptions;
       ] );
   ]

@@ -13,7 +13,7 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Metrics = Occamy_core.Metrics
 module Motivating = Occamy_workloads.Motivating
-module Rng = Occamy_check.Rng
+module Rng = Occamy_util.Rng
 
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool

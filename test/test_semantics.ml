@@ -164,8 +164,8 @@ let test_div_sqrt_ops () =
 let test_random_bodies_random_schedules () =
   let root = 20260806 in
   for i = 0 to 29 do
-    let case_seed = Occamy_check.Rng.case_seed ~seed:root i in
-    let rng = Occamy_check.Rng.create ~seed:case_seed in
+    let case_seed = Rng.case_seed ~seed:root i in
+    let rng = Rng.create ~seed:case_seed in
     let loops = Occamy_check.Gen.workload rng in
     let env = schedule_env ~seed:(root + i) () in
     try

@@ -20,12 +20,6 @@ let test_rng_bounds () =
     Helpers.check_bool "in [3,9]" true (j >= 3 && j <= 9)
   done
 
-let test_rng_split_independent () =
-  let a = Rng.create ~seed:9 in
-  let b = Rng.split a in
-  let xa = Rng.float a and xb = Rng.float b in
-  Helpers.check_bool "split streams differ" true (xa <> xb)
-
 let test_geomean () =
   Helpers.check_float "geomean of powers" 4.0 (Stats.geomean [ 2.0; 8.0 ]);
   Helpers.check_float "singleton" 3.0 (Stats.geomean [ 3.0 ]);
@@ -118,7 +112,6 @@ let suites =
       [
         Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
-        Alcotest.test_case "rng split" `Quick test_rng_split_independent;
         Alcotest.test_case "geomean" `Quick test_geomean;
         Alcotest.test_case "mean/minmax" `Quick test_mean_minmax;
         Alcotest.test_case "acc" `Quick test_acc;
