@@ -15,7 +15,8 @@ type t = {
   uops : int array;           (* cumulative µops per unit *)
   mutable current_cycle : int;
   (* work counters for the self-profiler's dispatch stage: slot probes
-     vs successful issues, i.e. how much of the issue scan is wasted *)
+     (one per compute-issue attempt) vs successful issues, i.e. how many
+     attempts found a unit's pipes full *)
   mutable issue_checks : int;
   mutable issues : int;
 }
@@ -37,57 +38,38 @@ let pipes_per_unit t = t.pipes_per_unit
 
 let begin_cycle t ~cycle =
   if cycle <> t.current_cycle then begin
-    Array.fill t.slots 0 t.units 0;
+    (* A loop, not [Array.fill]: the pool has a handful of units and the
+       C call would cost more than the stores. *)
+    for u = 0 to t.units - 1 do
+      t.slots.(u) <- 0
+    done;
     t.current_cycle <- cycle
   end
 
-(** Can [unit_ids] each accept one more µop this cycle? *)
-let can_issue t ~unit_ids =
-  t.issue_checks <- t.issue_checks + 1;
-  List.for_all
-    (fun u ->
-      if u < 0 || u >= t.units then invalid_arg "Exebu.can_issue";
-      t.slots.(u) < t.pipes_per_unit)
-    unit_ids
-
-(** Book one µop on each of [unit_ids] for the current cycle. *)
-let issue t ~unit_ids =
-  if not (can_issue t ~unit_ids) then invalid_arg "Exebu.issue: no slot free";
-  t.issues <- t.issues + 1;
-  List.iter
-    (fun u ->
-      t.slots.(u) <- t.slots.(u) + 1;
-      t.uops.(u) <- t.uops.(u) + 1)
-    unit_ids
-
 (* Allocation-free probe over the first [n] entries of an int array of
-   unit ids — the dispatcher's issue scan runs on this path every cycle,
-   and the closure the list version allocates per call was a measurable
-   slice of the ~44% dispatch share the self-profiler reported. *)
+   unit ids: can each accept one more µop this cycle? *)
 let rec probe t ids n i =
   i >= n
   ||
   let u = ids.(i) in
-  if u < 0 || u >= t.units then invalid_arg "Exebu.can_issue";
+  if u < 0 || u >= t.units then invalid_arg "Exebu.try_issue_arr";
   t.slots.(u) < t.pipes_per_unit && probe t ids n (i + 1)
 
-(** Array variant of {!can_issue} over [unit_ids.(0 .. n-1)];
-    counter-identical (one slot probe per call) and allocation-free. *)
-let can_issue_arr t ~unit_ids ~n =
+(** Probe [unit_ids.(0 .. n-1)] once and, when every unit has a free
+    slot, book one µop on each and return [true]; otherwise change
+    nothing and return [false]. *)
+let try_issue_arr t ~unit_ids ~n =
   t.issue_checks <- t.issue_checks + 1;
   probe t unit_ids n 0
-
-(** Array variant of {!issue}; like {!issue} it re-probes internally, so
-    a successful issue costs two {!issue_checks} on either API. *)
-let issue_arr t ~unit_ids ~n =
-  if not (can_issue_arr t ~unit_ids ~n) then
-    invalid_arg "Exebu.issue: no slot free";
-  t.issues <- t.issues + 1;
-  for i = 0 to n - 1 do
-    let u = unit_ids.(i) in
-    t.slots.(u) <- t.slots.(u) + 1;
-    t.uops.(u) <- t.uops.(u) + 1
-  done
+  && begin
+    t.issues <- t.issues + 1;
+    for i = 0 to n - 1 do
+      let u = unit_ids.(i) in
+      t.slots.(u) <- t.slots.(u) + 1;
+      t.uops.(u) <- t.uops.(u) + 1
+    done;
+    true
+  end
 
 let uops_executed t = Array.fold_left ( + ) 0 t.uops
 let uops_of_unit t u = t.uops.(u)

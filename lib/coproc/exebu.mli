@@ -12,26 +12,20 @@ val pipes_per_unit : t -> int
 val begin_cycle : t -> cycle:int -> unit
 (** Reset the per-cycle slot counters (idempotent per cycle). *)
 
-val can_issue : t -> unit_ids:int list -> bool
-val issue : t -> unit_ids:int list -> unit
-
-val can_issue_arr : t -> unit_ids:int array -> n:int -> bool
-(** {!can_issue} over [unit_ids.(0 .. n-1)] — allocation-free and
-    counter-identical (one slot probe per call); the dispatcher's
-    hot-path entry point. *)
-
-val issue_arr : t -> unit_ids:int array -> n:int -> unit
-(** {!issue} over [unit_ids.(0 .. n-1)]; re-probes internally like
-    {!issue}, so a successful issue costs two {!issue_checks}. *)
+val try_issue_arr : t -> unit_ids:int array -> n:int -> bool
+(** Probe [unit_ids.(0 .. n-1)] once: when each unit can accept one
+    more µop this cycle, book one on each and return [true]; otherwise
+    book nothing and return [false]. Allocation-free; the dispatcher's
+    compute-issue entry point. *)
 
 val uops_executed : t -> int
 val uops_of_unit : t -> int -> int
 
 val issue_checks : t -> int
-(** Slot probes ({!can_issue} calls, including the one inside each
-    {!issue}) — the work count behind the self-profiler's [dispatch]
-    stage: compared with {!issues} it shows how much of the issue scan
-    probes without issuing. *)
+(** Slot probes: one per {!try_issue_arr} call, i.e. per compute-issue
+    attempt. An observability counter only, behind the self-profiler's
+    [dispatch] stage: compared with {!issues} it shows how many attempts
+    found a unit's pipes full. *)
 
 val issues : t -> int
-(** Successful {!issue} calls (instructions, not µops). *)
+(** Successful {!try_issue_arr} calls (instructions, not µops). *)

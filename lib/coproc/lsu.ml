@@ -57,8 +57,10 @@ let create ?(load_capacity = 48) ?(store_capacity = 24) () =
 let[@inline] can_accept t ~is_store =
   if is_store then t.s_n < t.store_capacity else t.l_n < t.load_capacity
 
-(* Classic array-heap sift operations over the (done, mob) pairs. *)
-let rec sift_up done_a mob_a i =
+(* Classic array-heap sift operations over the (done, mob) pairs. The
+   [int array] annotations keep the key compares monomorphic (untyped,
+   they would call the polymorphic [compare_val]). *)
+let rec sift_up (done_a : int array) (mob_a : int array) i =
   if i > 0 then begin
     let p = (i - 1) asr 1 in
     if done_a.(p) > done_a.(i) then begin
@@ -71,7 +73,7 @@ let rec sift_up done_a mob_a i =
     end
   end
 
-let rec sift_down done_a mob_a n i =
+let rec sift_down (done_a : int array) (mob_a : int array) n i =
   let l = (2 * i) + 1 in
   if l < n then begin
     let c = if l + 1 < n && done_a.(l + 1) < done_a.(l) then l + 1 else l in

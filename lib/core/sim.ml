@@ -183,15 +183,15 @@ type core_state = {
          are all issued and complete; readiness is monotone, so later
          visits (class-blocked entries re-probe every cycle) skip the
          dependence derivation entirely. Reset on slot reuse. *)
-  w_scan : Bitset.t;
-  (* class-filtered subsets of [w_scan] ([_c] compute/dup, [_m] memory):
-     once a class's issue possibility resolves to "no" for the rest of a
-     core's dispatch pass, the sweep switches to the other class's
-     subset and stops visiting entries that could not issue anyway *)
   w_scan_c : Bitset.t;
   w_scan_m : Bitset.t;
-      (* the subset of [w_unissued] the dispatch sweep visits. An entry
-         whose producer has not issued leaves this set (parked on the
+      (* the subset of [w_unissued] the dispatch sweep visits, split by
+         class ([_c] compute/dup, [_m] memory); the sweep reads their
+         union through [Bitset.next_set_from_union], and once a class's
+         issue possibility resolves to "no" for the rest of a core's
+         dispatch pass, it reads only the other class's set and stops
+         visiting entries that could not issue anyway. An entry whose
+         producer has not issued leaves its set (parked on the
          producer's waiter list below) and re-enters when the producer
          issues, so dependence chains behind a stalled load are not
          re-scanned every cycle. *)
@@ -256,7 +256,9 @@ type t = {
      of "a compute / a load / a store could issue right now" is
      entry-independent and only flips true->false when the scanning
      core itself issues, so the scan resolves each at most once and
-     invalidates on an issue of that class. See {!try_issue}. *)
+     invalidates on an issue of that class. [sc_comp] is never 1: a
+     compute attempt probes and books in one call. See
+     {!mem_possible}. *)
   mutable sc_comp : int;
   mutable sc_load : int;
   mutable sc_store : int;
@@ -420,7 +422,6 @@ let make_core cfg arch ~shared_freelist id wl =
     lw_tail = -1;
     sw_head = -1;
     sw_tail = -1;
-    w_scan = Bitset.create w_cap;
     w_scan_c = Bitset.create w_cap;
     w_scan_m = Bitset.create w_cap;
     w_wfirst = Array.make w_cap (-1);
@@ -829,7 +830,7 @@ let eval_src c = function
   | Instr.Reg (Reg.X i) -> c.xregs.(i)
   | Instr.Imm i -> i
 
-let cond_holds cond a b =
+let cond_holds cond (a : int) (b : int) =
   match cond with
   | Instr.Eq -> a = b
   | Instr.Ne -> a <> b
@@ -841,7 +842,7 @@ let cond_holds cond a b =
 let[@inline] elems_of c cnt =
   match cnt with
   | None -> Lane.elems_of_granules c.vl
-  | Some (Reg.X i) -> min c.xregs.(i) (Lane.elems_of_granules c.vl)
+  | Some (Reg.X i) -> Int.min c.xregs.(i) (Lane.elems_of_granules c.vl)
 
 (* Transmit one SVE instruction into the pool ring; element counts and
    base addresses are resolved here from the scalar registers. Returns
@@ -927,8 +928,8 @@ let step_frontend t c =
             | Instr.Addi -> a + b
             | Instr.Subi -> a - b
             | Instr.Muli -> a * b
-            | Instr.Mini -> min a b
-            | Instr.Maxi -> max a b);
+            | Instr.Mini -> Int.min a b
+            | Instr.Maxi -> Int.max a b);
           c.fe_budget <- c.fe_budget - 1
         | Instr.Fli (Reg.F d, v) ->
           c.fregs.(d) <- v;
@@ -1036,14 +1037,12 @@ let step_frontend t c =
 (* Rename (in order, bounded by freelist and window)                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Keep the class-filtered sweep subsets in lock-step with [w_scan]. *)
+(* Add/remove a slot to/from its class's sweep set. *)
 let[@inline] scan_add c slot =
-  Bitset.add c.w_scan slot;
   if c.w_kind.(slot) >= k_compute then Bitset.add c.w_scan_c slot
   else Bitset.add c.w_scan_m slot
 
 let[@inline] scan_remove c slot =
-  Bitset.remove c.w_scan slot;
   if c.w_kind.(slot) >= k_compute then Bitset.remove c.w_scan_c slot
   else Bitset.remove c.w_scan_m slot
 
@@ -1184,7 +1183,6 @@ let[@inline] park_space c slot ~is_store =
     else c.lw_head <- slot;
     c.lw_tail <- slot
   end;
-  Bitset.remove c.w_scan slot;
   Bitset.remove c.w_scan_m slot
 
 (* Wake up to [n] space-parked entries (oldest first) of one direction. *)
@@ -1194,7 +1192,6 @@ let rec wake_space_loads c n =
     c.lw_head <- c.w_wnext.(w);
     if c.lw_head < 0 then c.lw_tail <- -1;
     c.w_wnext.(w) <- -1;
-    Bitset.add c.w_scan w;
     Bitset.add c.w_scan_m w;
     wake_space_loads c (n - 1)
   end
@@ -1205,7 +1202,6 @@ let rec wake_space_stores c n =
     c.sw_head <- c.w_wnext.(w);
     if c.sw_head < 0 then c.sw_tail <- -1;
     c.w_wnext.(w) <- -1;
-    Bitset.add c.w_scan w;
     Bitset.add c.w_scan_m w;
     wake_space_stores c (n - 1)
   end
@@ -1322,19 +1318,9 @@ exception Ports_exhausted
    three resolve to false, which the budget-only test cannot see when
    e.g. a full LSU rejects every load without consuming budget. The
    entries selected for issue are exactly those of the naive re-probing
-   scan; only the [Exebu.issue_checks] observability counter (probe
-   count) changes. *)
-let[@inline] comp_possible t ~dom ~units ~n =
-  t.sc_comp = 1
-  || (t.sc_comp < 0
-      &&
-      let ok =
-        t.compute_budget.(dom) > 0
-        && Exebu.can_issue_arr t.exebus ~unit_ids:units ~n
-      in
-      t.sc_comp <- Bool.to_int ok;
-      ok)
-
+   scan. The compute side needs no helper: a compute attempt probes and
+   books the ExeBUs in one [Exebu.try_issue_arr] call, so [sc_comp] is
+   only ever -1 (unresolved) or 0 (a probe failed). *)
 let[@inline] mem_possible t c ~dom ~is_store =
   let cached = if is_store then t.sc_store else t.sc_load in
   cached = 1
@@ -1352,12 +1338,13 @@ let[@inline] mem_possible t c ~dom ~is_store =
 let attempt_issue t c ~dom ~units ~n slot =
   let kind = c.w_kind.(slot) in
   if kind >= k_compute then begin
-    if comp_possible t ~dom ~units ~n then begin
-      t.sc_comp <- -1;
+    if
+      t.sc_comp <> 0
+      && t.compute_budget.(dom) > 0
+      && Exebu.try_issue_arr t.exebus ~unit_ids:units ~n
+    then begin
       t.compute_budget.(dom) <- t.compute_budget.(dom) - 1;
-      Exebu.issue_arr t.exebus ~unit_ids:units ~n;
       Bitset.remove c.w_unissued slot;
-      Bitset.remove c.w_scan slot;
       Bitset.remove c.w_scan_c slot;
       c.w_done.(slot) <- t.cycle + c.w_lat.(slot);
       wake_waiters c slot;
@@ -1366,6 +1353,7 @@ let attempt_issue t c ~dom ~units ~n slot =
         inject_opportunity t c ~site:"reg"
           ~len:(c.w_width.(slot) * Lane.f32_per_granule)
     end
+    else t.sc_comp <- 0
   end
   else begin
     let is_store = kind = k_store in
@@ -1396,12 +1384,11 @@ let attempt_issue t c ~dom ~units ~n slot =
           ~level ~bytes
       in
       let mslot =
-        Mob.insert_slot t.mob ~core:c.id ~arr:c.w_arr.(slot)
+        Mob.insert_slot t.mob ~arr:c.w_arr.(slot)
           ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
       in
       Lsu.add_slot c.lsu ~done_at ~is_store ~mob:mslot;
       Bitset.remove c.w_unissued slot;
-      Bitset.remove c.w_scan slot;
       Bitset.remove c.w_scan_m slot;
       wake_waiters c slot;
       (* Senior stores: a store leaves the window at issue (its data is
@@ -1464,28 +1451,29 @@ let try_issue t c ~dom ~units ~n slot =
     end
   end
 
-(* Sweep the scannable bitmask over slots [lo, hi) in increasing order;
-   within a ring segment, slot order is insertion (sequence) order.
-   Waiters woken by an issue earlier in the sweep sit at later slots
-   (program order), so [next_set_from] picks them up this very pass.
+(* Sweep the union of the two class sweep sets over slots [lo, hi) in
+   increasing order; within a ring segment, slot order is insertion
+   (sequence) order. Waiters woken by an issue earlier in the sweep sit
+   at later slots (program order), so the next lookup picks them up
+   this very pass.
 
    Class narrowing: a capability flag at 0 means that class cannot issue
    for the remainder of this core's pass (budgets only decrease within a
    cycle, execution units and LSU/MOB slots only fill — the flags reset
    exactly at the events that could reopen them), so the sweep switches
-   from the union bitmask to the still-open class's subset. Skipped
+   from the union to the still-open class's set. Skipped
    entries could not have issued; their bookkeeping visits (readiness
    derivation, parking) merely happen on a later cycle with identical
    outcomes, because their producers' issue cycles and [w_done] times
    are unchanged by the skip. *)
 let rec issue_segment t c ~dom ~units ~n lo hi =
   if lo < hi then begin
-    let scan =
-      if t.sc_comp = 0 then c.w_scan_m
-      else if t.sc_load = 0 && t.sc_store = 0 then c.w_scan_c
-      else c.w_scan
+    let s =
+      if t.sc_comp = 0 then Bitset.next_set_from c.w_scan_m lo
+      else if t.sc_load = 0 && t.sc_store = 0 then
+        Bitset.next_set_from c.w_scan_c lo
+      else Bitset.next_set_from_union c.w_scan_c c.w_scan_m lo
     in
-    let s = Bitset.next_set_from scan lo in
     if s >= 0 && s < hi then begin
       try_issue t c ~dom ~units ~n s;
       issue_segment t c ~dom ~units ~n (s + 1) hi
@@ -1613,7 +1601,7 @@ let check_invariants t =
 (* The vector length a returning task asks for. *)
 let restore_target t c ~saved_vl =
   match t.arch with
-  | Arch.Occamy -> max 1 (Rtbl.decision t.rtbl ~core:c.id)
+  | Arch.Occamy -> Int.max 1 (Rtbl.decision t.rtbl ~core:c.id)
   | Arch.Fts -> t.cfg.exebus
   | Arch.Private | Arch.Vls -> saved_vl
 
@@ -1758,9 +1746,14 @@ let step t =
   Prof.begin_cycle t.prof;
   let pr = Prof.sampled t.prof in
   Exebu.begin_cycle t.exebus ~cycle:t.cycle;
-  Array.fill t.compute_budget 0 (Array.length t.compute_budget)
-    t.cfg.compute_ports;
-  Array.fill t.mem_budget 0 (Array.length t.mem_budget) t.cfg.mem_ports;
+  (* Loops, not [Array.fill]: the budgets have one or a few domains,
+     and the C call costs more than the stores. *)
+  for d = 0 to Array.length t.compute_budget - 1 do
+    t.compute_budget.(d) <- t.cfg.compute_ports
+  done;
+  for d = 0 to Array.length t.mem_budget - 1 do
+    t.mem_budget.(d) <- t.cfg.mem_ports
+  done;
   let n = Array.length t.cores in
   if pr then Prof.enter t.prof Prof.Lsu_retire;
   for i = 0 to n - 1 do
@@ -2046,7 +2039,7 @@ let try_fast_forward t =
          less), and remember the proof so the inert cycles up to [h]
          aren't re-scanned. *)
       t.ff_quiet_until <- h;
-      let target = min (h - 1) (t.cfg.max_cycles - 1) in
+      let target = Int.min (h - 1) (t.cfg.max_cycles - 1) in
       if target - t.cycle >= ff_min_jump then fast_forward_to t ~target
 
 let core_result c =

@@ -10,150 +10,118 @@
     deallocates. The structure is per-machine (addresses are global).
 
     Data-oriented layout: entries live in preallocated parallel int
-    arrays indexed by slot, with a packed occupancy bitmask driving the
-    conflict sweep and a free-slot stack for O(1) allocation — the
-    simulator probes [conflicts]/[is_full] on every load/store issue
-    attempt, and none of it allocates. The simulator addresses entries
-    by slot ([insert_slot]/[remove_slot]); the id-based API remains for
-    callers that want stable handles. *)
-
-open Occamy_util
+    arrays indexed by slot, allocated from a free-slot stack. Each array
+    id heads a doubly-linked chain of its in-flight slots, so a conflict
+    probe walks only the entries of the array it concerns, and a
+    per-array store count answers a load's probe without walking at all
+    when no store to that array is in flight. The simulator probes
+    [conflicts]/[is_full] on every load/store issue attempt; none of it
+    allocates once the per-array tables have grown to the workload's
+    largest array id. *)
 
 type t = {
   capacity : int;
-  mutable next_id : int;
-  ids : int array; (* stable external id per slot, -1 = free *)
-  cores : int array;
-  arrs : int array;
+  arrs : int array;  (* array id per slot, -1 = free *)
   bases : int array;
   lens : int array;
   stores : bool array;
-  occ : Bitset.t;
+  next : int array;  (* per-array chain links by slot, -1 = end *)
+  prev : int array;
   free : int array;
   mutable free_n : int;
-  (* Per-array-id occupancy counters gating the conflict sweep: a read
-     can only conflict with an in-flight store to the same array, and a
-     write with any in-flight access to it, so a zero count proves the
-     absence of conflicts without scanning. Array ids beyond the fixed
-     span (rare) fall back to the full sweep. *)
-  arr_stores : int array;
-  arr_any : int array;
+  (* Indexed by array id, grown on demand: the first slot of each
+     array's chain (-1 = none in flight), and how many of its in-flight
+     entries are stores — a read can only conflict with a store. *)
+  mutable heads : int array;
+  mutable arr_stores : int array;
 }
-
-let arr_span = 256
 
 let create ?(capacity = 64) () =
   if capacity <= 0 then invalid_arg "Mob.create: capacity must be positive";
   {
     capacity;
-    next_id = 0;
-    ids = Array.make capacity (-1);
-    cores = Array.make capacity 0;
-    arrs = Array.make capacity 0;
+    arrs = Array.make capacity (-1);
     bases = Array.make capacity 0;
     lens = Array.make capacity 0;
     stores = Array.make capacity false;
-    occ = Bitset.create capacity;
+    next = Array.make capacity (-1);
+    prev = Array.make capacity (-1);
     free = Array.init capacity (fun i -> i);
     free_n = capacity;
-    arr_stores = Array.make arr_span 0;
-    arr_any = Array.make arr_span 0;
+    heads = Array.make 16 (-1);
+    arr_stores = Array.make 16 0;
   }
 
 let size t = t.capacity - t.free_n
 let[@inline] is_full t = t.free_n = 0
 
+(* Grow the per-array tables to cover [arr]. *)
+let ensure t arr =
+  let n = Array.length t.heads in
+  if arr >= n then begin
+    let n' = Int.max (arr + 1) (2 * n) in
+    let heads = Array.make n' (-1) in
+    let arr_stores = Array.make n' 0 in
+    Array.blit t.heads 0 heads 0 n;
+    Array.blit t.arr_stores 0 arr_stores 0 n;
+    t.heads <- heads;
+    t.arr_stores <- arr_stores
+  end
+
 (** [insert_slot] registers an in-flight vector access and returns its
-    slot handle; allocation-free. Raises when full — the simulator
-    checks {!is_full} first. *)
-let insert_slot t ~core ~arr ~base ~len ~is_store =
-  if len < 0 || base < 0 then invalid_arg "Mob.insert: bad region";
+    slot handle. Raises when full — the simulator checks {!is_full}
+    first. *)
+let insert_slot t ~arr ~base ~len ~is_store =
+  if arr < 0 || len < 0 || base < 0 then invalid_arg "Mob.insert_slot: bad region";
   if t.free_n = 0 then invalid_arg "Mob.insert_slot: full";
+  ensure t arr;
   t.free_n <- t.free_n - 1;
   let s = t.free.(t.free_n) in
-  t.ids.(s) <- t.next_id;
-  t.next_id <- t.next_id + 1;
-  t.cores.(s) <- core;
   t.arrs.(s) <- arr;
   t.bases.(s) <- base;
   t.lens.(s) <- len;
   t.stores.(s) <- is_store;
-  if arr >= 0 && arr < arr_span then begin
-    t.arr_any.(arr) <- t.arr_any.(arr) + 1;
-    if is_store then t.arr_stores.(arr) <- t.arr_stores.(arr) + 1
-  end;
-  Bitset.add t.occ s;
+  let h = t.heads.(arr) in
+  t.next.(s) <- h;
+  t.prev.(s) <- -1;
+  if h >= 0 then t.prev.(h) <- s;
+  t.heads.(arr) <- s;
+  if is_store then t.arr_stores.(arr) <- t.arr_stores.(arr) + 1;
   s
 
 let remove_slot t s =
-  if s < 0 || s >= t.capacity || not (Bitset.mem t.occ s) then
+  if s < 0 || s >= t.capacity || t.arrs.(s) < 0 then
     invalid_arg "Mob.remove_slot: not occupied";
-  t.ids.(s) <- -1;
   let arr = t.arrs.(s) in
-  if arr >= 0 && arr < arr_span then begin
-    t.arr_any.(arr) <- t.arr_any.(arr) - 1;
-    if t.stores.(s) then t.arr_stores.(arr) <- t.arr_stores.(arr) - 1
-  end;
-  Bitset.remove t.occ s;
+  let n = t.next.(s) and p = t.prev.(s) in
+  if p >= 0 then t.next.(p) <- n else t.heads.(arr) <- n;
+  if n >= 0 then t.prev.(n) <- p;
+  if t.stores.(s) then t.arr_stores.(arr) <- t.arr_stores.(arr) - 1;
+  t.arrs.(s) <- -1;
   t.free.(t.free_n) <- s;
   t.free_n <- t.free_n + 1
 
-(** [insert] registers an in-flight vector access; returns its id, or
-    [None] when the MOB is full (the LSU must stall the access). *)
-let insert t ~core ~arr ~base ~len ~is_store =
-  if len < 0 || base < 0 then invalid_arg "Mob.insert: bad region";
-  if is_full t then None
-  else begin
-    let s = insert_slot t ~core ~arr ~base ~len ~is_store in
-    Some t.ids.(s)
-  end
-
-let rec find_id t id s =
-  if s < 0 then -1
-  else if t.ids.(s) = id then s
-  else find_id t id (Bitset.next_set_from t.occ (s + 1))
-
-let remove t id =
-  let s = find_id t id (Bitset.next_set_from t.occ 0) in
-  if s >= 0 then remove_slot t s
-
 let[@inline] ranges_overlap b1 l1 b2 l2 = b1 < b2 + l2 && b2 < b1 + l1
 
-let rec conflict_scan t ~arr ~base ~len ~is_store s =
-  if s < 0 then false
-  else if
-    t.arrs.(s) = arr
-    && ranges_overlap t.bases.(s) t.lens.(s) base len
-    && (is_store || t.stores.(s))
-  then true
-  else
-    conflict_scan t ~arr ~base ~len ~is_store
-      (Bitset.next_set_from t.occ (s + 1))
+let rec chain_scan t ~base ~len ~is_store s =
+  s >= 0
+  && ((ranges_overlap t.bases.(s) t.lens.(s) base len
+      && (is_store || t.stores.(s)))
+     || chain_scan t ~base ~len ~is_store t.next.(s))
 
-(** Does a (read) access to [arr.[base..base+len)] conflict with any
-    in-flight entry? Reads conflict only with in-flight stores; writes
-    conflict with everything. *)
+(** Does an access to [arr.[base..base+len)] conflict with any in-flight
+    entry? Reads conflict only with in-flight stores; writes conflict
+    with everything. Only the entries of [arr] are visited. *)
 let conflicts t ~arr ~base ~len ~is_store =
-  (arr < 0 || arr >= arr_span
-  || (if is_store then t.arr_any.(arr) else t.arr_stores.(arr)) > 0)
-  && conflict_scan t ~arr ~base ~len ~is_store (Bitset.next_set_from t.occ 0)
-
-let rec count_core t ~core acc s =
-  if s < 0 then acc
-  else
-    count_core t ~core
-      (if t.cores.(s) = core then acc + 1 else acc)
-      (Bitset.next_set_from t.occ (s + 1))
-
-(** Entries belonging to a core, used to decide whether its SIMD ld/st
-    pipeline has drained. *)
-let outstanding_of t ~core = count_core t ~core 0 (Bitset.next_set_from t.occ 0)
+  arr >= 0
+  && arr < Array.length t.heads
+  && (is_store || t.arr_stores.(arr) > 0)
+  && chain_scan t ~base ~len ~is_store t.heads.(arr)
 
 let clear t =
-  Bitset.clear t.occ;
-  Array.fill t.ids 0 t.capacity (-1);
-  Array.fill t.arr_stores 0 arr_span 0;
-  Array.fill t.arr_any 0 arr_span 0;
+  Array.fill t.arrs 0 t.capacity (-1);
+  Array.fill t.heads 0 (Array.length t.heads) (-1);
+  Array.fill t.arr_stores 0 (Array.length t.arr_stores) 0;
   t.free_n <- t.capacity;
   for i = 0 to t.capacity - 1 do
     t.free.(i) <- i

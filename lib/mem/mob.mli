@@ -8,24 +8,17 @@ val create : ?capacity:int -> unit -> t
 val size : t -> int
 val is_full : t -> bool
 
-val insert :
-  t -> core:int -> arr:int -> base:int -> len:int -> is_store:bool ->
-  int option
-(** Register an in-flight access; [None] when full (stall). *)
-
-val remove : t -> int -> unit
-
-val insert_slot :
-  t -> core:int -> arr:int -> base:int -> len:int -> is_store:bool -> int
-(** Allocation-free {!insert}: returns a slot handle for {!remove_slot}.
-    Raises when full — check {!is_full} first. The simulator's hot-path
-    entry point. *)
+val insert_slot : t -> arr:int -> base:int -> len:int -> is_store:bool -> int
+(** Register an in-flight access to [arr.[base..base+len)]; returns a
+    slot handle for {!remove_slot}. Raises [Invalid_argument] on a
+    negative [arr], [base] or [len], and when full — check {!is_full}
+    first. *)
 
 val remove_slot : t -> int -> unit
 (** Deallocate by slot handle; raises on a slot that is not occupied. *)
 
 val conflicts : t -> arr:int -> base:int -> len:int -> is_store:bool -> bool
-(** Reads conflict with in-flight stores; writes with everything. *)
+(** Reads conflict with in-flight stores; writes with everything. Walks
+    only the in-flight entries of [arr]. *)
 
-val outstanding_of : t -> core:int -> int
 val clear : t -> unit

@@ -159,7 +159,7 @@ let add_run_all t ~start_cycle ~len ~buckets =
       while !pos > t.win_end do
         flush t
       done;
-      let chunk = min !remaining (t.win_end - !pos + 1) in
+      let chunk = Int.min !remaining (t.win_end - !pos + 1) in
       for c = 0 to t.n_cores - 1 do
         let i = buckets.(c) in
         t.win.(i) <- t.win.(i) + chunk

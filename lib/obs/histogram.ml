@@ -16,7 +16,9 @@ type t = {
   counts : int array;
   mutable n : int;
   mutable overflow : int;
-  mutable sum : float;
+  sum : float array;
+      (* [| sum |]: a mutable float field in this mixed record would box
+         on every [add]; a float array cell does not *)
   mutable min_v : int;  (* max_int when empty *)
   mutable max_v : int;  (* -1 when empty *)
 }
@@ -68,7 +70,7 @@ let create ?(sub_bits = 5) ?(max_value = max_int) () =
       counts = [||];
       n = 0;
       overflow = 0;
-      sum = 0.0;
+      sum = [| 0.0 |];
       min_v = max_int;
       max_v = -1;
     }
@@ -79,7 +81,7 @@ let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.n <- 0;
   t.overflow <- 0;
-  t.sum <- 0.0;
+  t.sum.(0) <- 0.0;
   t.min_v <- max_int;
   t.max_v <- -1
 
@@ -97,7 +99,7 @@ let add_n t v ~count =
     let b = bucket_of t v in
     t.counts.(b) <- t.counts.(b) + count;
     t.n <- t.n + count;
-    t.sum <- t.sum +. (float_of_int v *. float_of_int count);
+    t.sum.(0) <- t.sum.(0) +. (float_of_int v *. float_of_int count);
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
   end
@@ -107,8 +109,8 @@ let add t v = add_n t v ~count:1
 let count t = t.n
 let zeros t = t.counts.(0)
 let overflow t = t.overflow
-let sum t = t.sum
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+let sum t = t.sum.(0)
+let mean t = if t.n = 0 then 0.0 else t.sum.(0) /. float_of_int t.n
 let min_value t = if t.n = 0 then 0 else t.min_v
 let max_value t = if t.n = 0 then 0 else t.max_v
 let is_empty t = t.n = 0
@@ -151,7 +153,7 @@ let merge_into ~into src =
     src.counts;
   into.n <- into.n + src.n;
   into.overflow <- into.overflow + src.overflow;
-  into.sum <- into.sum +. src.sum;
+  into.sum.(0) <- into.sum.(0) +. src.sum.(0);
   if src.min_v < into.min_v then into.min_v <- src.min_v;
   if src.max_v > into.max_v then into.max_v <- src.max_v
 
@@ -159,6 +161,7 @@ let copy t =
   {
     t with
     counts = Array.copy t.counts;
+    sum = Array.copy t.sum;
   }
 
 let merge a b =

@@ -1,6 +1,9 @@
 (* Sampled stage profiler. All bookkeeping is integer arithmetic on
    preallocated arrays; the only external calls on the hot path are
-   [Monotonic_clock.now] (noalloc C stub) on sampled cycles.
+   [Monotonic_clock.now] (noalloc C stub) on sampled cycles. Timestamps
+   are native ints (nanoseconds fit in 63 bits for centuries), so no
+   clock read or credit allocates — an [int64] field or array cell
+   would box each one.
 
    Attribution is a small explicit scope stack: entering a scope credits
    the elapsed time to whatever was running (the enclosing scope, or the
@@ -69,10 +72,10 @@ type t = {
   every : int;
   mutable tick : int;
   mutable is_sampled : bool;
-  mutable last : int64;
+  mutable last : int;
   mutable depth : int;
   stack_stage : int array;
-  stack_start : int64 array;
+  stack_start : int array;
   calls : int array;
   acc2 : int array array;  (* [parent or root] x [stage] exclusive ns *)
   hists : Histogram.t array;  (* inclusive scope latencies, ns *)
@@ -80,6 +83,7 @@ type t = {
 }
 
 let clock_ns = Monotonic_clock.now
+let[@inline] now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let make ~on ~every =
   {
@@ -88,10 +92,10 @@ let make ~on ~every =
     every;
     tick = -1;
     is_sampled = false;
-    last = 0L;
+    last = 0;
     depth = 0;
     stack_stage = Array.make max_depth 0;
-    stack_start = Array.make max_depth 0L;
+    stack_start = Array.make max_depth 0;
     calls = Array.make num_stages 0;
     acc2 = Array.init (num_stages + 1) (fun _ -> Array.make num_stages 0);
     hists = Array.init num_stages (fun _ -> Histogram.create ());
@@ -113,7 +117,7 @@ let cycles t = t.tick + 1
 
 (* Credit [now - last] to the scope currently running. *)
 let credit t now =
-  let ns = Int64.to_int (Int64.sub now t.last) in
+  let ns = now - t.last in
   if ns > 0 then begin
     let cur, parent =
       if t.depth > 0 then
@@ -130,13 +134,13 @@ let begin_cycle t =
   if t.on then begin
     t.tick <- t.tick + 1;
     t.is_sampled <- t.tick land t.mask = 0;
-    if t.is_sampled then t.last <- clock_ns ()
+    if t.is_sampled then t.last <- now_ns ()
   end
 
 let enter t stage =
   if t.is_sampled then begin
     if t.depth >= max_depth then invalid_arg "Prof.enter: scopes too deep";
-    let now = clock_ns () in
+    let now = now_ns () in
     credit t now;
     let s = stage_index stage in
     t.stack_stage.(t.depth) <- s;
@@ -148,11 +152,11 @@ let enter t stage =
 let exit t =
   if t.is_sampled then begin
     if t.depth = 0 then invalid_arg "Prof.exit: no open scope";
-    let now = clock_ns () in
+    let now = now_ns () in
     credit t now;
     let d = t.depth - 1 in
     let s = t.stack_stage.(d) in
-    let incl = Int64.to_int (Int64.sub now t.stack_start.(d)) in
+    let incl = now - t.stack_start.(d) in
     Histogram.add t.hists.(s) (if incl > 0 then incl else 0);
     t.depth <- d
   end
@@ -160,7 +164,7 @@ let exit t =
 let end_cycle t =
   if t.is_sampled then begin
     if t.depth <> 0 then invalid_arg "Prof.end_cycle: unbalanced scopes";
-    credit t (clock_ns ());
+    credit t (now_ns ());
     t.n_sampled <- t.n_sampled + 1
   end
 

@@ -1,10 +1,10 @@
 (** Packed occupancy bitmask over a fixed universe [0, capacity).
 
     This is the scan structure behind the data-oriented simulator core:
-    issue windows, LSU slots and MOB slots keep one bit per slot and the
-    per-cycle sweeps skip empty regions a word at a time instead of
-    walking linked structures. Everything is preallocated at [create]
-    and no operation allocates.
+    the issue window keeps one bit per slot and the per-cycle dispatch
+    sweep skips empty regions a word at a time instead of walking linked
+    structures. Everything is preallocated at [create] and no operation
+    allocates.
 
     Words hold 32 bits each so that index arithmetic is shifts and
     masks (not division) and the de Bruijn trailing-zero multiply below
@@ -90,6 +90,33 @@ let next_set_from t i =
       if r < t.capacity then r else -1
     end
     else scan_words t (w + 1) (Array.length t.words)
+  end
+
+(* [scan_words] over the word-wise union of [a] and [b]. *)
+let rec scan_union_words a b w nwords =
+  if w >= nwords then -1
+  else
+    let word = a.words.(w) lor b.words.(w) in
+    if word <> 0 then
+      let r = (w lsl word_shift) + ctz32 word in
+      if r < a.capacity then r else -1
+    else scan_union_words a b (w + 1) nwords
+
+let next_set_from_union a b i =
+  if a.capacity <> b.capacity then
+    invalid_arg "Bitset.next_set_from_union: capacities differ";
+  if i >= a.capacity then -1
+  else begin
+    let i = if i < 0 then 0 else i in
+    let w = i lsr word_shift in
+    let first =
+      (a.words.(w) lor b.words.(w)) land lnot ((1 lsl (i land bit_mask)) - 1)
+    in
+    if first <> 0 then begin
+      let r = (w lsl word_shift) + ctz32 first in
+      if r < a.capacity then r else -1
+    end
+    else scan_union_words a b (w + 1) (Array.length a.words)
   end
 
 let rec iter_from f t i =

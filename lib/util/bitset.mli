@@ -1,8 +1,9 @@
 (** Packed occupancy bitmask over a fixed universe [0, capacity).
 
     Backing store for the data-oriented simulator core's dense sweeps
-    (issue window, LSU slots, MOB slots): one bit per slot, word-level
-    skipping over empty regions, zero allocation after [create]. *)
+    (the issue window's unissued and sweep sets): one bit per slot,
+    word-level skipping over empty regions, zero allocation after
+    [create]. *)
 
 type t
 
@@ -29,6 +30,11 @@ val next_set_from : t -> int -> int
 (** [next_set_from t i] is the smallest member [>= i], or [-1] when none.
     Negative [i] is treated as 0; [i >= capacity] yields [-1].
     Allocation-free: this is the hot-loop scan primitive. *)
+
+val next_set_from_union : t -> t -> int -> int
+(** [next_set_from_union a b i] is [next_set_from] over the union of [a]
+    and [b], computed word by word without materialising it. Raises
+    [Invalid_argument] unless both have the same capacity. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Apply to members in increasing order. *)

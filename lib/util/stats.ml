@@ -70,7 +70,7 @@ module Buckets = struct
   let ensure t idx =
     let n = Array.length t.sums in
     if idx >= n then begin
-      let n' = Stdlib.max (idx + 1) (2 * n) in
+      let n' = Int.max (idx + 1) (2 * n) in
       let sums = Array.make n' 0.0 in
       let counts = Array.make n' 0 in
       Array.blit t.sums 0 sums 0 n;
@@ -121,7 +121,7 @@ module Buckets = struct
       let idx = pos / t.width in
       ensure t idx;
       let bucket_end = (idx + 1) * t.width in
-      let m = Stdlib.min left (bucket_end - pos) in
+      let m = Int.min left (bucket_end - pos) in
       t.sums.(idx) <- t.sums.(idx) +. (float_of_int m *. v);
       t.counts.(idx) <- t.counts.(idx) + m;
       add_run_from t (pos + m) (left - m) v
@@ -136,7 +136,7 @@ module Buckets = struct
       let idx = pos / t.width in
       ensure t idx;
       let bucket_end = (idx + 1) * t.width in
-      let m = Stdlib.min left (bucket_end - pos) in
+      let m = Int.min left (bucket_end - pos) in
       t.sums.(idx) <- t.sums.(idx) +. (float_of_int m *. float_of_int v);
       t.counts.(idx) <- t.counts.(idx) + m;
       add_run_int_from t (pos + m) (left - m) v

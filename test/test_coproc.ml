@@ -115,15 +115,28 @@ let test_lsu () =
 
 let test_exebu_slots () =
   let e = Exebu.create ~units:4 ~pipes_per_unit:2 in
+  (* Only the first [n] ids count; the trailing 9 is out of range. *)
+  let try_issue ids =
+    let n = List.length ids in
+    Exebu.try_issue_arr e ~unit_ids:(Array.of_list (ids @ [ 9 ])) ~n
+  in
   Exebu.begin_cycle e ~cycle:1;
-  Helpers.check_bool "first uop" true (Exebu.can_issue e ~unit_ids:[ 0; 1 ]);
-  Exebu.issue e ~unit_ids:[ 0; 1 ];
-  Exebu.issue e ~unit_ids:[ 0; 1 ];
-  Helpers.check_bool "pipes exhausted" false (Exebu.can_issue e ~unit_ids:[ 0 ]);
-  Helpers.check_bool "other units free" true (Exebu.can_issue e ~unit_ids:[ 2; 3 ]);
+  Helpers.check_bool "first uop" true (try_issue [ 0; 1 ]);
+  Helpers.check_bool "second uop" true (try_issue [ 0; 1 ]);
+  Helpers.check_bool "pipes exhausted" false (try_issue [ 0 ]);
+  Helpers.check_bool "one full unit blocks the rest" false (try_issue [ 2; 0 ]);
+  Helpers.check_int "a failed probe books nothing" 0 (Exebu.uops_of_unit e 2);
+  Helpers.check_bool "other units free" true (try_issue [ 2; 3 ]);
+  Exebu.begin_cycle e ~cycle:1;
+  Helpers.check_bool "same cycle keeps slots" false (try_issue [ 0 ]);
   Exebu.begin_cycle e ~cycle:2;
-  Helpers.check_bool "new cycle resets" true (Exebu.can_issue e ~unit_ids:[ 0 ]);
-  Helpers.check_int "uops counted" 4 (Exebu.uops_executed e)
+  Helpers.check_bool "new cycle resets" true (try_issue [ 0 ]);
+  Helpers.check_int "uops counted" 7 (Exebu.uops_executed e);
+  Helpers.check_int "one probe per attempt" 7 (Exebu.issue_checks e);
+  Helpers.check_int "issues" 4 (Exebu.issues e);
+  Alcotest.check_raises "unit out of range"
+    (Invalid_argument "Exebu.try_issue_arr") (fun () ->
+      ignore (Exebu.try_issue_arr e ~unit_ids:[| 4 |] ~n:1))
 
 let test_ordering_matrix () =
   let open Instr in

@@ -111,6 +111,36 @@ let test_bitset_oracle () =
       check_same_view ~cap bs !oracle)
     [ 1; 7; 31; 32; 33; 63; 64; 65; 96; 128; 200 ]
 
+(* [next_set_from_union] against [next_set_from] on the merged list. *)
+let test_bitset_union () =
+  let rng = Rng.create ~seed:77 in
+  List.iter
+    (fun cap ->
+      let a = Bitset.create cap and b = Bitset.create cap in
+      let la = ref [] and lb = ref [] in
+      for _ = 1 to 300 do
+        let bs, l = if Rng.bool rng 0.5 then (a, la) else (b, lb) in
+        let i = Rng.int rng cap in
+        if Rng.bool rng 0.6 then begin
+          Bitset.add bs i;
+          if not (List.mem i !l) then l := i :: !l
+        end
+        else begin
+          Bitset.remove bs i;
+          l := List.filter (fun x -> x <> i) !l
+        end;
+        let union = List.sort_uniq compare (!la @ !lb) in
+        for i = -1 to cap do
+          Helpers.check_int "next_set_from_union" (oracle_next_from union i)
+            (Bitset.next_set_from_union a b i)
+        done
+      done)
+    [ 1; 31; 32; 33; 64; 100 ];
+  Alcotest.check_raises "capacities differ"
+    (Invalid_argument "Bitset.next_set_from_union: capacities differ")
+    (fun () ->
+      ignore (Bitset.next_set_from_union (Bitset.create 8) (Bitset.create 9) 0))
+
 let test_bitset_edges () =
   let bs = Bitset.create 65 in
   Helpers.check_int "empty next" (-1) (Bitset.next_set_from bs 0);
@@ -160,24 +190,40 @@ let test_freelist_exhaustion_reuse () =
    chunk allocates nothing at all. Rare events (phase boundaries,
    reconfiguration, trace-episode bookkeeping) may allocate, so the
    assertion is on the minimum chunk delta, which the dense steady
-   state must bring to exactly zero. *)
+   state must bring to exactly zero. With a profiler attached, every
+   32nd cycle also reads the clock and credits stage time, which must
+   not allocate either. *)
 
-let test_zero_alloc_steady_state () =
+let check_zero_alloc ?prof label =
   let wls = Occamy_workloads.Motivating.pair () in
-  let sim = Sim.create ~arch:Arch.Occamy wls in
+  let sim = Sim.create ?prof ~arch:Arch.Occamy wls in
+  (* One cycle as [Sim.run] drives it: the step, then the profiler's
+     end-of-cycle credit (a no-op when none is attached). *)
+  let step () =
+    Sim.step sim;
+    Occamy_obs.Prof.end_cycle (Sim.prof sim)
+  in
   (* Warm up past compilation/startup transients. *)
-  for _ = 1 to 2000 do Sim.step sim done;
+  for _ = 1 to 2000 do step () done;
   let min_delta = ref infinity in
   for _chunk = 1 to 10 do
     let before = Gc.minor_words () in
-    for _ = 1 to 1000 do Sim.step sim done;
+    for _ = 1 to 1000 do step () done;
     let delta = Gc.minor_words () -. before in
     if delta < !min_delta then min_delta := delta
   done;
   if !min_delta <> 0.0 then
     Alcotest.failf
-      "dense steady state allocates: best 1000-cycle chunk = %.0f minor words"
-      !min_delta
+      "dense steady state allocates%s: best 1000-cycle chunk = %.0f minor \
+       words"
+      label !min_delta
+
+let test_zero_alloc_steady_state () =
+  check_zero_alloc "";
+  let prof = Occamy_obs.Prof.create () in
+  check_zero_alloc ~prof " with a profiler attached";
+  if Occamy_obs.Prof.sampled_cycles prof = 0 then
+    Alcotest.fail "the profiler sampled no cycle"
 
 let suites =
   [
@@ -187,6 +233,7 @@ let suites =
           test_rng_matches_reference;
         Alcotest.test_case "bitset vs list oracle" `Quick test_bitset_oracle;
         Alcotest.test_case "bitset edges" `Quick test_bitset_edges;
+        Alcotest.test_case "bitset union scan" `Quick test_bitset_union;
         Alcotest.test_case "freelist exhaustion/reuse" `Quick
           test_freelist_exhaustion_reuse;
         Alcotest.test_case "zero-alloc steady state" `Quick

@@ -82,16 +82,12 @@ let test_profile_validation () =
 
 let test_mob_overlap () =
   let m = Mob.create ~capacity:4 () in
-  let id1 =
-    Option.get (Mob.insert m ~core:0 ~arr:1 ~base:0 ~len:8 ~is_store:true)
-  in
+  let s1 = Mob.insert_slot m ~arr:1 ~base:0 ~len:8 ~is_store:true in
   (* A read overlapping an in-flight store conflicts. *)
   Helpers.check_bool "read vs store conflicts" true
     (Mob.conflicts m ~arr:1 ~base:4 ~len:4 ~is_store:false);
   (* A read overlapping an in-flight load does not. *)
-  let _id2 =
-    Option.get (Mob.insert m ~core:0 ~arr:2 ~base:0 ~len:8 ~is_store:false)
-  in
+  let _s2 = Mob.insert_slot m ~arr:2 ~base:0 ~len:8 ~is_store:false in
   Helpers.check_bool "read vs load fine" false
     (Mob.conflicts m ~arr:2 ~base:0 ~len:8 ~is_store:false);
   (* A write overlapping anything conflicts. *)
@@ -100,17 +96,31 @@ let test_mob_overlap () =
   (* Disjoint ranges never conflict. *)
   Helpers.check_bool "disjoint fine" false
     (Mob.conflicts m ~arr:1 ~base:8 ~len:8 ~is_store:true);
-  Mob.remove m id1;
+  Mob.remove_slot m s1;
   Helpers.check_bool "after removal no conflict" false
     (Mob.conflicts m ~arr:1 ~base:4 ~len:4 ~is_store:false)
 
 let test_mob_capacity () =
   let m = Mob.create ~capacity:2 () in
-  ignore (Mob.insert m ~core:0 ~arr:0 ~base:0 ~len:1 ~is_store:false);
-  ignore (Mob.insert m ~core:1 ~arr:0 ~base:1 ~len:1 ~is_store:false);
-  Helpers.check_bool "full" true
-    (Mob.insert m ~core:0 ~arr:0 ~base:2 ~len:1 ~is_store:false = None);
-  Helpers.check_int "per-core outstanding" 1 (Mob.outstanding_of m ~core:1)
+  ignore (Mob.insert_slot m ~arr:0 ~base:0 ~len:1 ~is_store:false);
+  let s = Mob.insert_slot m ~arr:0 ~base:1 ~len:1 ~is_store:false in
+  Helpers.check_bool "full" true (Mob.is_full m);
+  Alcotest.check_raises "insert when full"
+    (Invalid_argument "Mob.insert_slot: full") (fun () ->
+      ignore (Mob.insert_slot m ~arr:0 ~base:2 ~len:1 ~is_store:false));
+  Helpers.check_int "size" 2 (Mob.size m);
+  Mob.remove_slot m s;
+  Helpers.check_bool "room after removal" false (Mob.is_full m);
+  Alcotest.check_raises "double removal"
+    (Invalid_argument "Mob.remove_slot: not occupied") (fun () ->
+      Mob.remove_slot m s);
+  List.iter
+    (fun (arr, base, len) ->
+      Alcotest.check_raises "bad region"
+        (Invalid_argument "Mob.insert_slot: bad region") (fun () ->
+          ignore (Mob.insert_slot m ~arr ~base ~len ~is_store:false)))
+    [ (-1, 0, 1); (0, -1, 1); (0, 0, -1) ];
+  Helpers.check_int "rejections leave it unchanged" 1 (Mob.size m)
 
 let qcheck_channel_monotone =
   QCheck2.Test.make ~name:"channel completions are monotone for queued requests"
@@ -138,17 +148,129 @@ let qcheck_mob_no_leak =
         (fun base ->
           if List.length !live > 4 then begin
             match !live with
-            | id :: rest ->
-              Mob.remove m id;
+            | s :: rest ->
+              Mob.remove_slot m s;
               live := rest
             | [] -> ()
           end
-          else
-            match Mob.insert m ~core:0 ~arr:0 ~base ~len:1 ~is_store:false with
-            | Some id -> live := id :: !live
-            | None -> ())
+          else if not (Mob.is_full m) then
+            live :=
+              Mob.insert_slot m ~arr:0 ~base ~len:1 ~is_store:false :: !live)
         ops;
       Mob.size m = List.length !live)
+
+(* The MOB against a list model: random insert/remove/conflict/clear
+   sequences over 1-4 array ids (the first always >= 256), loads and
+   stores, zero-length ranges, and a [Fill] op that runs it full. *)
+type mob_op =
+  | Ins of int * int * int * bool  (* array index, base, len, store *)
+  | Rem of int  (* index into the live entries *)
+  | Bad_rem of int  (* a slot that is not occupied *)
+  | Probe of int * int * int * bool  (* array index (= #ids: absent) *)
+  | Fill
+  | Clear
+
+let show_mob_op = function
+  | Ins (a, b, l, st) -> Printf.sprintf "Ins(%d,%d,%d,%b)" a b l st
+  | Rem i -> Printf.sprintf "Rem %d" i
+  | Bad_rem i -> Printf.sprintf "Bad_rem %d" i
+  | Probe (a, b, l, st) -> Printf.sprintf "Probe(%d,%d,%d,%b)" a b l st
+  | Fill -> "Fill"
+  | Clear -> "Clear"
+
+let qcheck_mob_model =
+  let open QCheck2.Gen in
+  let gen =
+    let* cap = int_range 1 6 in
+    let* first = int_range 256 1000 in
+    let* rest = list_size (int_range 0 3) (int_range 0 300) in
+    let ids = Array.of_list (first :: rest) in
+    let nids = Array.length ids in
+    let region = pair (int_range 0 12) (int_range 0 5) in
+    let op =
+      frequency
+        [
+          (6, map3 (fun a (b, l) st -> Ins (a, b, l, st))
+                (int_range 0 (nids - 1)) region bool);
+          (4, map (fun i -> Rem i) (int_range 0 5));
+          (1, map (fun i -> Bad_rem i) (int_range (-1) cap));
+          (6, map3 (fun a (b, l) st -> Probe (a, b, l, st))
+                (int_range 0 nids) region bool);
+          (1, pure Fill);
+          (1, pure Clear);
+        ]
+    in
+    let* ops = list_size (int_range 1 80) op in
+    pure (cap, ids, ops)
+  in
+  let print (cap, ids, ops) =
+    Printf.sprintf "capacity %d, ids [%s]: %s" cap
+      (String.concat ";" (Array.to_list (Array.map string_of_int ids)))
+      (String.concat " " (List.map show_mob_op ops))
+  in
+  QCheck2.Test.make ~count:300 ~name:"mob matches a list model" ~print gen
+    (fun (cap, ids, ops) ->
+      let m = Mob.create ~capacity:cap () in
+      (* live entries: (slot, arr, base, len, is_store) *)
+      let live = ref [] in
+      let nids = Array.length ids in
+      let insert arr base len st =
+        if Mob.is_full m then begin
+          if List.length !live <> cap then QCheck2.Test.fail_report "full early";
+          match Mob.insert_slot m ~arr ~base ~len ~is_store:st with
+          | _ -> QCheck2.Test.fail_report "insert into a full MOB"
+          | exception Invalid_argument _ -> ()
+        end
+        else begin
+          let s = Mob.insert_slot m ~arr ~base ~len ~is_store:st in
+          if s < 0 || s >= cap || List.exists (fun (s', _, _, _, _) -> s' = s) !live
+          then QCheck2.Test.fail_reportf "bad slot %d" s;
+          live := (s, arr, base, len, st) :: !live
+        end
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Ins (a, b, l, st) -> insert ids.(a) b l st
+          | Rem i -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let ((s, _, _, _, _) as e) = List.nth l (i mod List.length l) in
+              Mob.remove_slot m s;
+              live := List.filter (fun e' -> e' != e) l)
+          | Bad_rem s ->
+            if not (List.exists (fun (s', _, _, _, _) -> s' = s) !live) then (
+              match Mob.remove_slot m s with
+              | () -> QCheck2.Test.fail_reportf "removed free slot %d" s
+              | exception Invalid_argument _ -> ())
+          | Probe (a, base, len, is_store) ->
+            let arr = if a = nids then 100_000 else ids.(a) in
+            let expect =
+              List.exists
+                (fun (_, arr', b', l', st') ->
+                  arr' = arr && b' < base + len && base < b' + l'
+                  && (is_store || st'))
+                !live
+            in
+            if Mob.conflicts m ~arr ~base ~len ~is_store <> expect then
+              QCheck2.Test.fail_reportf "conflicts arr %d [%d,+%d) store %b: %b"
+                arr base len is_store (not expect)
+          | Fill ->
+            while List.length !live < cap do
+              insert ids.(List.length !live mod nids) 0 1 true
+            done;
+            insert ids.(0) 0 1 false
+          | Clear ->
+            Mob.clear m;
+            live := []);
+          if Mob.size m <> List.length !live then
+            QCheck2.Test.fail_reportf "size %d, model %d" (Mob.size m)
+              (List.length !live);
+          if Mob.is_full m <> (List.length !live = cap) then
+            QCheck2.Test.fail_report "is_full disagrees")
+        ops;
+      true)
 
 let suites =
   [
@@ -163,7 +285,8 @@ let suites =
         Alcotest.test_case "mob overlap" `Quick test_mob_overlap;
         Alcotest.test_case "mob capacity" `Quick test_mob_capacity;
       ] );
-    Helpers.qsuite "mem.qcheck" [ qcheck_channel_monotone; qcheck_mob_no_leak ];
+    Helpers.qsuite "mem.qcheck"
+      [ qcheck_channel_monotone; qcheck_mob_no_leak; qcheck_mob_model ];
   ]
 
 (* --- additional properties ----------------------------------------- *)
