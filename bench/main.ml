@@ -1,11 +1,17 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§7) and runs bechamel micro-benchmarks of the
-   library's hot paths.
+   paper's evaluation (§7), plus three self-checking sections — `perf`
+   (fast-forward never slower than the naive loop), `scaling` (`-j N`
+   never slower than `-j 1`) and `reliability` (TMR masks every
+   injected flip) — that exit non-zero when their gate fails.
 
      dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- fig10   -- one section (any of: table3
-        table4 table5 fig2 fig10 fig12 fig14 fig16 ablations micro perf
-        scaling profile attrib)
+     dune exec bench/main.exe -- fig10   -- one section (any of: table4
+        table3 fig2 table5 fig14 fig10 fig16 fig12 ablations perf
+        scaling reliability)
+
+   Host-time numbers are printed, never recorded: a speed claim is
+   measured with the performance ledger (bench/ledger/, BENCHMARK.json),
+   and .github/scripts/ledger_ab.py compares two trees with it.
 
    Absolute cycle counts come from our simulator, not the authors' RTL
    calibration, so only the *shape* (orderings, rough factors, crossover
@@ -15,140 +21,30 @@
 
 module Table = Occamy_util.Table
 module Domain_pool = Occamy_util.Domain_pool
-module Work_steal = Occamy_util.Work_steal
-module Bench_log = Occamy_util.Bench_log
 module Arch = Occamy_core.Arch
 module Config = Occamy_core.Config
 module E = Occamy_experiments
 
 let known_sections =
   [ "table4"; "table3"; "fig2"; "table5"; "fig14"; "fig10"; "fig16"; "fig12";
-    "ablations"; "micro"; "perf"; "scaling"; "profile"; "attrib";
-    "reliability" ]
+    "ablations"; "perf"; "scaling"; "reliability" ]
 
 let usage () =
   Printf.eprintf
     "usage: bench [-j N] [--max-jobs N] [--oversubscribe] [--trace-dir DIR] \
-     [--golden-check|--golden-update] [--profile] [%s]...\n\
-    \       bench compare [--baseline FILE] [--threshold PCT] [--window N] \
-     [FILE]...\n\
+     [--golden-check|--golden-update] [%s]...\n\
      %!"
     (String.concat "|" known_sections)
-
-(* ------------------------------------------------------------------ *)
-(* `bench compare`: gate the latest run of each trajectory group        *)
-(* against a named baseline or the trailing median (Bench_log).         *)
-(* ------------------------------------------------------------------ *)
-
-let run_compare args =
-  let bad msg =
-    Printf.eprintf "bench compare: %s\n%!" msg;
-    usage ();
-    exit 2
-  in
-  let parse_float flag s =
-    match float_of_string_opt s with
-    | Some x when x > 0.0 -> x
-    | _ -> bad (Printf.sprintf "%s expects a positive number, got %S" flag s)
-  in
-  let rec parse threshold window baseline files = function
-    | [] -> (threshold, window, baseline, List.rev files)
-    | "--threshold" :: v :: rest ->
-      parse (parse_float "--threshold" v /. 100.0) window baseline files rest
-    | [ "--threshold" ] -> bad "--threshold expects a percentage"
-    | "--window" :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> parse threshold n baseline files rest
-      | _ -> bad (Printf.sprintf "--window expects a count, got %S" v))
-    | [ "--window" ] -> bad "--window expects a count"
-    | "--baseline" :: f :: rest -> parse threshold window (Some f) files rest
-    | [ "--baseline" ] -> bad "--baseline expects a file"
-    | s :: _ when String.length s > 0 && s.[0] = '-' ->
-      bad (Printf.sprintf "unknown option %S" s)
-    | f :: rest -> parse threshold window baseline (f :: files) rest
-  in
-  let threshold, window, baseline_file, files =
-    parse 0.10 5 None [] args
-  in
-  let files =
-    if files <> [] then files
-    else
-      List.filter Sys.file_exists
-        [ Bench_log.sections_path; Bench_log.perf_path;
-          Bench_log.profile_path; Bench_log.attrib_path;
-          Bench_log.reliability_path ]
-  in
-  if files = [] then bad "no trajectory files found (run some bench sections first)";
-  let load_all paths =
-    List.concat_map
-      (fun path ->
-        let entries, warnings = Bench_log.load ~path in
-        List.iter (Printf.eprintf "bench compare: warning: %s\n%!") warnings;
-        entries)
-      paths
-  in
-  let entries = load_all files in
-  let baseline =
-    Option.map
-      (fun f ->
-        if not (Sys.file_exists f) then
-          bad (Printf.sprintf "baseline file %s does not exist" f);
-        load_all [ f ])
-      baseline_file
-  in
-  let comparisons =
-    Bench_log.compare_entries ~threshold ~window ?baseline entries
-  in
-  if comparisons = [] then begin
-    Printf.printf
-      "bench compare: nothing to compare yet (each group needs history%s)\n%!"
-      (match baseline_file with
-      | Some f -> Printf.sprintf " or a matching group in %s" f
-      | None -> "");
-    exit 0
-  end;
-  Table.print
-    (Bench_log.comparison_table
-       ~title:
-         (Printf.sprintf "Bench trajectory: latest vs %s (gate: +%.0f%%)"
-            (match baseline_file with
-            | Some f -> "baseline " ^ f
-            | None -> Printf.sprintf "trailing median (window %d)" window)
-            (threshold *. 100.0))
-       comparisons);
-  match Bench_log.regressions comparisons with
-  | [] ->
-    Printf.printf "bench compare: no regression above %.0f%%\n%!"
-      (threshold *. 100.0)
-  | regs ->
-    Printf.eprintf "bench compare: %d group%s regressed more than %.0f%%:\n%!"
-      (List.length regs)
-      (if List.length regs > 1 then "s" else "")
-      (threshold *. 100.0);
-    List.iter
-      (fun c ->
-        Printf.eprintf "  %s (-j%d): %.3fs vs %.3fs (%.2fx)\n%!"
-          c.Bench_log.c_section c.Bench_log.c_jobs c.Bench_log.c_latest
-          c.Bench_log.c_baseline c.Bench_log.c_ratio)
-      regs;
-    exit 1
-
-let () =
-  match Array.to_list Sys.argv with
-  | _ :: "compare" :: rest ->
-    run_compare rest;
-    exit 0
-  | _ -> ()
 
 (* `-j N` / `-jN` / `--jobs N` selects the worker-domain count; the
    OCCAMY_JOBS environment variable is the fallback, then the machine's
    recommended domain count capped at `--max-jobs` (default 16; the cap
    only matters on hosts with more cores than that). The pool further
    caps the effective workers at [Domain.recommended_domain_count]
-   unless `--oversubscribe` (or OCCAMY_OVERSUBSCRIBE=1) forces the full
-   request. `--trace-dir DIR` (or the OCCAMY_TRACE environment
-   variable) writes Chrome trace JSON for the traced sections into DIR.
-   Remaining arguments are section names. *)
+   unless `--oversubscribe` (or, without the flag, OCCAMY_OVERSUBSCRIBE=1)
+   forces the full request. `--trace-dir DIR` (or the OCCAMY_TRACE
+   environment variable) writes Chrome trace JSON for the traced sections
+   into DIR. Remaining arguments are section names. *)
 type golden_mode = No_golden | Golden_check | Golden_update
 
 let jobs, oversubscribe, trace_dir, golden_mode, requested =
@@ -158,43 +54,34 @@ let jobs, oversubscribe, trace_dir, golden_mode, requested =
     | Some j when j >= 1 -> j
     | _ -> bad (Printf.sprintf "invalid job count %S" s)
   in
-  let rec parse jobs cap osub tdir golden prof acc = function
-    | [] -> (jobs, cap, osub, tdir, golden, prof, List.rev acc)
+  let rec parse jobs cap osub tdir golden acc = function
+    | [] -> (jobs, cap, osub, tdir, golden, List.rev acc)
     | ("-j" | "--jobs") :: n :: rest ->
-      parse (Some (parse_jobs n)) cap osub tdir golden prof acc rest
+      parse (Some (parse_jobs n)) cap osub tdir golden acc rest
     | [ ("-j" | "--jobs") ] -> bad "-j expects a count"
     | "--max-jobs" :: n :: rest ->
-      parse jobs (Some (parse_jobs n)) osub tdir golden prof acc rest
+      parse jobs (Some (parse_jobs n)) osub tdir golden acc rest
     | [ "--max-jobs" ] -> bad "--max-jobs expects a count"
-    | "--oversubscribe" :: rest -> parse jobs cap true tdir golden prof acc rest
-    | "--trace-dir" :: d :: rest ->
-      parse jobs cap osub (Some d) golden prof acc rest
+    (* Absent flag = [None], so the pool falls back to
+       OCCAMY_OVERSUBSCRIBE as occamy-sim's surfaces do. *)
+    | "--oversubscribe" :: rest ->
+      parse jobs cap (Some true) tdir golden acc rest
+    | "--trace-dir" :: d :: rest -> parse jobs cap osub (Some d) golden acc rest
     | [ "--trace-dir" ] -> bad "--trace-dir expects a directory"
-    | "--golden-check" :: rest ->
-      parse jobs cap osub tdir Golden_check prof acc rest
+    | "--golden-check" :: rest -> parse jobs cap osub tdir Golden_check acc rest
     | "--golden-update" :: rest ->
-      parse jobs cap osub tdir Golden_update prof acc rest
-    | "--profile" :: rest -> parse jobs cap osub tdir golden true acc rest
+      parse jobs cap osub tdir Golden_update acc rest
     | s :: rest when String.length s > 2 && String.sub s 0 2 = "-j" ->
       parse
         (Some (parse_jobs (String.sub s 2 (String.length s - 2))))
-        cap osub tdir golden prof acc rest
+        cap osub tdir golden acc rest
     | s :: rest when String.length s > 0 && s.[0] = '-' ->
       ignore rest;
       bad (Printf.sprintf "unknown option %S" s)
-    | s :: rest -> parse jobs cap osub tdir golden prof (s :: acc) rest
+    | s :: rest -> parse jobs cap osub tdir golden (s :: acc) rest
   in
-  let jobs, cap, osub, tdir, golden, prof, requested =
-    parse None None false None No_golden false []
-      (List.tl (Array.to_list Sys.argv))
-  in
-  (* `--profile` adds the profile section to an explicit section list
-     (with no sections given, every section — profile included — runs
-     anyway). *)
-  let requested =
-    if prof && requested <> [] && not (List.mem "profile" requested) then
-      requested @ [ "profile" ]
-    else requested
+  let jobs, cap, osub, tdir, golden, requested =
+    parse None None None None No_golden [] (List.tl (Array.to_list Sys.argv))
   in
   let tdir =
     match tdir with Some _ -> tdir | None -> Sys.getenv_opt "OCCAMY_TRACE"
@@ -218,14 +105,6 @@ let jobs, oversubscribe, trace_dir, golden_mode, requested =
 
 let section_enabled name = requested = [] || List.mem name requested
 
-(* Machine-readable per-section timings, one JSON object per line,
-   appended so successive runs accumulate a history; format and
-   schema-versioning live in Bench_log (which also fixes the old fig12
-   all-zero line: round-trip seconds printing and a non-empty worker
-   vector even for pool-free sections). *)
-let record_section ?(jobs_used = jobs) name seconds =
-  Bench_log.record_section ~section:name ~seconds ~jobs:jobs_used ()
-
 let timed name f =
   if section_enabled name then begin
     Printf.printf "\n##### %s #####\n%!" name;
@@ -240,8 +119,7 @@ let timed name f =
          collections]\n%!"
         name dt t.Domain_pool.t_max_workers t.Domain_pool.t_tasks
         t.Domain_pool.t_steals t.Domain_pool.t_minor_collections
-    else Printf.printf "[%s: %.1fs]\n%!" name dt;
-    record_section name dt
+    else Printf.printf "[%s: %.1fs]\n%!" name dt
   end
 
 (* ------------------------------------------------------------------ *)
@@ -290,8 +168,8 @@ let run_fig2 () =
 let run_table5 () = Table.print (E.Fig14.table5 ())
 
 let run_fig14 () =
-  Table.print (E.Fig14.lane_sweep_table ~jobs ~oversubscribe ());
-  let corun = E.Fig14.run_corun ~jobs ~oversubscribe () in
+  Table.print (E.Fig14.lane_sweep_table ~jobs ?oversubscribe ());
+  let corun = E.Fig14.run_corun ~jobs ?oversubscribe () in
   Table.print (E.Fig14.partition_timeline_table corun);
   Table.print (E.Fig14.issue_rate_table corun)
 
@@ -314,7 +192,7 @@ let run_fig10 () =
       sweep_trace
   in
   let t =
-    E.Fig10.run ~jobs ~oversubscribe ?observer
+    E.Fig10.run ~jobs ?oversubscribe ?observer
       ~progress:(fun l -> Printf.printf "  running %s...\n%!" l)
       ()
   in
@@ -335,7 +213,7 @@ let run_fig10 () =
     trace_dir
 
 let run_ablations () =
-  List.iter Table.print (E.Ablations.all ~jobs ~oversubscribe ())
+  List.iter Table.print (E.Ablations.all ~jobs ?oversubscribe ())
 
 let run_fig12 () =
   Table.print (E.Fig12.area_table ~cores:2 ());
@@ -343,102 +221,14 @@ let run_fig12 () =
   print_endline (E.Fig12.fts_overhead_note ())
 
 let run_fig16 () =
-  let runs = E.Fig16.run ~jobs ~oversubscribe () in
+  let runs = E.Fig16.run ~jobs ?oversubscribe () in
   Table.print (E.Fig16.speedup_table runs)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the library's hot paths.               *)
+(* Simulator throughput: naive loop vs fast-forward                    *)
 (* ------------------------------------------------------------------ *)
 
-let micro_tests () =
-  let open Bechamel in
-  let mot_pair () = Occamy_workloads.Motivating.pair ~tc0:1024 ~tc1:4096 () in
-  let sim_step =
-    Test.make ~name:"simulate motivating pair (Occamy, small)"
-      (Staged.stage (fun () ->
-           ignore (Occamy_core.Sim.simulate ~arch:Arch.Occamy (mot_pair ()))))
-  in
-  let compile =
-    Test.make ~name:"compile WL20 (2 phases)"
-      (Staged.stage (fun () -> ignore (Occamy_workloads.Spec.workload 20)))
-  in
-  let partition =
-    Test.make ~name:"lane partition plan (4 workloads)"
-      (Staged.stage (fun () ->
-           ignore
-             (Occamy_lanemgr.Partition.plan Occamy_lanemgr.Roofline.default_cfg
-                ~total:16
-                [
-                  { Occamy_lanemgr.Partition.key = 0;
-                    oi = Occamy_isa.Oi.uniform 0.1;
-                    level = Occamy_mem.Level.L2 };
-                  { key = 1; oi = Occamy_isa.Oi.uniform 0.3;
-                    level = Occamy_mem.Level.L2 };
-                  { key = 2; oi = Occamy_isa.Oi.uniform 1.0;
-                    level = Occamy_mem.Level.Vec_cache };
-                  { key = 3; oi = Occamy_isa.Oi.uniform 2.0;
-                    level = Occamy_mem.Level.Vec_cache };
-                ])))
-  in
-  let interp =
-    let wl =
-      Occamy_compiler.Codegen.compile_workload ~name:"axpy"
-        ~kind:Occamy_core.Workload.Mixed
-        [
-          Occamy_compiler.Loop_ir.(
-            loop ~name:"axpy" ~trip_count:4096
-              [ store "y" (fma "y".%[0] (param "a" 1.5) "x".%[0]) ]);
-        ]
-    in
-    Test.make ~name:"functional interp (axpy 4096)"
-      (Staged.stage (fun () ->
-           let t = Occamy_isa.Interp.create wl.Occamy_core.Workload.program in
-           ignore (Occamy_isa.Interp.run t)))
-  in
-  [ sim_step; compile; partition; interp ]
-
-let run_micro () =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let test = Test.make_grouped ~name:"occamy" ~fmt:"%s/%s" (micro_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let tbl =
-    Table.create ~title:"Micro-benchmarks (bechamel)"
-      ~header:[ "benchmark"; "time/run" ]
-      ~aligns:[ Table.Left; Table.Right ] ()
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ ns ] ->
-        let pretty =
-          if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-          else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-          else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-          else Printf.sprintf "%.0f ns" ns
-        in
-        rows := (name, pretty) :: !rows
-      | _ -> rows := (name, "n/a") :: !rows)
-    results;
-  List.iter (fun (n, v) -> Table.add_row tbl [ n; v ])
-    (List.sort compare !rows);
-  Table.print tbl
-
-(* ------------------------------------------------------------------ *)
-(* Simulator throughput: naive loop vs fast-forward (BENCH_perf.json)  *)
-(* ------------------------------------------------------------------ *)
-
-let perf_json = Bench_log.perf_path
-
-(* The CI perf-smoke gate: generous and flake-resistant — fail only if
+(* The CI perf gate: generous and flake-resistant — fail only if
    fast-forwarding makes the whole measured set >10% slower overall. *)
 let perf_gate = 1.10
 
@@ -473,21 +263,19 @@ let run_perf () =
             (Occamy_workloads.Suite.compile_pair p) );
     ]
   in
-  let measured =
-    List.map
+  let samples =
+    List.concat_map
       (fun (name, desc, f) ->
         Printf.printf "  %s: %s\n%!" name desc;
         let samples = f () in
         List.iter
           (fun s -> Format.printf "    %a@." E.Perf.pp_sample s)
           samples;
-        { E.Perf.sc_name = name; sc_samples = samples })
+        samples)
       scenarios
   in
-  E.Perf.write_json ~path:perf_json measured;
-  Printf.printf "  wrote %s\n%!" perf_json;
-  let naive = E.Perf.grand_naive_seconds measured in
-  let ff = E.Perf.grand_ff_seconds measured in
+  let naive = E.Perf.total_naive_seconds samples in
+  let ff = E.Perf.total_ff_seconds samples in
   Printf.printf "  total: naive %.2fs, fast-forward %.2fs (speedup %.2fx)\n%!"
     naive ff
     (naive /. Float.max ff 1e-9);
@@ -507,30 +295,29 @@ let run_perf () =
 (* The whole point of the elastic pool is that `-j N` must never be
    slower than `-j 1`; this section proves it on whatever host runs it.
    A reduced fig10 sweep (tc_scale 0.3, ~25 pairs x 4 architectures) is
-   timed sequentially and then in parallel, both recorded as their own
-   JSONL lines. The tolerance is generous (25%) so a noisy 2-core CI
-   runner does not flake, but a return of the old oversubscription
-   meltdown (4-13x slower) fails loudly. *)
+   timed sequentially and then in parallel. The tolerance is generous
+   (25%) so a noisy 2-core CI runner does not flake, but a return of the
+   old oversubscription meltdown (4-13x slower) fails loudly. *)
 let scaling_gate = 1.25
 
 let run_scaling () =
   let tc_scale = 0.3 in
   let par_jobs = max 2 (min jobs 4) in
   let eff =
-    Domain_pool.effective_workers ~oversubscribe
+    Domain_pool.effective_workers
+      ~oversubscribe:
+        (Option.value oversubscribe
+           ~default:(Domain_pool.oversubscribe_from_env ()))
       ~cores:(Domain.recommended_domain_count ())
       ~jobs:par_jobs ~tasks:par_jobs
   in
   let time ~jobs:j =
-    Domain_pool.reset_totals ();
     let t0 = Unix.gettimeofday () in
     ignore
-      (E.Fig10.run ~tc_scale ~jobs:j ~oversubscribe
+      (E.Fig10.run ~tc_scale ~jobs:j ?oversubscribe
          ~progress:(fun _ -> ())
          ());
-    let dt = Unix.gettimeofday () -. t0 in
-    record_section ~jobs_used:j (Printf.sprintf "scaling-j%d" j) dt;
-    dt
+    Unix.gettimeofday () -. t0
   in
   let t_seq = time ~jobs:1 in
   Printf.printf "  -j 1: %.2fs\n%!" t_seq;
@@ -550,180 +337,12 @@ let run_scaling () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Self-profile: where do dense-run simulator cycles go?               *)
-(* (`bench profile` / `--profile`; writes BENCH_profile.json)          *)
+(* Reliability: TMR cost/benefit                                       *)
 (* ------------------------------------------------------------------ *)
-
-let profile_json = Bench_log.profile_path
-
-let run_profile () =
-  let reports =
-    List.map (fun arch -> E.Prof_run.profile_pair ~arch ()) Arch.all
-  in
-  List.iter
-    (fun r ->
-      if r.E.Prof_run.rp_arch = Arch.Occamy then begin
-        Table.print (E.Prof_run.summary_table r);
-        Table.print (E.Prof_run.work_table r)
-      end;
-      Printf.printf "  %-8s %s\n%!"
-        (Arch.name r.E.Prof_run.rp_arch)
-        (E.Prof_run.top3_line r);
-      E.Prof_run.record ~scenario:"pair" r)
-    reports;
-  Printf.printf "  wrote %s\n%!" profile_json;
-  let ov =
-    E.Prof_run.measure_overhead ~arch:Arch.Occamy
-      (Occamy_workloads.Motivating.pair ())
-  in
-  Printf.printf
-    "  profiling overhead (Occamy pair, best of 3): plain %.3fs, enabled \
-     %.3fs (%+.1f%%)\n%!"
-    ov.E.Prof_run.ov_plain_seconds ov.E.Prof_run.ov_enabled_seconds
-    ((ov.E.Prof_run.ov_enabled_ratio -. 1.0) *. 100.0);
-  (* Exclusive attribution partitions sampled time, so the shares must
-     sum to 100% whenever anything was sampled — a broken scope pairing
-     shows up here before it corrupts a report. *)
-  List.iter
-    (fun r ->
-      let shares = Occamy_obs.Prof.shares r.E.Prof_run.rp_prof in
-      let sum = List.fold_left (fun a (_, s) -> a +. s) 0.0 shares in
-      if shares <> [] && Float.abs (sum -. 100.0) > 1.0 then begin
-        Printf.eprintf
-          "bench: %s stage shares sum to %.3f%%, expected 100%% (unbalanced \
-           profiler scopes?)\n%!"
-          (Arch.name r.E.Prof_run.rp_arch) sum;
-        exit 1
-      end)
-    reports
-
-(* ------------------------------------------------------------------ *)
-(* Top-down cycle accounting (`bench attrib`; BENCH_attrib.json)       *)
-(* ------------------------------------------------------------------ *)
-
-let attrib_json = Bench_log.attrib_path
-
-(* Attribution must stay a one-branch tax on the dense hot loop: an
-   attribution-enabled pair run may not exceed the committed dense-run
-   baseline (the profile.pair.<arch> medians of
-   test/golden/bench_baseline.json) by more than 5%. *)
-let attrib_gate = 1.05
-
-(* Mirror Bench_log.compare_entries's noise floor: a baseline below this
-   is clock noise and cannot be gated on. In the committed baseline only
-   the Private rows clear it, so the gate effectively bites there. *)
-let attrib_gate_min_seconds = 0.05
-
-let attrib_baseline_path =
-  Filename.concat (Filename.concat "test" "golden") "bench_baseline.json"
-
-let run_attrib () =
-  (* Best-of-3 per architecture: the fastest run feeds the regression
-     gate (single-sample gating at a 5% threshold would flake on a noisy
-     CI runner), the first is recorded as the trajectory sample. *)
-  let reports =
-    List.map
-      (fun arch ->
-        let r0 = E.Attrib_run.run_pair ~arch () in
-        let best = ref r0.E.Attrib_run.ar_seconds in
-        for _ = 2 to 3 do
-          let r = E.Attrib_run.run_pair ~arch () in
-          if r.E.Attrib_run.ar_seconds < !best then
-            best := r.E.Attrib_run.ar_seconds
-        done;
-        (r0, !best))
-      Arch.all
-  in
-  List.iter
-    (fun (r, _) ->
-      if r.E.Attrib_run.ar_arch = Arch.Occamy then begin
-        Table.print (E.Attrib_run.summary_table r);
-        print_string
-          (Occamy_obs.Attrib.render_timeseries r.E.Attrib_run.ar_attrib)
-      end;
-      E.Attrib_run.record ~scenario:"pair" r)
-    reports;
-  Printf.printf "  wrote %s\n%!" attrib_json;
-  (* Exclusive attribution partitions the timeline, so per core the
-     bucket shares must sum to 100% (the recorder's conservation
-     invariant already holds exactly in cycles; this re-checks the
-     derived percentage view end to end). *)
-  List.iter
-    (fun (r, _) ->
-      let a = r.E.Attrib_run.ar_attrib in
-      for core = 0 to Occamy_obs.Attrib.cores a - 1 do
-        let sum =
-          List.fold_left
-            (fun acc b -> acc +. Occamy_obs.Attrib.share a ~core b)
-            0.0 Occamy_obs.Attrib.all
-        in
-        if Float.abs (sum -. 100.0) > 0.5 then begin
-          Printf.eprintf
-            "bench: %s core%d attribution shares sum to %.3f%%, expected \
-             100%%\n%!"
-            (Arch.name r.E.Attrib_run.ar_arch)
-            core sum;
-          exit 1
-        end
-      done)
-    reports;
-  let ov =
-    E.Attrib_run.measure_overhead ~arch:Arch.Occamy
-      (Occamy_workloads.Motivating.pair ())
-  in
-  Printf.printf
-    "  accounting overhead (Occamy pair, best of 3): plain %.3fs, enabled \
-     %.3fs (%+.1f%%)\n%!"
-    ov.E.Attrib_run.av_plain_seconds ov.E.Attrib_run.av_enabled_seconds
-    ((ov.E.Attrib_run.av_enabled_ratio -. 1.0) *. 100.0);
-  let entries, _ = Bench_log.load ~path:attrib_baseline_path in
-  List.iter
-    (fun (r, best) ->
-      let arch = r.E.Attrib_run.ar_arch in
-      let section = "profile.pair." ^ Arch.name arch in
-      let times =
-        List.filter_map
-          (fun e ->
-            if e.Bench_log.e_section = section then
-              Some e.Bench_log.e_seconds
-            else None)
-          entries
-      in
-      match List.sort compare times with
-      | [] -> ()
-      | sorted ->
-        let n = List.length sorted in
-        let a = Array.of_list sorted in
-        let median =
-          if n mod 2 = 1 then a.(n / 2)
-          else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
-        in
-        if median >= attrib_gate_min_seconds && best > attrib_gate *. median
-        then begin
-          Printf.eprintf
-            "bench: %s attribution-enabled pair run took %.3fs (best of 3), \
-             more than %.0f%% over the %s baseline median %.3fs\n%!"
-            (Arch.name arch) best
-            ((attrib_gate -. 1.0) *. 100.0)
-            attrib_baseline_path median;
-          exit 1
-        end)
-    reports
-
-(* ------------------------------------------------------------------ *)
-(* Reliability: TMR cost/benefit (BENCH_reliability.json)              *)
-(* ------------------------------------------------------------------ *)
-
-let reliability_json = Bench_log.reliability_path
 
 let run_reliability () =
-  let t0 = Unix.gettimeofday () in
   let r = E.Reliability.run () in
   Format.printf "%a@." E.Reliability.pp r;
-  E.Reliability.write_json ~path:reliability_json
-    ~seconds:(Unix.gettimeofday () -. t0)
-    r;
-  Printf.printf "wrote %s\n%!" reliability_json;
   (* The acceptance gate: a TMR trial whose output diverges from the
      fault-free run is silent corruption — never acceptable. *)
   let silent = E.Reliability.silent r in
@@ -814,7 +433,7 @@ let golden_metrics () =
          4-core group keeps the original key set. *)
       let gate_attrib = prefix = "" in
       let per_arch =
-        Domain_pool.map ~jobs ~oversubscribe
+        Domain_pool.map ~jobs ?oversubscribe
           (fun arch ->
             let attrib =
               if gate_attrib then
@@ -925,10 +544,7 @@ let () =
   timed "fig16" run_fig16;
   timed "fig12" run_fig12;
   timed "ablations" run_ablations;
-  timed "micro" run_micro;
   timed "perf" run_perf;
   timed "scaling" run_scaling;
-  timed "profile" run_profile;
-  timed "attrib" run_attrib;
   timed "reliability" run_reliability;
   print_endline "\nAll requested sections completed."

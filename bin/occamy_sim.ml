@@ -158,9 +158,10 @@ let perf_arg =
           "Instead of printing simulation results, time the workload under \
            both simulation loops (the naive tick loop and event-horizon \
            fast-forwarding), print per-architecture throughput and skip \
-           ratios, and write $(b,BENCH_perf.json). The two loops are \
-           cross-checked for bit-identical metrics as part of the \
-           measurement.")
+           ratios. The two loops are cross-checked for bit-identical \
+           metrics as part of the measurement. The timings are printed, \
+           not recorded; speed claims are measured with the performance \
+           ledger (bench/ledger).")
 
 let profile_arg =
   Arg.(
@@ -211,9 +212,9 @@ let metrics_out_arg =
            suffixed before the extension.")
 
 (* --perf mode: time naive vs fast-forward on the selected pair and
-   persist the samples. Timings must not contend, so this path is
+   print the samples. Timings must not contend, so this path is
    sequential and ignores --jobs. *)
-let run_perf ~name arch wls_of =
+let run_perf arch wls_of =
   let module Perf = Occamy_experiments.Perf in
   let wls = wls_of () in
   let samples =
@@ -221,10 +222,7 @@ let run_perf ~name arch wls_of =
     | Some a -> [ Perf.measure ~repeat:3 ~arch:a wls ]
     | None -> Perf.measure_all ~repeat:3 wls
   in
-  List.iter (fun s -> Fmt.pr "%a@." Perf.pp_sample s) samples;
-  let path = "BENCH_perf.json" in
-  Perf.write_json ~path [ { Perf.sc_name = name; sc_samples = samples } ];
-  Fmt.pr "wrote %s@." path
+  List.iter (fun s -> Fmt.pr "%a@." Perf.pp_sample s) samples
 
 (* Per-arch output path: a single-architecture run writes PATH exactly;
    a multi-arch run writes out.json -> out.occamy.json etc. *)
@@ -387,7 +385,7 @@ let run_cmd =
         (Suite.source_name p.Suite.core0)
         (Suite.source_name p.Suite.core1);
       let wls_of () = Suite.compile_pair p in
-      if perf then run_perf ~name:pair arch wls_of
+      if perf then run_perf arch wls_of
       else
         run_archs
           ~jobs:(resolve_jobs ?cap:max_jobs jobs)
@@ -408,7 +406,7 @@ let motivating_cmd =
   let run arch jobs max_jobs osub trace_json trace_csv gantt perf profile
       profile_folded attrib metrics_out =
     let wls_of () = Occamy_workloads.Motivating.pair () in
-    if perf then run_perf ~name:"motivating" arch wls_of
+    if perf then run_perf arch wls_of
     else
       run_archs
         ~jobs:(resolve_jobs ?cap:max_jobs jobs)

@@ -14,11 +14,6 @@ type t = {
   slots : int array;          (* µops accepted in the current cycle *)
   uops : int array;           (* cumulative µops per unit *)
   mutable current_cycle : int;
-  (* work counters for the self-profiler's dispatch stage: slot probes
-     (one per compute-issue attempt) vs successful issues, i.e. how many
-     attempts found a unit's pipes full *)
-  mutable issue_checks : int;
-  mutable issues : int;
 }
 
 let create ~units ~pipes_per_unit =
@@ -29,8 +24,6 @@ let create ~units ~pipes_per_unit =
     slots = Array.make units 0;
     uops = Array.make units 0;
     current_cycle = -1;
-    issue_checks = 0;
-    issues = 0;
   }
 
 let units t = t.units
@@ -59,10 +52,8 @@ let rec probe t ids n i =
     slot, book one µop on each and return [true]; otherwise change
     nothing and return [false]. *)
 let try_issue_arr t ~unit_ids ~n =
-  t.issue_checks <- t.issue_checks + 1;
   probe t unit_ids n 0
   && begin
-    t.issues <- t.issues + 1;
     for i = 0 to n - 1 do
       let u = unit_ids.(i) in
       t.slots.(u) <- t.slots.(u) + 1;
@@ -73,5 +64,3 @@ let try_issue_arr t ~unit_ids ~n =
 
 let uops_executed t = Array.fold_left ( + ) 0 t.uops
 let uops_of_unit t u = t.uops.(u)
-let issue_checks t = t.issue_checks
-let issues t = t.issues

@@ -20,12 +20,3 @@ val try_issue_arr : t -> unit_ids:int array -> n:int -> bool
 
 val uops_executed : t -> int
 val uops_of_unit : t -> int -> int
-
-val issue_checks : t -> int
-(** Slot probes: one per {!try_issue_arr} call, i.e. per compute-issue
-    attempt. An observability counter only, behind the self-profiler's
-    [dispatch] stage: compared with {!issues} it shows how many attempts
-    found a unit's pipes full. *)
-
-val issues : t -> int
-(** Successful {!try_issue_arr} calls (instructions, not µops). *)

@@ -28,11 +28,6 @@ type t = {
   mutable total_issued : int;
   mutable peak_loads : int;
   mutable peak_stores : int;
-  (* work counters for the self-profiler's Lsu_retire stage: how many
-     retire scans ran and how many completions they found, so stage
-     time can be read as ns per scan / per retired op *)
-  mutable retire_calls : int;
-  mutable retired : int;
 }
 
 let create ?(load_capacity = 48) ?(store_capacity = 24) () =
@@ -50,8 +45,6 @@ let create ?(load_capacity = 48) ?(store_capacity = 24) () =
     total_issued = 0;
     peak_loads = 0;
     peak_stores = 0;
-    retire_calls = 0;
-    retired = 0;
   }
 
 let[@inline] can_accept t ~is_store =
@@ -124,7 +117,6 @@ let rec pop_loads t ~now buf k =
     t.l_done.(0) <- t.l_done.(t.l_n);
     t.l_mob.(0) <- t.l_mob.(t.l_n);
     sift_down t.l_done t.l_mob t.l_n 0;
-    t.retired <- t.retired + 1;
     if m >= 0 then begin
       buf.(k) <- m;
       pop_loads t ~now buf (k + 1)
@@ -140,7 +132,6 @@ let rec pop_stores t ~now buf k =
     t.s_done.(0) <- t.s_done.(t.s_n);
     t.s_mob.(0) <- t.s_mob.(t.s_n);
     sift_down t.s_done t.s_mob t.s_n 0;
-    t.retired <- t.retired + 1;
     if m >= 0 then begin
       buf.(k) <- m;
       pop_stores t ~now buf (k + 1)
@@ -152,9 +143,8 @@ let rec pop_stores t ~now buf k =
 (** Retire completed entries into [into] (their MOB handles; must hold at
     least [load_capacity + store_capacity] elements); returns how many
     handles were written. Completions without a MOB handle are retired
-    and counted but not reported. *)
+    but not reported. *)
 let retire_into t ~now ~into =
-  t.retire_calls <- t.retire_calls + 1;
   pop_stores t ~now into (pop_loads t ~now into 0)
 
 (** List-returning convenience wrapper around {!retire_into}. *)
@@ -183,5 +173,3 @@ let peak_loads t = t.peak_loads
 let peak_stores t = t.peak_stores
 
 let[@inline] is_drained t = t.l_n = 0 && t.s_n = 0
-let retire_calls t = t.retire_calls
-let retired t = t.retired

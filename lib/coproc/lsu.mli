@@ -38,11 +38,3 @@ val peak_stores : t -> int
 
 val is_drained : t -> bool
 (** No in-flight memory operations — part of the §4.2.2 drain condition. *)
-
-val retire_calls : t -> int
-(** How many {!retire} scans ran — the work count behind the
-    self-profiler's [lsu_retire] stage ({!Occamy_obs.Prof}), so stage
-    time can be read as ns per scan. *)
-
-val retired : t -> int
-(** Completions those scans found (loads + stores). *)

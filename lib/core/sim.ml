@@ -2156,12 +2156,3 @@ let skipped_cycles t = t.ff_skipped
 let ff_jumps t = t.ff_jumps
 let prof t = t.prof
 let attrib t = t.attrib
-
-let stage_work t =
-  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 t.cores in
-  [
-    ("lsu.retire_calls", float_of_int (sum (fun c -> Lsu.retire_calls c.lsu)));
-    ("lsu.retired", float_of_int (sum (fun c -> Lsu.retired c.lsu)));
-    ("exebu.issue_checks", float_of_int (Exebu.issue_checks t.exebus));
-    ("exebu.issues", float_of_int (Exebu.issues t.exebus));
-  ]

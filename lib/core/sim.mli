@@ -105,9 +105,3 @@ val attrib : t -> Occamy_obs.Attrib.t
 (** The cycle-accounting recorder passed at [create]
     ({!Occamy_obs.Attrib.disabled} when none); read its buckets,
     time-series windows and renderers after {!run}. *)
-
-val stage_work : t -> (string * float) list
-(** Work counters correlated with the profiler's stages, summed over
-    cores: LSU retire scans and completions, ExeBU issue probes and
-    issues — so stage time can be read as ns per unit of work. *)
-

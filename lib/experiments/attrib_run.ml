@@ -1,93 +1,23 @@
 (* Cycle-accounted simulator runs: drive a scenario with the top-down
-   attribution recorder enabled, print and record the per-core bucket
-   breakdown, and measure what the recorder costs — the `bench attrib`
-   section. Mirrors Prof_run, which does the same for host-time
-   profiling. *)
+   attribution recorder enabled and keep the per-core bucket breakdown
+   next to the run's metrics (Export's attribution CSV). *)
 
 module Sim = Occamy_core.Sim
 module Arch = Occamy_core.Arch
 module Config = Occamy_core.Config
 module Metrics = Occamy_core.Metrics
 module Attrib = Occamy_obs.Attrib
-module Json = Occamy_util.Json
-module Bench_log = Occamy_util.Bench_log
 
 type report = {
   ar_arch : Arch.t;
   ar_attrib : Attrib.t;
   ar_metrics : Metrics.t;
-  ar_seconds : float;
 }
 
 let run ?(cfg = Config.default) ?context_switches ?window ~arch wls =
   let attrib = Attrib.create ?window ~cores:cfg.Config.cores () in
-  let t = Sim.create ~cfg ?context_switches ~attrib ~arch wls in
-  let t0 = Unix.gettimeofday () in
-  let m = Sim.run t in
-  let seconds = Unix.gettimeofday () -. t0 in
-  { ar_arch = arch; ar_attrib = attrib; ar_metrics = m; ar_seconds = seconds }
+  let m = Sim.simulate ~cfg ?context_switches ~attrib ~arch wls in
+  { ar_arch = arch; ar_attrib = attrib; ar_metrics = m }
 
 let run_pair ?cfg ?window ~arch () =
   run ?cfg ?window ~arch (Occamy_workloads.Motivating.pair ())
-
-let summary_table r =
-  Attrib.summary_table
-    ~title:
-      (Printf.sprintf "%s cycle accounting: %d cycles, %.3fs wall"
-         (Arch.name r.ar_arch) r.ar_metrics.Metrics.total_cycles r.ar_seconds)
-    r.ar_attrib
-
-(* The section key carries scenario and architecture so `bench compare`
-   (which groups trajectories by section) never mixes architectures. *)
-let record ?(path = Bench_log.attrib_path) ~scenario r =
-  Bench_log.append_line ~path
-    ([
-       ( "section",
-         Json.Str
-           (Printf.sprintf "attrib.%s.%s" scenario (Arch.name r.ar_arch)) );
-       ("scenario", Json.Str scenario);
-       ("arch", Json.Str (Arch.name r.ar_arch));
-       ("seconds", Json.Num r.ar_seconds);
-       ("jobs", Json.Num 1.0);
-       ("unix_time", Json.Num (Float.round (Unix.time ())));
-     ]
-    @ Attrib.json_fields r.ar_attrib)
-
-type overhead = {
-  av_plain_seconds : float;
-  av_enabled_seconds : float;
-  av_enabled_ratio : float;
-}
-
-(* Best-of-[repeat] with the recorder off vs on; the accounted run must
-   reproduce the plain one's metrics exactly (attribution is
-   observational), modulo the attribution rows themselves. *)
-let measure_overhead ?(cfg = Config.default) ?(repeat = 3) ~arch wls =
-  if repeat < 1 then invalid_arg "Attrib_run.measure_overhead: repeat >= 1";
-  let best mk_attrib =
-    let once () =
-      let t = Sim.create ~cfg ?attrib:(mk_attrib ()) ~arch wls in
-      let t0 = Unix.gettimeofday () in
-      let m = Sim.run t in
-      (m, Unix.gettimeofday () -. t0)
-    in
-    let m0, s0 = once () in
-    let s = ref s0 in
-    for _ = 2 to repeat do
-      let _, si = once () in
-      if si < !s then s := si
-    done;
-    (m0, !s)
-  in
-  let m_plain, plain = best (fun () -> None) in
-  let m_attrib, enabled =
-    best (fun () -> Some (Attrib.create ~cores:cfg.Config.cores ()))
-  in
-  if { m_attrib with Metrics.attrib = [||] } <> m_plain then
-    failwith
-      "Attrib_run.measure_overhead: accounted run diverged from the plain one";
-  {
-    av_plain_seconds = plain;
-    av_enabled_seconds = enabled;
-    av_enabled_ratio = enabled /. Float.max plain 1e-9;
-  }

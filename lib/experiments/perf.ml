@@ -1,10 +1,9 @@
 (** Simulator throughput measurement: the naive tick loop vs the
     event-horizon fast-forwarding loop ([Config.fast_forward]) on the
     same workloads, reported as simulated cycles per wall-clock second
-    plus the skip ratio. Backs `bench perf` and `occamy-sim ... --perf`,
-    both of which write the [BENCH_perf.json] artifact; the CI
-    perf-smoke job gates on the fast-forward loop not being slower than
-    the naive one.
+    plus the skip ratio. Backs `bench perf` and `occamy-sim ... --perf`;
+    `bench perf` exits non-zero when the fast-forward loop is more than
+    10% slower than the naive one.
 
     Every measurement double-checks the equivalence guarantee (metrics
     of both loops must be bit-identical) — redundantly with the
@@ -14,7 +13,6 @@
 module Sim = Occamy_core.Sim
 module Arch = Occamy_core.Arch
 module Config = Occamy_core.Config
-module Json = Occamy_util.Json
 
 type sample = {
   arch : Arch.t;
@@ -98,75 +96,6 @@ let total_naive_seconds samples =
 
 let total_ff_seconds samples =
   List.fold_left (fun acc s -> acc +. s.ff_seconds) 0.0 samples
-
-(** A named measurement scenario, one row group of [BENCH_perf.json]
-    (e.g. the plain motivating pair vs the same pair under an OS
-    context-switch schedule vs a memory-bound co-run). *)
-type scenario = { sc_name : string; sc_samples : sample list }
-
-let grand_naive_seconds scenarios =
-  List.fold_left (fun acc sc -> acc +. total_naive_seconds sc.sc_samples)
-    0.0 scenarios
-
-let grand_ff_seconds scenarios =
-  List.fold_left (fun acc sc -> acc +. total_ff_seconds sc.sc_samples)
-    0.0 scenarios
-
-(** The flat-JSON form of [BENCH_perf.json]: per-scenario,
-    per-architecture rates and skip ratios plus run totals, parseable by
-    {!Occamy_util.Json}. Keys look like ["pair.Occamy.skip_ratio"] and
-    ["total.speedup"] (the grand total the CI perf-smoke job gates on). *)
-let json_entries scenarios =
-  let per_arch prefix s =
-    let p = prefix ^ Arch.name s.arch ^ "." in
-    [
-      (p ^ "simulated_cycles", Json.Num (float_of_int s.simulated_cycles));
-      (p ^ "skipped_cycles", Json.Num (float_of_int s.skipped_cycles));
-      (p ^ "ff_jumps", Json.Num (float_of_int s.ff_jumps));
-      (p ^ "skip_ratio", Json.Num (skip_ratio s));
-      (p ^ "naive_seconds", Json.Num s.naive_seconds);
-      (p ^ "ff_seconds", Json.Num s.ff_seconds);
-      (p ^ "naive_cycles_per_sec", Json.Num (naive_cycles_per_sec s));
-      (p ^ "ff_cycles_per_sec", Json.Num (ff_cycles_per_sec s));
-      (p ^ "speedup", Json.Num (speedup s));
-    ]
-  in
-  let per_scenario sc =
-    let prefix = sc.sc_name ^ "." in
-    List.concat_map (per_arch prefix) sc.sc_samples
-    @ [
-        ( prefix ^ "total.naive_seconds",
-          Json.Num (total_naive_seconds sc.sc_samples) );
-        ( prefix ^ "total.ff_seconds",
-          Json.Num (total_ff_seconds sc.sc_samples) );
-        ( prefix ^ "total.speedup",
-          Json.Num
-            (total_naive_seconds sc.sc_samples
-            /. Float.max (total_ff_seconds sc.sc_samples) 1e-9) );
-      ]
-  in
-  List.concat_map per_scenario scenarios
-  @ [
-      ("total.naive_seconds", Json.Num (grand_naive_seconds scenarios));
-      ("total.ff_seconds", Json.Num (grand_ff_seconds scenarios));
-      ( "total.speedup",
-        Json.Num
-          (grand_naive_seconds scenarios
-          /. Float.max (grand_ff_seconds scenarios) 1e-9) );
-    ]
-
-(* One JSONL line per `bench perf` run, appended so the file accumulates
-   a throughput trajectory `bench compare` can gate on. [seconds] is the
-   grand fast-forward total — the number the perf-smoke gate watches. *)
-let write_json ~path scenarios =
-  Occamy_util.Bench_log.append_line ~path
-    ([
-       ("section", Json.Str "perf");
-       ("seconds", Json.Num (grand_ff_seconds scenarios));
-       ("jobs", Json.Num 1.0);
-       ("unix_time", Json.Num (Float.round (Unix.time ())));
-     ]
-    @ json_entries scenarios)
 
 let pp_sample ppf s =
   Fmt.pf ppf

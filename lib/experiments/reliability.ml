@@ -14,8 +14,7 @@
     the final memory must stay bit-identical to the fault-free run
     (masked — anything else is silent corruption), while the plain
     lowering classifies each flip as detected (output diverges) or
-    benign. Backs `bench reliability`, which writes the
-    [BENCH_reliability.json] artifact and fails on any silent
+    benign. Backs `bench reliability`, which fails on any silent
     corruption. *)
 
 module Arch = Occamy_core.Arch
@@ -27,7 +26,6 @@ module Codegen = Occamy_compiler.Codegen
 module Motivating = Occamy_workloads.Motivating
 module Inject = Occamy_check.Inject
 module Diff = Occamy_check.Diff
-module Json = Occamy_util.Json
 module Urng = Occamy_util.Rng
 
 (* Reduced trip counts (the golden-metrics TMR machine uses the same):
@@ -182,42 +180,6 @@ let run ?(tc0 = default_tc0) ?(tc1 = default_tc1)
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let json_counts prefix c =
-  [
-    (prefix ^ "trials", Json.Num (float_of_int c.trials));
-    (prefix ^ "opportunities", Json.Num (float_of_int c.opportunities));
-    (prefix ^ "masked", Json.Num (float_of_int c.masked));
-    (prefix ^ "detected", Json.Num (float_of_int c.detected));
-  ]
-
-let json_entries r =
-  List.concat_map
-    (fun s ->
-      let p = Printf.sprintf "costs.%s." (Arch.name s.arch) in
-      [
-        (p ^ "plain_cycles", Json.Num (float_of_int s.plain_cycles));
-        (p ^ "tmr_cycles", Json.Num (float_of_int s.tmr_cycles));
-        (p ^ "tmr_slowdown", Json.Num (slowdown s));
-        (p ^ "plain_simd_util", Json.Num s.plain_util);
-        (p ^ "tmr_simd_util", Json.Num s.tmr_util);
-      ])
-    r.costs
-  @ json_counts "faults.tmr." r.tmr_faults
-  @ json_counts "faults.plain." r.plain_faults
-  @ [ ("faults.tmr.silent", Json.Num (float_of_int (silent r))) ]
-
-(* One JSONL line per `bench reliability` run (Bench_log trajectory
-   discipline; [seconds] is supplied by the caller's section timer). *)
-let write_json ~path ~seconds r =
-  Occamy_util.Bench_log.append_line ~path
-    ([
-       ("section", Json.Str "reliability");
-       ("seconds", Json.Num seconds);
-       ("jobs", Json.Num 1.0);
-       ("unix_time", Json.Num (Float.round (Unix.time ())));
-     ]
-    @ json_entries r)
 
 let pp_cost ppf s =
   Fmt.pf ppf

@@ -215,13 +215,6 @@ let shares t =
   if total_sampled_ns t = 0 then []
   else List.map (fun st -> (st.ss_stage, st.ss_share)) (stats t)
 
-let top_stages t ~n =
-  let rec take k = function
-    | x :: rest when k > 0 -> x :: take (k - 1) rest
-    | _ -> []
-  in
-  take n (shares t)
-
 let pretty_ns ns =
   let f = float_of_int ns in
   if f >= 1e9 then Printf.sprintf "%.2f s" (f /. 1e9)
@@ -292,35 +285,3 @@ let folded t =
         row)
     t.acc2;
   Buffer.contents buf
-
-let json_fields ?(prefix = "") t =
-  let module Json = Occamy_util.Json in
-  let num i = Json.Num (float_of_int i) in
-  let per_stage =
-    List.concat_map
-      (fun st ->
-        let p = Printf.sprintf "%sstage.%s." prefix (stage_name st.ss_stage) in
-        [
-          (p ^ "ns", num st.ss_ns);
-          (p ^ "share", Json.Num st.ss_share);
-          (p ^ "calls", num st.ss_calls);
-          ( p ^ "p50_ns",
-            num
-              (if Histogram.is_empty st.ss_hist then 0
-               else Histogram.percentile st.ss_hist 50.0) );
-          ( p ^ "p99_ns",
-            num
-              (if Histogram.is_empty st.ss_hist then 0
-               else Histogram.percentile st.ss_hist 99.0) );
-        ])
-      (stats t)
-  in
-  per_stage
-  @ [
-      (prefix ^ "total_sampled_ns", num (total_sampled_ns t));
-      (prefix ^ "sampled_cycles", num (sampled_cycles t));
-      (prefix ^ "cycles", num (cycles t));
-      (prefix ^ "sample_every", num t.every);
-      ( prefix ^ "shares_sum",
-        Json.Num (List.fold_left (fun a (_, s) -> a +. s) 0.0 (shares t)) );
-    ]

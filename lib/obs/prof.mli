@@ -100,9 +100,6 @@ val cycles : t -> int
 
 val sample_every : t -> int
 
-val top_stages : t -> n:int -> (stage * float) list
-(** The [n] largest shares — "where do dense-run cycles go". *)
-
 val summary_table : ?title:string -> t -> Occamy_util.Table.t
 (** Per-stage table: share, sampled time, calls, p50/p90/p99/max scope
     latency. *)
@@ -111,11 +108,6 @@ val folded : t -> string
 (** Folded-stacks output for flamegraph tooling (one
     ["occamy;stage;substage <ns>"] line per observed stack path), e.g.
     [flamegraph.pl < profile.folded > profile.svg]. *)
-
-val json_fields : ?prefix:string -> t -> (string * Occamy_util.Json.value) list
-(** Flat JSON fields: per-stage [<prefix>stage.<name>.{ns,share,calls,
-    p50_ns,p99_ns}] plus [<prefix>{sampled_cycles,cycles,sample_every,
-    total_sampled_ns,shares_sum}]. *)
 
 val clock_ns : unit -> int64
 (** The monotonic clock the scopes use (exposed for tests and for

@@ -8,7 +8,6 @@ type value =
   | Bool of bool
   | Num of float
   | Str of string
-  | Arr of value list
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -31,12 +30,11 @@ let num_to_string x =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.17g" x
 
-let rec value_to_string = function
+let value_to_string = function
   | Null -> "null"
   | Bool b -> if b then "true" else "false"
   | Num x -> num_to_string x
   | Str s -> "\"" ^ escape s ^ "\""
-  | Arr vs -> "[" ^ String.concat "," (List.map value_to_string vs) ^ "]"
 
 let obj_to_string pairs =
   let body =
@@ -145,33 +143,6 @@ let parse_flat_obj s =
         | None -> error "bad scalar %S" tok))
     | None -> error "unexpected end of input"
   in
-  (* One level of structure: values are scalars or arrays of scalars. *)
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      (match peek () with
-      | Some ']' ->
-        incr pos;
-        Arr []
-      | _ ->
-        let items = ref [] in
-        let rec go () =
-          items := parse_scalar () :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            go ()
-          | Some ']' -> incr pos
-          | _ -> error "expected , or ]"
-        in
-        go ();
-        Arr (List.rev !items))
-    | _ -> parse_scalar ()
-  in
   try
     expect '{';
     skip_ws ();
@@ -183,7 +154,7 @@ let parse_flat_obj s =
         skip_ws ();
         let key = parse_string () in
         expect ':';
-        let v = parse_value () in
+        let v = parse_scalar () in
         pairs := (key, v) :: !pairs;
         skip_ws ();
         match peek () with

@@ -1,16 +1,15 @@
 (** Minimal JSON support for the harness's machine-readable artifacts —
     the committed golden-metrics file the CI drift gate compares against,
-    the fuzzer's counterexample reports, and the [BENCH_*.json] JSONL
-    trajectories. Only the fragment those need: serialising objects of
-    scalars (plus one level of scalar arrays, for per-worker vectors)
-    and parsing them back. No external dependencies. *)
+    the fuzzer's counterexample reports, [occamy-sim --metrics-out]'s
+    flat JSON and the performance ledger's result lines. Only the
+    fragment those need: serialising flat objects of scalars and parsing
+    them back. No external dependencies. *)
 
 type value =
   | Null
   | Bool of bool
   | Num of float
   | Str of string
-  | Arr of value list  (** scalar elements only; no nesting *)
 
 val escape : string -> string
 (** JSON string escaping (quotes, backslashes, control characters). *)
@@ -25,13 +24,13 @@ val obj_to_string : (string * value) list -> string
 
 val obj_to_line : (string * value) list -> string
 (** The same object compact on a single line, no trailing newline — the
-    JSONL form the bench trajectories append ({!Bench_log}). *)
+    JSONL form the performance ledger prints and writes. *)
 
 val parse_flat_obj : string -> ((string * value) list, string) result
-(** Parse a flat JSON object whose values are scalars or arrays of
-    scalars (the output of {!obj_to_string} / {!obj_to_line}). Objects
-    nested anywhere, or arrays inside arrays, are rejected with an
-    error message — the artifact formats are deliberately flat. *)
+(** Parse a flat JSON object whose values are scalars (the output of
+    {!obj_to_string} / {!obj_to_line}). A nested object or an array is
+    rejected with an error message — the artifact formats are
+    deliberately flat. *)
 
 val write_file : path:string -> string -> unit
 val read_file : path:string -> (string, string) result

@@ -1,9 +1,10 @@
 (* Top-down cycle accounting: the conservation invariant (per core, the
    bucket counts sum to exactly the simulated cycle count) on both
    simulation loops, naive-vs-fast-forward bit-identity of the full
-   attribution state, the bucket taxonomy, the OpenMetrics exporter, the
-   sorted Counters JSON dump, and the zero-allocation guarantee of the
-   accounting hot path. *)
+   attribution state, accounting being observational (an accounted run
+   simulates exactly what a plain one does), the bucket taxonomy, the
+   OpenMetrics exporter, the sorted Counters JSON dump, and the
+   zero-allocation guarantee of the accounting hot path. *)
 
 module Config = Occamy_core.Config
 module Arch = Occamy_core.Arch
@@ -178,6 +179,33 @@ let test_fresh_fuzz_cases () =
         Arch.all
   done
 
+(* ---------------- accounting is observational ----------------------- *)
+
+(* Turning the recorder on must not change what is simulated: on every
+   architecture and both loops, an accounted run's metrics equal a plain
+   run's once the attribution rows themselves are cleared. *)
+let test_observational () =
+  let wls = Motivating.pair () in
+  List.iter
+    (fun fast_forward ->
+      let cfg = { Config.default with Config.fast_forward } in
+      List.iter
+        (fun arch ->
+          let plain = Sim.simulate ~cfg ~arch wls in
+          let attrib = Attrib.create ~cores:cfg.Config.cores () in
+          let accounted = Sim.simulate ~cfg ~attrib ~arch wls in
+          Helpers.check_bool
+            (Printf.sprintf "%s ff=%b: accounted run has attrib rows"
+               (Arch.name arch) fast_forward)
+            true
+            (Array.length accounted.Metrics.attrib > 0);
+          if { accounted with Metrics.attrib = [||] } <> plain then
+            Alcotest.failf
+              "%s ff=%b: accounting changed the simulated metrics"
+              (Arch.name arch) fast_forward)
+        Arch.all)
+    [ false; true ]
+
 (* ---------------- disabled recorder is really off -------------------- *)
 
 let test_disabled_recorder () =
@@ -222,24 +250,40 @@ let test_openmetrics_sanitize () =
       ("ok_name", "ok_name");
     ]
 
+(* The exposition `occamy-sim motivating --metrics-out` writes, for each
+   of the four per-architecture files. *)
 let test_openmetrics_round_trip () =
   let wls = Motivating.pair () in
-  let attrib = Attrib.create ~cores:Config.default.Config.cores () in
-  let m = Sim.simulate ~attrib ~arch:Arch.Occamy wls in
-  let text =
-    Openmetrics.render
-      (Openmetrics.of_attrib attrib
-      @ Openmetrics.of_counters (Metrics.counters m))
-  in
-  (match Openmetrics.validate text with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "invalid OpenMetrics output: %s" msg);
-  Helpers.check_bool "has attrib cycle samples" true
-    (Helpers.contains text "occamy_attrib_cycles_total{core=\"0\"");
-  Helpers.check_bool "has shares" true
-    (Helpers.contains text "occamy_attrib_share{");
-  Helpers.check_bool "terminates with EOF" true
-    (Helpers.contains text "# EOF")
+  List.iter
+    (fun arch ->
+      let name = Arch.name arch in
+      let attrib = Attrib.create ~cores:Config.default.Config.cores () in
+      let m = Sim.simulate ~attrib ~arch wls in
+      let text =
+        Openmetrics.render
+          (Openmetrics.of_attrib attrib
+          @ Openmetrics.of_counters (Metrics.counters m))
+      in
+      (match Openmetrics.validate text with
+      | Ok () -> ()
+      | Error msg ->
+        Alcotest.failf "%s: invalid OpenMetrics output: %s" name msg);
+      let lines = String.split_on_char '\n' text in
+      Helpers.check_bool
+        (name ^ ": declares the attrib cycles counter")
+        true
+        (List.mem "# TYPE occamy_attrib_cycles counter" lines);
+      Helpers.check_bool
+        (name ^ ": has attrib cycle samples")
+        true
+        (Helpers.contains text "\noccamy_attrib_cycles_total{core=\"0\"");
+      Helpers.check_bool (name ^ ": has shares") true
+        (Helpers.contains text "\noccamy_attrib_share{");
+      match List.rev lines with
+      | "" :: last :: _ | last :: _ ->
+        Alcotest.(check string) (name ^ ": last line") "# EOF" last
+      | [] -> Alcotest.failf "%s: empty exposition" name)
+    Arch.all
 
 let test_openmetrics_validate_rejects () =
   List.iter
@@ -297,6 +341,8 @@ let suites =
         Alcotest.test_case
           (Printf.sprintf "%d fresh fuzz cases" fuzz_cases)
           `Quick test_fresh_fuzz_cases;
+        Alcotest.test_case "accounting is observational" `Quick
+          test_observational;
         Alcotest.test_case "disabled recorder stays off" `Quick
           test_disabled_recorder;
         Alcotest.test_case "counters to_json is sorted" `Quick

@@ -259,9 +259,18 @@ let test_json_roundtrip () =
       ("e", Json.Null);
     ]
   in
-  match Json.parse_flat_obj (Json.obj_to_string obj) with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok back -> Helpers.check_bool "roundtrip" true (obj = back)
+  List.iter
+    (fun (label, render) ->
+      match Json.parse_flat_obj (render obj) with
+      | Error e -> Alcotest.failf "%s: parse failed: %s" label e
+      | Ok back -> Helpers.check_bool (label ^ " roundtrip") true (obj = back))
+    [
+      ("obj_to_string", Json.obj_to_string);
+      ("obj_to_line", Json.obj_to_line);
+    ];
+  (* The formats are flat: an array value is an error, not a crash. *)
+  Helpers.check_bool "array rejected" true
+    (Result.is_error (Json.parse_flat_obj {|{"a":[1,2]}|}))
 
 let suites =
   [

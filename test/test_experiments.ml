@@ -208,8 +208,7 @@ let test_reliability_shape () =
         (Printf.sprintf "TMR slows %s down" (Arch.name s.R.arch))
         true
         (R.slowdown s > 1.0))
-    r.R.costs;
-  Helpers.check_bool "json entries non-empty" true (R.json_entries r <> [])
+    r.R.costs
 
 let suites =
   [

@@ -2,7 +2,7 @@
    (metrics, counters and trace streams bit-identical with profiling on
    or off, on both the naive and fast-forwarding loops), scope
    accounting (shares partition sampled time and sum to 100%), the
-   sampling mask, and the folded-stacks / JSON exporters. *)
+   sampling mask, and the folded-stacks exporter. *)
 
 module Prof = Occamy_obs.Prof
 module Trace = Occamy_obs.Trace
@@ -11,7 +11,6 @@ module Arch = Occamy_core.Arch
 module Sim = Occamy_core.Sim
 module Invariant = Occamy_check.Invariant
 module Motivating = Occamy_workloads.Motivating
-module Json = Occamy_util.Json
 
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
@@ -52,31 +51,41 @@ let test_not_perturbing_ff () =
 
 (* ---------------- accounting --------------------------------------- *)
 
+(* On every architecture: an unbalanced scope on one arch's code path
+   (say, a Private-only branch) would skew its shares alone. *)
 let test_shares_partition () =
-  let t = run_pair ~fast_forward:true ~arch:Arch.Occamy in
-  let p = Sim.prof t in
-  check_bool "something sampled" true (Prof.sampled_cycles p > 0);
-  check_int "sample_every=1 samples every cycle" (Prof.cycles p)
-    (Prof.sampled_cycles p);
-  let shares = Prof.shares p in
-  let sum = List.fold_left (fun a (_, s) -> a +. s) 0.0 shares in
-  if Float.abs (sum -. 100.0) > 1.0 then
-    Alcotest.failf "shares sum to %.4f, want 100" sum;
-  (* exclusive stage times partition the total *)
-  let by_stage =
-    List.fold_left
-      (fun a st -> a + st.Prof.ss_ns)
-      0 (Prof.stats p)
-  in
-  check_int "stage ns sum to the total" (Prof.total_sampled_ns p) by_stage;
-  (* dense pair on the elastic machine exercises the hot stages *)
-  let named =
-    List.map (fun st -> Prof.stage_name st.Prof.ss_stage) (Prof.stats p)
-  in
   List.iter
-    (fun s ->
-      check_bool (s ^ " present") true (List.mem s named))
-    [ "frontend"; "dispatch"; "lsu_retire"; "other" ]
+    (fun arch ->
+      let t = run_pair ~fast_forward:true ~arch in
+      let p = Sim.prof t in
+      let name = Arch.name arch in
+      check_bool (name ^ ": something sampled") true
+        (Prof.sampled_cycles p > 0);
+      check_int
+        (name ^ ": sample_every=1 samples every cycle")
+        (Prof.cycles p) (Prof.sampled_cycles p);
+      let shares = Prof.shares p in
+      let sum = List.fold_left (fun a (_, s) -> a +. s) 0.0 shares in
+      if Float.abs (sum -. 100.0) > 1.0 then
+        Alcotest.failf "%s: shares sum to %.4f, want 100" name sum;
+      (* exclusive stage times partition the total *)
+      let by_stage =
+        List.fold_left (fun a st -> a + st.Prof.ss_ns) 0 (Prof.stats p)
+      in
+      check_int
+        (name ^ ": stage ns sum to the total")
+        (Prof.total_sampled_ns p) by_stage;
+      (* the dense pair exercises the hot stages *)
+      let named =
+        List.map (fun st -> Prof.stage_name st.Prof.ss_stage) (Prof.stats p)
+      in
+      List.iter
+        (fun s ->
+          check_bool
+            (Printf.sprintf "%s: %s present" name s)
+            true (List.mem s named))
+        [ "frontend"; "dispatch"; "lsu_retire"; "other" ])
+    Arch.all
 
 let test_sampling_mask () =
   let p = Prof.create ~sample_every:4 () in
@@ -146,29 +155,6 @@ let test_folded_output () =
           | None -> false))
     lines
 
-let test_json_fields () =
-  let t = run_pair ~fast_forward:true ~arch:Arch.Occamy in
-  let p = Sim.prof t in
-  let fields = Prof.json_fields p in
-  let num k =
-    match List.assoc_opt k fields with
-    | Some (Json.Num f) -> f
-    | _ -> Alcotest.failf "missing numeric field %s" k
-  in
-  check_bool "shares_sum ~ 100" true (Float.abs (num "shares_sum" -. 100.0) < 1.0);
-  check_bool "cycles positive" true (num "cycles" > 0.0);
-  check_bool "per-stage share present" true
-    (List.mem_assoc "stage.dispatch.share" fields);
-  (* the flat fields must round-trip through the JSONL writer/parser *)
-  let line = Json.obj_to_line fields in
-  match Json.parse_flat_obj line with
-  | Error msg -> Alcotest.failf "fields do not round-trip: %s" msg
-  | Ok parsed ->
-    check_bool "round-trips" true
-      (match List.assoc_opt "stage.dispatch.share" parsed with
-      | Some (Json.Num _) -> true
-      | _ -> false)
-
 let suites =
   [
     ( "prof",
@@ -186,6 +172,5 @@ let suites =
         Alcotest.test_case "unbalanced scopes raise" `Quick
           test_unbalanced_scopes_raise;
         Alcotest.test_case "folded stacks" `Quick test_folded_output;
-        Alcotest.test_case "json fields" `Quick test_json_fields;
       ] );
   ]
