@@ -115,10 +115,9 @@ let timed name f =
     let t = Domain_pool.totals () in
     if t.Domain_pool.t_max_workers > 1 then
       Printf.printf
-        "[%s: %.1fs; pool: %d workers, %d tasks, %d steals, %d minor \
-         collections]\n%!"
+        "[%s: %.1fs; pool: %d workers, %d tasks, %d minor collections]\n%!"
         name dt t.Domain_pool.t_max_workers t.Domain_pool.t_tasks
-        t.Domain_pool.t_steals t.Domain_pool.t_minor_collections
+        t.Domain_pool.t_minor_collections
     else Printf.printf "[%s: %.1fs]\n%!" name dt
   end
 

@@ -55,38 +55,6 @@ let with_prefix t ~prefix =
 let pp ppf t =
   List.iter (fun (k, v) -> Fmt.pf ppf "%s=%g@." k v) (to_list t)
 
-(** Fold a {!Occamy_util.Domain_pool.stats} (one parallel map's
-    scheduler diagnostics) into the registry under [prefix] (default
-    ["sweep"]): aggregate [<p>.{workers,tasks,steals,steal_attempts,
-    minor_collections,major_collections,promoted_words}] plus
-    per-worker [<p>.worker<i>.{tasks,steals,minor_collections,
-    promoted_words}]. [incr]-based, so repeated calls accumulate a
-    whole sweep's behaviour; [<p>.workers] is a gauge holding the
-    widest worker count seen. *)
-let record_pool ?(prefix = "sweep") t (s : Occamy_util.Domain_pool.stats) =
-  let open Occamy_util in
-  let p name = prefix ^ "." ^ name in
-  let addf name v =
-    let c = cell t name in
-    c := !c +. v
-  in
-  let widest = match get t (p "workers") with Some w -> w | None -> 0.0 in
-  set t (p "workers") (Float.max widest (float_of_int s.Domain_pool.st_workers));
-  incr t (p "tasks") ~by:s.Domain_pool.st_tasks;
-  Array.iteri
-    (fun i (ws : Work_steal.worker_stats) ->
-      let pw name = Printf.sprintf "%s.worker%d.%s" prefix i name in
-      incr t (pw "tasks") ~by:ws.Work_steal.ws_tasks;
-      incr t (pw "steals") ~by:ws.Work_steal.ws_steals;
-      incr t (pw "minor_collections") ~by:ws.Work_steal.ws_minor_collections;
-      addf (pw "promoted_words") ws.Work_steal.ws_promoted_words;
-      incr t (p "steals") ~by:ws.Work_steal.ws_steals;
-      incr t (p "steal_attempts") ~by:ws.Work_steal.ws_steal_attempts;
-      incr t (p "minor_collections") ~by:ws.Work_steal.ws_minor_collections;
-      incr t (p "major_collections") ~by:ws.Work_steal.ws_major_collections;
-      addf (p "promoted_words") ws.Work_steal.ws_promoted_words)
-    s.Domain_pool.st_per_worker
-
 (** Flat JSON object fields in sorted-name order: the stable iteration
     order the JSON and OpenMetrics exporters rely on for deterministic,
     diffable output. *)

@@ -24,17 +24,6 @@ val names : t -> string list
 val with_prefix : t -> prefix:string -> (string * float) list
 val pp : Format.formatter -> t -> unit
 
-val record_pool : ?prefix:string -> t -> Occamy_util.Domain_pool.stats -> unit
-(** Fold one parallel map's scheduler diagnostics
-    ({!Occamy_util.Domain_pool.stats}) into the registry under [prefix]
-    (default ["sweep"]): aggregate
-    [<p>.{workers,tasks,steals,steal_attempts,minor_collections,
-    major_collections,promoted_words}] plus per-worker
-    [<p>.worker<i>.{tasks,steals,minor_collections,promoted_words}].
-    Accumulates across calls, so one registry can attribute a whole
-    sweep; pass it as [Domain_pool.map]'s [?stats] callback (it runs on
-    the calling domain, so no locking is needed). *)
-
 val to_json : t -> (string * Occamy_util.Json.value) list
 (** Flat JSON object fields, sorted by name — the stable iteration
     order that keeps JSON and OpenMetrics exports deterministic across

@@ -54,9 +54,6 @@ type t =
   | Task_begin of { worker : int; index : int; label : string }
       (** a sweep task started on a {!Occamy_util.Domain_pool} worker *)
   | Task_end of { worker : int; index : int; label : string }
-  | Task_steal of { worker : int; victim : int; index : int; label : string }
-      (** worker [worker] stole task [index] from [victim]'s deque; an
-          instant event preceding the task's {!Task_begin} *)
   | Fault_inject of { core : int; site : string; index : int; lane : int;
                       bit : int }
       (** the fault-decision stream fired at opportunity [index] of
@@ -78,7 +75,6 @@ let kind = function
   | Mem_transition _ -> "mem_transition"
   | Task_begin _ -> "task_begin"
   | Task_end _ -> "task_end"
-  | Task_steal _ -> "task_steal"
   | Fault_inject _ -> "fault_inject"
 
 let core = function
@@ -93,7 +89,7 @@ let core = function
   | Mem_transition { core; _ }
   | Fault_inject { core; _ } -> Some core
   | Replan { trigger; _ } -> Some trigger
-  | Task_begin _ | Task_end _ | Task_steal _ -> None
+  | Task_begin _ | Task_end _ -> None
 
 (** Human/CSV-facing key-value rendering of an event's payload. Values
     never contain commas, so they embed directly in CSV cells. *)
@@ -153,13 +149,6 @@ let args t =
   | Task_begin { worker; index; label } | Task_end { worker; index; label } ->
     [
       ("worker", string_of_int worker);
-      ("index", string_of_int index);
-      ("label", label);
-    ]
-  | Task_steal { worker; victim; index; label } ->
-    [
-      ("worker", string_of_int worker);
-      ("victim", string_of_int victim);
       ("index", string_of_int index);
       ("label", label);
     ]

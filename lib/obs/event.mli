@@ -34,7 +34,6 @@ type t =
     }
   | Task_begin of { worker : int; index : int; label : string }
   | Task_end of { worker : int; index : int; label : string }
-  | Task_steal of { worker : int; victim : int; index : int; label : string }
   | Fault_inject of {
       core : int;
       site : string;  (** "reg", "load" or "store" *)

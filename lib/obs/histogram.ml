@@ -143,32 +143,6 @@ let percentile t p =
     !res
   end
 
-let compatible a b = a.sub_bits = b.sub_bits && a.max_value = b.max_value
-
-let merge_into ~into src =
-  if not (compatible into src) then
-    invalid_arg "Histogram.merge_into: sub_bits/max_value mismatch";
-  Array.iteri
-    (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c)
-    src.counts;
-  into.n <- into.n + src.n;
-  into.overflow <- into.overflow + src.overflow;
-  into.sum.(0) <- into.sum.(0) +. src.sum.(0);
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
-
-let copy t =
-  {
-    t with
-    counts = Array.copy t.counts;
-    sum = Array.copy t.sum;
-  }
-
-let merge a b =
-  let r = copy a in
-  merge_into ~into:r b;
-  r
-
 let buckets t =
   let out = ref [] in
   for i = Array.length t.counts - 1 downto 0 do
@@ -185,53 +159,3 @@ let pp ppf t =
     Format.fprintf ppf "n=%d mean=%.0f p50=%d p90=%d p99=%d max=%d" t.n
       (mean t) (percentile t 50.0) (percentile t 90.0) (percentile t 99.0)
       (max_value t)
-
-module Sharded = struct
-  type hist = t
-
-  type t = {
-    shards : hist array;
-    starts : int64 array;  (* per-worker task start stamp, ns *)
-  }
-
-  let create ?sub_bits ?max_value ~workers () =
-    if workers < 1 then invalid_arg "Histogram.Sharded.create: workers < 1";
-    {
-      shards = Array.init workers (fun _ -> create ?sub_bits ?max_value ());
-      starts = Array.make workers (-1L) (* -1 = no task in flight *);
-    }
-
-  let workers t = Array.length t.shards
-
-  let slot t worker =
-    if worker < 0 then 0
-    else if worker >= Array.length t.shards then Array.length t.shards - 1
-    else worker
-
-  let shard t ~worker = t.shards.(slot t worker)
-  let record t ~worker v = add t.shards.(slot t worker) v
-
-  let merged t =
-    (* [create] guarantees at least one shard. *)
-    let out = copy t.shards.(0) in
-    for i = 1 to Array.length t.shards - 1 do
-      merge_into ~into:out t.shards.(i)
-    done;
-    out
-
-  let task_observer t ~worker ~index ~phase =
-    ignore index;
-    let w = slot t worker in
-    match phase with
-    | `Start -> t.starts.(w) <- Monotonic_clock.now ()
-    | `Stop ->
-      (* A Stop with no matching Start (possible if an observer is
-         attached mid-region) must not record a garbage latency. *)
-      let t0 = t.starts.(w) in
-      if Int64.compare t0 0L >= 0 then begin
-        t.starts.(w) <- -1L;
-        let dt = Int64.sub (Monotonic_clock.now ()) t0 in
-        if Int64.compare dt 0L >= 0 then record t ~worker:w (Int64.to_int dt)
-      end
-    | `Steal _ -> ()
-end

@@ -6,12 +6,7 @@
     KB regardless of the value range.
 
     Values below [2 * 2^sub_bits] are recorded exactly (their bucket is
-    a single value); [min]/[max] are tracked exactly at any magnitude.
-
-    Histograms are cheap to merge — bucket-wise addition, associative
-    and commutative — which is what makes per-worker shards work: each
-    {!Occamy_util.Domain_pool} worker records into its own shard
-    race-free and the caller merges after the join ({!Sharded}). *)
+    a single value); [min]/[max] are tracked exactly at any magnitude. *)
 
 type t
 
@@ -56,16 +51,6 @@ val percentile : t -> float -> int
     [p <= 0] returns {!min_value}, [p >= 100] returns {!max_value};
     0 on an empty histogram. Raises [Invalid_argument] on NaN. *)
 
-val merge_into : into:t -> t -> unit
-(** Bucket-wise addition of the second histogram into [into]. Both must
-    share [sub_bits] and [max_value] (raises [Invalid_argument]
-    otherwise). Associative and commutative up to {!buckets}/[count]/
-    [min]/[max]/[sum] equality, whatever the merge order. *)
-
-val merge : t -> t -> t
-(** Fresh histogram holding the bucket-wise sum of both. *)
-
-val copy : t -> t
 val is_empty : t -> bool
 val sub_bits : t -> int
 
@@ -75,33 +60,3 @@ val buckets : t -> (int * int * int) list
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: count, mean, p50/p90/p99, max. *)
-
-(** Per-worker shards for race-free recording under
-    {!Occamy_util.Domain_pool}: worker [i] writes only shard [i], the
-    caller reads {!merged} after the parallel region joins. *)
-module Sharded : sig
-  type hist := t
-  type t
-
-  val create : ?sub_bits:int -> ?max_value:int -> workers:int -> unit -> t
-  (** [workers] shards ([>= 1]; worker ids outside [0..workers-1] are
-      folded into the last shard rather than lost). *)
-
-  val workers : t -> int
-  val shard : t -> worker:int -> hist
-  val record : t -> worker:int -> int -> unit
-
-  val merged : t -> hist
-  (** Fresh merge of all shards; call after the parallel region. *)
-
-  val task_observer :
-    t ->
-    worker:int ->
-    index:int ->
-    phase:[ `Start | `Stop | `Steal of int ] ->
-    unit
-  (** {!Occamy_util.Domain_pool.observer} recording each task's
-      wall-clock latency (monotonic nanoseconds between [`Start] and
-      [`Stop]) into the running worker's shard. Compose with other
-      observers (e.g. {!Trace.sweep_observer}) by calling both. *)
-end

@@ -159,6 +159,5 @@ let sweep_observer ?(t0 = Unix.gettimeofday ()) t ~label_of =
         match phase with
         | `Start -> Event.Task_begin { worker; index; label }
         | `Stop -> Event.Task_end { worker; index; label }
-        | `Steal victim -> Event.Task_steal { worker; victim; index; label }
       in
       record t ~track:worker ~cycle:(stamp ()) ev

@@ -52,9 +52,9 @@ val sweep_observer :
   label_of:(int -> string) ->
   worker:int ->
   index:int ->
-  phase:[ `Start | `Stop | `Steal of int ] ->
+  phase:[ `Start | `Stop ] ->
   unit
 (** Observer for [Domain_pool.map ?observer] recording task spans
-    ({!Event.Task_begin}/{!Event.Task_end}) and steal instants
-    ({!Event.Task_steal}), stamped in wall-clock microseconds since
-    [t0] (default: now). *)
+    ({!Event.Task_begin}/{!Event.Task_end}) on the running worker's
+    track, stamped in wall-clock microseconds since [t0] (default:
+    now). *)

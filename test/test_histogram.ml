@@ -1,7 +1,6 @@
 (* Tests of the log-bucketed latency histogram behind the self-profiler:
-   percentiles against a sorted-array oracle, merge associativity and
-   commutativity on random shards, the exact low range, and the zero /
-   overflow buckets. *)
+   percentiles against a sorted-array oracle, the exact low range, and
+   the zero / overflow buckets. *)
 
 module Histogram = Occamy_obs.Histogram
 module Rng = Occamy_util.Rng
@@ -112,84 +111,6 @@ let test_percentile_oracle () =
       ("constant", fun () -> 777);
     ]
 
-(* ---------------- merge algebra ------------------------------------ *)
-
-let random_hist rng =
-  let h = Histogram.create () in
-  for _ = 1 to 100 + Rng.int rng 200 do
-    Histogram.add h (Rng.int rng 1_000_000)
-  done;
-  h
-
-let hist_equal a b =
-  Histogram.count a = Histogram.count b
-  && Histogram.min_value a = Histogram.min_value b
-  && Histogram.max_value a = Histogram.max_value b
-  && Histogram.sum a = Histogram.sum b
-  && Histogram.buckets a = Histogram.buckets b
-
-let test_merge_commutative () =
-  let rng = Rng.create ~seed:7 in
-  for _ = 1 to 20 do
-    let a = random_hist rng and b = random_hist rng in
-    check_bool "a+b = b+a" true
-      (hist_equal (Histogram.merge a b) (Histogram.merge b a))
-  done
-
-let test_merge_associative () =
-  let rng = Rng.create ~seed:8 in
-  for _ = 1 to 20 do
-    let a = random_hist rng
-    and b = random_hist rng
-    and c = random_hist rng in
-    check_bool "(a+b)+c = a+(b+c)" true
-      (hist_equal
-         (Histogram.merge (Histogram.merge a b) c)
-         (Histogram.merge a (Histogram.merge b c)))
-  done
-
-let test_merge_mismatched_rejected () =
-  let a = Histogram.create ~sub_bits:4 () in
-  let b = Histogram.create ~sub_bits:5 () in
-  check_bool "mismatched sub_bits rejected" true
-    (try
-       Histogram.merge_into ~into:a b;
-       false
-     with Invalid_argument _ -> true)
-
-(* ---------------- shards ------------------------------------------- *)
-
-let test_sharded_record_and_merge () =
-  let s = Histogram.Sharded.create ~workers:4 () in
-  check_int "workers" 4 (Histogram.Sharded.workers s);
-  for w = 0 to 3 do
-    for i = 1 to 10 do
-      Histogram.Sharded.record s ~worker:w ((w * 100) + i)
-    done
-  done;
-  (* out-of-range worker ids fold into the last shard, not lost *)
-  Histogram.Sharded.record s ~worker:99 7;
-  let m = Histogram.Sharded.merged s in
-  check_int "all samples survive the merge" 41 (Histogram.count m);
-  check_int "own shard count" 10
-    (Histogram.count (Histogram.Sharded.shard s ~worker:0));
-  check_int "folded stray" 11
-    (Histogram.count (Histogram.Sharded.shard s ~worker:3))
-
-let test_sharded_observer () =
-  let s = Histogram.Sharded.create ~workers:2 () in
-  Histogram.Sharded.task_observer s ~worker:1 ~index:0 ~phase:`Start;
-  Histogram.Sharded.task_observer s ~worker:1 ~index:0 ~phase:`Stop;
-  Histogram.Sharded.task_observer s ~worker:0 ~index:1 ~phase:(`Steal 1);
-  let m = Histogram.Sharded.merged s in
-  check_int "one latency recorded" 1 (Histogram.count m);
-  check_int "stop without start ignored" 1
-    (let s2 = Histogram.Sharded.create ~workers:1 () in
-     Histogram.Sharded.task_observer s2 ~worker:0 ~index:0 ~phase:`Stop;
-     Histogram.Sharded.task_observer s2 ~worker:0 ~index:0 ~phase:`Start;
-     Histogram.Sharded.task_observer s2 ~worker:0 ~index:0 ~phase:`Stop;
-     Histogram.count (Histogram.Sharded.merged s2))
-
 let suites =
   [
     ( "histogram",
@@ -201,12 +122,5 @@ let suites =
         Alcotest.test_case "negative rejected" `Quick test_negative_rejected;
         Alcotest.test_case "add_n = repeated add" `Quick test_add_n_matches_add;
         Alcotest.test_case "percentile vs oracle" `Quick test_percentile_oracle;
-        Alcotest.test_case "merge commutative" `Quick test_merge_commutative;
-        Alcotest.test_case "merge associative" `Quick test_merge_associative;
-        Alcotest.test_case "merge mismatch rejected" `Quick
-          test_merge_mismatched_rejected;
-        Alcotest.test_case "sharded record/merge" `Quick
-          test_sharded_record_and_merge;
-        Alcotest.test_case "sharded observer" `Quick test_sharded_observer;
       ] );
   ]

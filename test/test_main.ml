@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "occamy"
-    (Test_util.suites @ Test_domain_pool.suites @ Test_work_steal.suites
+    (Test_util.suites @ Test_domain_pool.suites
    @ Test_isa.suites
    @ Test_interp.suites @ Test_mem.suites
    @ Test_coproc.suites @ Test_lanemgr.suites @ Test_compiler.suites

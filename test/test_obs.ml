@@ -564,7 +564,6 @@ let test_pool_observer_sequential () =
     match phase with
     | `Start -> starts := (worker, index) :: !starts
     | `Stop -> stops := (worker, index) :: !stops
-    | `Steal _ -> Alcotest.fail "no steals on the sequential path"
   in
   let out =
     Occamy_util.Domain_pool.map ~jobs:1 ~observer (fun x -> x * x) [ 1; 2; 3 ]
@@ -582,7 +581,7 @@ let test_pool_observer_parallel () =
   let counts = Array.init workers (fun _ -> ref 0) in
   let observer ~worker ~index:_ ~phase =
     match phase with
-    | `Start | `Steal _ -> ()
+    | `Start -> ()
     | `Stop -> incr counts.(worker)
   in
   let tasks = List.init 10 Fun.id in
@@ -615,11 +614,10 @@ let test_sweep_observer_spans () =
          | _ -> false)
        evs)
 
-let test_sweep_observer_steals () =
-  (* Under forced parallelism every track still pairs its begin/end
-     events, and any Task_steal carries a victim that is a real, other
-     worker. Steals themselves are schedule-dependent, so only their
-     shape is asserted, not their count. *)
+let test_sweep_observer_oversubscribed () =
+  (* Under forced parallelism every task still gets exactly one begin
+     and one end event, whichever worker's track it landed on, and each
+     track pairs them: a begin is directly followed by its own end. *)
   let workers = 3 and n = 24 in
   let trace = Trace.for_sweep ~workers () in
   let observer =
@@ -631,18 +629,17 @@ let test_sweep_observer_steals () =
        (List.init n Fun.id));
   let begins = ref 0 and ends = ref 0 in
   for w = 0 to workers - 1 do
-    List.iter
-      (fun (_, ev) ->
-        match ev with
-        | Event.Task_begin _ -> incr begins
-        | Event.Task_end _ -> incr ends
-        | Event.Task_steal { worker; victim; index; _ } ->
-          check_int "steal recorded on the thief's track" w worker;
-          check_bool "victim is another worker" true (victim <> worker);
-          check_bool "victim in range" true (victim >= 0 && victim < workers);
-          check_bool "index in range" true (index >= 0 && index < n)
-        | _ -> ())
-      (Trace.events trace ~track:w)
+    let rec walk = function
+      | [] -> ()
+      | Event.Task_begin { index; _ } :: Event.Task_end { index = i'; _ }
+        :: rest
+        when i' = index ->
+        incr begins;
+        incr ends;
+        walk rest
+      | _ -> Alcotest.failf "track %d: unpaired task span" w
+    in
+    walk (List.map snd (Trace.events trace ~track:w))
   done;
   check_int "one begin per task" n !begins;
   check_int "one end per task" n !ends
@@ -669,8 +666,8 @@ let suites =
         Alcotest.test_case "traced run content" `Quick test_traced_run_content;
         Alcotest.test_case "chrome json valid" `Quick test_chrome_json_valid;
         Alcotest.test_case "csv shape" `Quick test_csv_shape;
-        Alcotest.test_case "sweep observer steals" `Quick
-          test_sweep_observer_steals;
+        Alcotest.test_case "sweep observer oversubscribed" `Quick
+          test_sweep_observer_oversubscribed;
         Alcotest.test_case "gantt" `Quick test_gantt;
         Alcotest.test_case "chrome json escaping" `Quick
           test_chrome_json_escaping;

@@ -24,7 +24,8 @@ let test_parallel_matches_sequential () =
 
 (* On hosts with few cores the elastic cap can quietly make -j 4 run
    sequentially; forcing oversubscription pins the test to a genuinely
-   concurrent, stealing schedule everywhere. *)
+   concurrent schedule everywhere, with four domains racing for the
+   pool's task cursor. *)
 let test_oversubscribed_matches_sequential () =
   let p = find_pair "20+17" in
   let seq = Pair_run.run_pair ~tc_scale:0.3 ~jobs:1 p in
