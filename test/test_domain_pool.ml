@@ -72,9 +72,15 @@ let test_exception_propagation () =
 let test_invalid_jobs () =
   List.iter
     (fun jobs ->
-      (match Dp.map ~jobs Fun.id [ 1; 2; 3 ] with
+      match Dp.map ~jobs Fun.id [ 1; 2; 3 ] with
       | _ -> Alcotest.failf "map ~jobs:%d must be rejected" jobs
-      | exception Invalid_argument _ -> ());
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ]
+
+(* The oversubscribed array path validates its worker count too. *)
+let test_invalid_args () =
+  List.iter
+    (fun jobs ->
       match Dp.map_array ~jobs ~oversubscribe:true Fun.id [| 1; 2; 3 |] with
       | _ -> Alcotest.failf "map_array ~jobs:%d must be rejected" jobs
       | exception Invalid_argument _ -> ())
@@ -381,6 +387,7 @@ let suites =
         Alcotest.test_case "exception propagation" `Quick
           test_exception_propagation;
         Alcotest.test_case "invalid jobs" `Quick test_invalid_jobs;
+        Alcotest.test_case "invalid args" `Quick test_invalid_args;
         Alcotest.test_case "recommended jobs" `Quick test_recommended_jobs;
         Alcotest.test_case "jobs from env" `Quick test_jobs_from_env;
         Alcotest.test_case "effective workers" `Quick test_effective_workers;
