@@ -217,14 +217,15 @@ let run_sim ~arch ~cfg ~expected_bytes wl =
     let run fast_forward =
       let trace = Trace.for_sim ~cores:cfg.Config.cores () in
       let attrib = Attrib.create ~cores:cfg.Config.cores () in
-      let m =
-        Sim.simulate ~cfg:{ cfg with Config.fast_forward } ~trace ~attrib
+      let sim =
+        Sim.create ~cfg:{ cfg with Config.fast_forward } ~trace ~attrib
           ~arch workloads
       in
-      (m, trace)
+      let m = Sim.run sim in
+      (m, trace, Sim.periodic_jumps sim)
     in
-    let m_naive, trace_naive = run false in
-    let m, trace = run true in
+    let m_naive, trace_naive, _ = run false in
+    let m, trace, periodic_jumps = run true in
     let stage = "sim/" ^ Arch.name arch in
     let* () =
       match Invariant.check_equivalent m_naive m with
@@ -247,7 +248,7 @@ let run_sim ~arch ~cfg ~expected_bytes wl =
       failf stage
         "observed %.0f bytes of vector traffic, Equation-5 predicts %.0f"
         observed want
-    else Ok ()
+    else Ok periodic_jumps
   with
   | r -> r
   | exception Sim.Simulation_error msg ->
@@ -255,7 +256,7 @@ let run_sim ~arch ~cfg ~expected_bytes wl =
 
 let eps = 1e-5
 
-let run ?inject c =
+let run_counted ?inject c =
   let compiled_loops =
     match inject with None -> c.loops | Some f -> List.map f c.loops
   in
@@ -307,6 +308,10 @@ let run ?inject c =
       let expected_bytes = predicted_bytes ~options:c.options compiled_loops in
       List.fold_left
         (fun acc arch ->
-          let* () = acc in
-          run_sim ~arch ~cfg ~expected_bytes wl)
-        (Ok ()) Arch.all)
+          match acc with
+          | Error _ -> acc
+          | Ok jumps ->
+            Result.map (( + ) jumps) (run_sim ~arch ~cfg ~expected_bytes wl))
+        (Ok 0) Arch.all)
+
+let run ?inject c = Result.map ignore (run_counted ?inject c)

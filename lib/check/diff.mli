@@ -53,6 +53,15 @@ val run :
     are caught and reported as failures — a fuzzer must survive its own
     counterexamples. *)
 
+val run_counted :
+  ?inject:(Occamy_compiler.Loop_ir.t -> Occamy_compiler.Loop_ir.t) ->
+  case ->
+  (int, failure) result
+(** {!run}, also counting the periodic fast-forward jumps its
+    fast-forwarding simulations took ({!Occamy_core.Sim.periodic_jumps},
+    summed over the four architectures): a case with one checks the
+    periodic path against the naive loop. *)
+
 val eps : float
 (** Relative value tolerance of the interp-vs-reference comparison. *)
 

@@ -14,6 +14,7 @@ type report = {
   root_seed : int;
   cases_run : int;
   elapsed : float;
+  periodic_cases : int;
   inject : string option;
   counterexample : counterexample option;
 }
@@ -134,6 +135,7 @@ let run ?gen_cfg ?inject_name ?minutes ?(on_batch = fun ~done_:_ -> ())
     match deadline with None -> false | Some d -> Unix.gettimeofday () > d
   in
   let done_ = ref 0 in
+  let periodic = ref 0 in
   let found = ref None in
   let continue () =
     !found = None
@@ -150,10 +152,13 @@ let run ?gen_cfg ?inject_name ?minutes ?(on_batch = fun ~done_:_ -> ())
       Domain_pool.map ~jobs ~oversubscribe
         (fun i ->
           let cs = Rng.case_seed ~seed i in
-          (i, cs, Diff.run ?inject (Diff.case_of_seed ?cfg:gen_cfg cs)))
+          (i, cs, Diff.run_counted ?inject (Diff.case_of_seed ?cfg:gen_cfg cs)))
         indices
     in
     done_ := !done_ + n;
+    List.iter
+      (fun (_, _, r) -> match r with Ok j when j > 0 -> incr periodic | _ -> ())
+      results;
     (match
        List.find_opt (fun (_, _, r) -> Result.is_error r) results
      with
@@ -185,6 +190,7 @@ let run ?gen_cfg ?inject_name ?minutes ?(on_batch = fun ~done_:_ -> ())
     root_seed = seed;
     cases_run = !done_;
     elapsed = Unix.gettimeofday () -. t0;
+    periodic_cases = !periodic;
     inject = inject_name;
     counterexample = !found;
   }
@@ -192,8 +198,9 @@ let run ?gen_cfg ?inject_name ?minutes ?(on_batch = fun ~done_:_ -> ())
 let pp_report ppf r =
   match r.counterexample with
   | None ->
-    Format.fprintf ppf "fuzz: %d cases, seed %d, %.1fs — all passed"
-      r.cases_run r.root_seed r.elapsed
+    Format.fprintf ppf
+      "fuzz: %d cases, seed %d, %.1fs — all passed (%d took a periodic jump)"
+      r.cases_run r.root_seed r.elapsed r.periodic_cases
   | Some cx ->
     Format.fprintf ppf
       "@[<v>fuzz: FAILED at case %d of %d (seed %d, %.1fs)@,%a@,shrunk from \

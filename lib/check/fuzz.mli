@@ -22,6 +22,9 @@ type report = {
   root_seed : int;
   cases_run : int;
   elapsed : float;         (** wall-clock seconds *)
+  periodic_cases : int;
+      (** passing cases whose fast-forwarding simulations took a periodic
+          jump, so their naive-vs-fast-forward check covered it *)
   inject : string option;  (** the campaign's seeded bug, if any *)
   counterexample : counterexample option;
 }

@@ -161,6 +161,25 @@ let next_done_at t =
   let s = if t.s_n > 0 then t.s_done.(0) else max_int in
   if s < l then s else l
 
+(** The [i]-th entry of one direction's completion heap, in heap-array
+    order ([0 <= i < outstanding_loads/stores]): its completion cycle and
+    MOB handle. Read-only views for the simulator's periodic
+    fast-forward state digest. *)
+let entry_done t ~is_store i = if is_store then t.s_done.(i) else t.l_done.(i)
+
+let entry_mob t ~is_store i = if is_store then t.s_mob.(i) else t.l_mob.(i)
+
+(** Move every in-flight completion [by] cycles later. A periodic
+    fast-forward jump uses it to carry the queue across the skipped
+    periods: adding a constant keeps both heaps ordered. *)
+let shift_done t ~by =
+  for i = 0 to t.l_n - 1 do
+    t.l_done.(i) <- t.l_done.(i) + by
+  done;
+  for i = 0 to t.s_n - 1 do
+    t.s_done.(i) <- t.s_done.(i) + by
+  done
+
 let outstanding t = t.l_n + t.s_n
 let outstanding_loads t = t.l_n
 let outstanding_stores t = t.s_n

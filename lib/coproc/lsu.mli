@@ -25,6 +25,17 @@ val next_done_at : t -> int
 (** Earliest completion cycle among in-flight operations; [max_int] when
     drained. Bounds the fast-forward event horizon. *)
 
+val entry_done : t -> is_store:bool -> int -> int
+(** Completion cycle of the [i]-th entry of a direction's completion heap
+    (heap-array order, [i] below that direction's occupancy). *)
+
+val entry_mob : t -> is_store:bool -> int -> int
+(** MOB handle of the same entry ([-1] for none). *)
+
+val shift_done : t -> by:int -> unit
+(** Add [by] to every in-flight completion cycle (heap order is kept).
+    Used by the simulator's periodic fast-forward jump. *)
+
 val outstanding : t -> int
 val outstanding_loads : t -> int
 val outstanding_stores : t -> int

@@ -23,6 +23,18 @@
     must be faithful); vector data is not — the functional interpreter
     ({!Occamy_isa.Interp}) covers value semantics.
 
+    {b Fast-forward.} With [Config.fast_forward] (the default) the run
+    loop skips cycles it can prove repeat earlier ones: idle stretches up
+    to the next event, and whole periods of a steady-state vector loop,
+    verified once by comparing canonical state snapshots two periods
+    apart and then replayed up to the next edge that would break them (a
+    loop exit, a tail iteration, an <OI>/<VL> write, a context switch,
+    [max_cycles]). Both kinds replay the recorded effects — memory
+    bookings, RNG draws, utilisation sums, attribution and trace events
+    — so results are bit-identical to the naive tick loop, which stays
+    the oracle. See "Event-horizon fast-forwarding" and "Periodic
+    fast-forward" below.
+
     {b Data-oriented core.} The per-cycle state lives in preallocated
     unboxed [int]/[float] arrays, not heap-linked structures: the
     instruction pool and the issue window are ring buffers of parallel
@@ -46,6 +58,7 @@ module Program = Occamy_isa.Program
 module Profile = Occamy_mem.Profile
 module Hierarchy = Occamy_mem.Hierarchy
 module Mob = Occamy_mem.Mob
+module Channel = Occamy_mem.Channel
 module Rtbl = Occamy_coproc.Resource_tbl
 module Config_tbl = Occamy_coproc.Config_tbl
 module Freelist = Occamy_coproc.Freelist
@@ -160,7 +173,6 @@ type core_state = {
   w_s2 : int array;
   w_s3 : int array;
   w_done : int array;
-  w_mob : int array;    (* MOB slot handle once issued, -1 otherwise *)
   (* dispatch ready-time heap: a binary min-heap of (ready cycle, slot)
      over entries whose producers have all issued but whose latest
      completion is still in the future. Such an entry's earliest issue
@@ -232,6 +244,49 @@ type core_state = {
   vl_buckets : Buckets.t;
 }
 
+(* Periodic fast-forward buffers (see "Periodic fast-forward" below).
+   They are sized on a run's first detected period, so a simulation that
+   never finds one allocates only the empty shells. *)
+
+(* A growable log of fixed-stride int records. *)
+type ilog = { mutable buf : int array; mutable len : int }
+
+(* The canonical machine state at one period boundary. *)
+type snapshot = {
+  mutable sn : int array;      (* canonical state, [sn_len] ints *)
+  mutable sn_len : int;
+  mutable sn_ref : int array;  (* per address stream: lowest base *)
+  mutable sn_hi : int array;   (* per address stream: highest end *)
+  mutable sn_x : int array;    (* scalar registers, [num_x] per core *)
+  mutable sn_chan : float array;  (* channel backlogs past the cycle *)
+  mutable sn_stall : int array;   (* raw open rename-stall episode starts *)
+  mutable sn_head : int array;    (* raw [w_head; p_head] per core *)
+}
+
+type pbuf = {
+  pb_s : snapshot array;  (* S(t1), S(t2), S(t3) *)
+  sites : ilog;           (* period A's value-dependent sites, stride 6 *)
+  mutable site_pos : int;   (* period B: its next site's offset in A's *)
+  mutable site_k : int;     (* period B: periods its sites allow so far *)
+  mems : ilog;            (* period B's memory bookings, stride 6 *)
+  comps : ilog;           (* period B's compute issues, stride 3 *)
+  runs : ilog;            (* period B's attribution runs, stride 1+cores *)
+  mutable tr_track : int array;  (* period B's trace events *)
+  mutable tr_cyc : int array;
+  mutable tr_ev : Event.t array;
+  mutable tr_n : int;
+  mutable narr : int;         (* array ids per core *)
+  mutable delta : int array;  (* per address stream: shift per period *)
+  mutable sdelta : int array; (* the same, from B's transmitted addresses *)
+  mutable ext_lo : int array; (* per address stream: extent over B *)
+  mutable ext_hi : int array;
+  mutable hp_mark : int array;    (* per window slot scratch *)
+  mutable park_mark : int array;
+  mutable sort_idx : int array;   (* LSU canonical order scratch *)
+  mutable rot : int array;        (* ring rotation scratch *)
+  mutable rot_b : bool array;
+}
+
 type t = {
   cfg : Config.t;
   arch : Arch.t;
@@ -301,6 +356,32 @@ type t = {
                                    cycle (set by the dispatch sweep) *)
   at_bucket : int array;        (* bucket index the last step chose *)
   (* -------- fault injection (observational marking only) ------------ *)
+  (* -------- periodic fast-forward (see "Periodic fast-forward") ------ *)
+  pf_ok : bool;
+      (* periodic jumps allowed: fast-forward on, no fault injection, and
+         channel arithmetic exact (power-of-two bandwidths) *)
+  mutable pf_mode : int;  (* 0 detecting, 1 verifying period A, 2 recording B *)
+  mutable pf_edge : int;
+      (* lowest id of a core that took a backward branch this step,
+         [max_int] for none *)
+  mutable pf_edges : int;
+      (* count of steps' non-periodic edges: <OI>/<VL> writes, grants,
+         context-switch edges, reductions, halts, impure profiles *)
+  mutable pf_edges0 : int;  (* [pf_edges] when the recording started *)
+  mutable pf_p : int;       (* candidate period *)
+  mutable pf_t0 : int;      (* start cycle of the period being recorded *)
+  mutable pf_retry_at : int;  (* back-off after failed verifications *)
+  mutable pf_fails : int;
+  pf_ring_cyc : int array;  (* detection ring: back-edge sample cycles *)
+  pf_ring_hash : int array; (* and their state hashes *)
+  mutable pf_ring_n : int;
+  pf_fl : float array;      (* unboxed float scratch *)
+  pf_runbuf : int array;    (* one attribution run's buckets *)
+  pr_delta : int array;     (* per-core counter deltas of the period *)
+  mutable pb : pbuf;
+  mutable pb_ready : bool;  (* [pb] is sized for this simulation *)
+  mutable pf_skipped : int; (* cycles skipped by periodic jumps *)
+  mutable pf_jumps : int;
   inj_on : bool;
       (* hoisted [cfg.inject_rate > 0]: one branch per issue when off.
          The timing simulator carries no vector *data*, so injection
@@ -413,7 +494,6 @@ let make_core cfg arch ~shared_freelist id wl =
     w_s2 = Array.make w_cap (-1);
     w_s3 = Array.make w_cap (-1);
     w_done = Array.make w_cap max_int;
-    w_mob = Array.make w_cap (-1);
     hp_rdy = Array.make w_cap 0;
     hp_slot = Array.make w_cap 0;
     hp_n = 0;
@@ -455,6 +535,61 @@ let make_core cfg arch ~shared_freelist id wl =
     lanes_buckets = Buckets.create ~width:1000;
     vl_buckets = Buckets.create ~width:1000;
   }
+
+let ilog_make () = { buf = [||]; len = 0 }
+
+let empty_snapshot () =
+  {
+    sn = [||];
+    sn_len = 0;
+    sn_ref = [||];
+    sn_hi = [||];
+    sn_x = [||];
+    sn_chan = [||];
+    sn_stall = [||];
+    sn_head = [||];
+  }
+
+let empty_pbuf () =
+  {
+    pb_s = [| empty_snapshot (); empty_snapshot (); empty_snapshot () |];
+    sites = ilog_make ();
+    site_pos = 0;
+    site_k = max_int;
+    mems = ilog_make ();
+    comps = ilog_make ();
+    runs = ilog_make ();
+    tr_track = [||];
+    tr_cyc = [||];
+    tr_ev = [||];
+    tr_n = 0;
+    narr = 0;
+    delta = [||];
+    sdelta = [||];
+    ext_lo = [||];
+    ext_hi = [||];
+    hp_mark = [||];
+    park_mark = [||];
+    sort_idx = [||];
+    rot = [||];
+    rot_b = [||];
+  }
+
+(* Per-core counters a replayed period adds to (see [replay]). *)
+let n_cnt = 11
+
+(* Detection ring size and the longest period looked for. *)
+let pf_ring = 64
+let pf_max_period = 256
+
+(* Channel arithmetic is exact — and so shifts by whole cycles — when
+   every occupancy [bytes / bandwidth] is a dyadic fraction: power-of-two
+   bandwidths (Table 4's 256/64/32 B/cycle). *)
+let exact_channels (m : Hierarchy.config) =
+  let pow2 x = x > 0.0 && fst (Float.frexp x) = 0.5 in
+  pow2 m.Hierarchy.vc_bytes_per_cycle
+  && pow2 m.Hierarchy.l2_bytes_per_cycle
+  && pow2 m.Hierarchy.dram_bytes_per_cycle
 
 let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     ?(prof = Prof.disabled) ?(attrib = Attrib.disabled) ?decisions
@@ -606,6 +741,26 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     attrib;
     at_mob_blocked = Array.make cfg.cores false;
     at_bucket = Array.make cfg.cores 0;
+    pf_ok =
+      cfg.fast_forward && cfg.inject_rate <= 0.0 && exact_channels cfg.mem;
+    pf_mode = 0;
+    pf_edge = max_int;
+    pf_edges = 0;
+    pf_edges0 = 0;
+    pf_p = 0;
+    pf_t0 = 0;
+    pf_retry_at = 0;
+    pf_fails = 0;
+    pf_ring_cyc = Array.make pf_ring 0;
+    pf_ring_hash = Array.make pf_ring 0;
+    pf_ring_n = 0;
+    pf_fl = [| 0.0 |];
+    pf_runbuf = Array.make cfg.cores 0;
+    pr_delta = Array.make (cfg.cores * n_cnt) 0;
+    pb = empty_pbuf ();
+    pb_ready = false;
+    pf_skipped = 0;
+    pf_jumps = 0;
     inj_on = cfg.inject_rate > 0.0;
   }
 
@@ -622,6 +777,107 @@ let refresh_owned_units t c =
   c.owned_n <- Config_tbl.owned_into t.exebu_cfg ~core:c.id c.owned_arr
 
 (* ------------------------------------------------------------------ *)
+(* Periodic fast-forward recording hooks                               *)
+(* ------------------------------------------------------------------ *)
+
+(* While a candidate period is being verified ([pf_mode > 0]) the step
+   logs every value-dependent site, and while period B is recorded
+   ([pf_mode = 2]) every effect a jump must replay. See "Periodic
+   fast-forward" for what the logs prove and how they are replayed. *)
+
+(* Site kinds: what a scalar value decided. *)
+let k_site_br = 0     (* conditional branch: a vs b *)
+let k_site_min = 1    (* MIN: which operand *)
+let k_site_max = 2    (* MAX: which operand *)
+let k_site_mul = 3    (* register MUL: a product of two registers *)
+let k_site_elems = 4  (* element count: min(count register, VL elements) *)
+let k_site_addr = 5   (* transmitted base address of array b *)
+
+let ilog_room l k =
+  if l.len + k > Array.length l.buf then begin
+    let nb = Array.make (Int.max 512 (2 * (l.len + k))) 0 in
+    Array.blit l.buf 0 nb 0 l.len;
+    l.buf <- nb
+  end
+
+(* A site record: core, pc, kind, a, b, and for an address site the
+   access length. *)
+let pf_site_len t c kind a b len =
+  let l = t.pb.sites in
+  ilog_room l 6;
+  let o = l.len in
+  l.buf.(o) <- c.id;
+  l.buf.(o + 1) <- c.pc;
+  l.buf.(o + 2) <- kind;
+  l.buf.(o + 3) <- a;
+  l.buf.(o + 4) <- b;
+  l.buf.(o + 5) <- len;
+  l.len <- o + 6
+
+(* A step event that no period may contain. *)
+let[@inline] pf_edge_seen t = t.pf_edges <- t.pf_edges + 1
+
+let pf_log_mem t c ~arr ~bytes ~level ~done_at =
+  let l = t.pb.mems in
+  ilog_room l 6;
+  let o = l.len in
+  l.buf.(o) <- c.id;
+  l.buf.(o + 1) <- t.cycle;
+  l.buf.(o + 2) <- arr;
+  l.buf.(o + 3) <- bytes;
+  l.buf.(o + 4) <- Occamy_mem.Level.depth level;
+  l.buf.(o + 5) <- done_at;
+  l.len <- o + 6
+
+let pf_log_comp t c width =
+  let l = t.pb.comps in
+  ilog_room l 3;
+  let o = l.len in
+  l.buf.(o) <- c.id;
+  l.buf.(o + 1) <- t.cycle;
+  l.buf.(o + 2) <- width;
+  l.len <- o + 3
+
+let pf_log_trace t track ev =
+  let pb = t.pb in
+  let n = pb.tr_n in
+  if n = Array.length pb.tr_ev then begin
+    let cap = Int.max 64 (2 * n) in
+    let tt = Array.make cap 0 and tc = Array.make cap 0 in
+    let te = Array.make cap ev in
+    Array.blit pb.tr_track 0 tt 0 n;
+    Array.blit pb.tr_cyc 0 tc 0 n;
+    Array.blit pb.tr_ev 0 te 0 n;
+    pb.tr_track <- tt;
+    pb.tr_cyc <- tc;
+    pb.tr_ev <- te
+  end;
+  pb.tr_track.(n) <- track;
+  pb.tr_cyc.(n) <- t.cycle;
+  pb.tr_ev.(n) <- ev;
+  pb.tr_n <- n + 1
+
+(* One stepped cycle's attribution buckets, run-length encoded: a run is
+   its length followed by one bucket index per core. *)
+let pf_log_buckets t =
+  let l = t.pb.runs and n = Array.length t.cores in
+  let st = 1 + n in
+  let last = l.len - st in
+  let same = ref (last >= 0) in
+  let i = ref 0 in
+  while !same && !i < n do
+    if l.buf.(last + 1 + !i) <> t.at_bucket.(!i) then same := false;
+    incr i
+  done;
+  if !same then l.buf.(last) <- l.buf.(last) + 1
+  else begin
+    ilog_room l st;
+    l.buf.(l.len) <- 1;
+    Array.blit t.at_bucket 0 l.buf (l.len + 1) n;
+    l.len <- l.len + st
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Trace recording                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -634,9 +890,11 @@ let refresh_owned_units t c =
 let tracing t = Trace.enabled t.trace
 
 let trace_core t (c : core_state) ev =
+  if t.pf_mode = 2 then pf_log_trace t c.id ev;
   Trace.record t.trace ~track:c.id ~cycle:t.cycle ev
 
 let trace_mgr t ev =
+  if t.pf_mode = 2 then pf_log_trace t (Array.length t.cores) ev;
   Trace.record t.trace ~track:(Array.length t.cores) ~cycle:t.cycle ev
 
 (* A lane-manager replan, with the full decision context: the per-core
@@ -682,6 +940,7 @@ let resolve_vl_request t c l =
            { core = c.id; start_cycle = req; cycles = t.cycle - req })
   end;
   t.work_cycle <- t.cycle;
+  pf_edge_seen t;
   (match t.arch with
   | Arch.Fts ->
     (* Temporal sharing: every core always executes at full width; the
@@ -748,6 +1007,7 @@ let close_phase t c =
     c.cur_phase <- None
 
 let handle_oi_write t c oi =
+  pf_edge_seen t;
   if tracing t then trace_core t c (Event.Oi_write { core = c.id; oi });
   if Oi.is_zero oi then begin
     close_phase t c;
@@ -839,6 +1099,85 @@ let cond_holds cond (a : int) (b : int) =
   | Instr.Gt -> a > b
   | Instr.Ge -> a >= b
 
+(* Largest j >= 0 such that [d + i*e] keeps the sign class of [d]
+   (negative vs not) for every i in 1..j. *)
+let stable_sign d e =
+  if e = 0 then max_int
+  else if d < 0 then if e < 0 then max_int else (-d - 1) / e
+  else if e > 0 then max_int
+  else d / -e
+
+(* Largest j >= 0 such that [d + i*e] keeps [d]'s zero-ness. *)
+let stable_zero d e =
+  if e = 0 then max_int
+  else if d = 0 then 0
+  else if -d mod e = 0 && -d / e > 0 then (-d / e) - 1
+  else max_int
+
+(* Periods a site of core [c] can be repeated after period B before its
+   outcome flips, from its operands in A ([aa], [ba]) and in B ([ab],
+   [bb]); 0 when A and B disagree. Each site compares [a] against [b];
+   both are affine in the period index, so their difference moves by
+   [e] per period. *)
+let site_bound c kind aa ba ab bb =
+  let d = ab - bb in
+  let e = d - (aa - ba) in
+  if kind = k_site_br then
+    match c.wl.Workload.program.Program.code.(c.pc) with
+    | Instr.Bc (cond, _, _, _) ->
+      if cond_holds cond aa ba <> cond_holds cond ab bb then 0
+      else (
+        match cond with
+        | Instr.Eq | Instr.Ne -> stable_zero d e
+        | Instr.Lt | Instr.Ge -> stable_sign d e
+        | Instr.Le | Instr.Gt -> stable_sign (d - 1) e)
+    | _ -> 0
+  else if kind = k_site_min then
+    if aa <= ba <> (ab <= bb) then 0 else stable_sign (d - 1) e
+  else if kind = k_site_max then
+    if aa >= ba <> (ab >= bb) then 0 else stable_sign d e
+  else if kind = k_site_mul then
+    if aa = ab || ba = bb then max_int else 0
+  else if kind = k_site_elems then
+    (* min(count, VL elements) must stay constant: the count never
+       moves, or stays at or above the VL elements *)
+    if Int.min aa ba <> Int.min ab bb then 0
+    else if ab = aa then max_int
+    else if d >= 0 then stable_sign d e
+    else 0
+  else max_int
+
+(* Period B's site against period A's at the same position: the same
+   site, the same outcome, and for an address the stream's shift and
+   extent (see [pf_bound]). *)
+let check_site t c kind a b len =
+  let pb = t.pb in
+  let o = pb.site_pos and l = pb.sites in
+  pb.site_pos <- o + 6;
+  if o + 6 > l.len || l.buf.(o) <> c.id || l.buf.(o + 1) <> c.pc
+     || l.buf.(o + 2) <> kind
+  then pb.site_k <- 0
+  else if kind = k_site_addr then begin
+    if b <> l.buf.(o + 4) || b < 0 || b >= pb.narr then pb.site_k <- 0
+    else begin
+      let st = (c.id * pb.narr) + b and e = a - l.buf.(o + 3) in
+      if pb.sdelta.(st) = min_int then pb.sdelta.(st) <- e
+      else if pb.sdelta.(st) <> e then pb.site_k <- 0;
+      if a < pb.ext_lo.(st) then pb.ext_lo.(st) <- a;
+      if a + len > pb.ext_hi.(st) then pb.ext_hi.(st) <- a + len
+    end
+  end
+  else
+    pb.site_k <-
+      Int.min pb.site_k (site_bound c kind l.buf.(o + 3) l.buf.(o + 4) a b)
+
+(* A value-dependent site: logged in period A, checked in period B. *)
+let site t c kind a b len =
+  if t.pf_mode = 1 then pf_site_len t c kind a b len
+  else check_site t c kind a b len
+
+let pf_site t c kind a b = site t c kind a b 0
+
 let[@inline] elems_of c cnt =
   match cnt with
   | None -> Lane.elems_of_granules c.vl
@@ -882,6 +1221,20 @@ let transmit c instr =
     true
   end
 
+(* A transmitted access's base address and element count came from
+   scalar registers. *)
+let transmit_sites t c instr =
+  match instr with
+  | Instr.Vload { arr; idx = Reg.X xi; cnt; _ }
+  | Instr.Vstore { arr; idx = Reg.X xi; cnt; _ } -> (
+    site t c k_site_addr c.xregs.(xi) arr
+      c.p_elems.((c.p_tail - 1) land c.p_mask);
+    match cnt with
+    | Some (Reg.X r) ->
+      pf_site t c k_site_elems c.xregs.(r) (Lane.elems_of_granules c.vl)
+    | None -> ())
+  | _ -> ()
+
 let step_frontend t c =
   (* Vred waits for the core's pipeline to drain (the reduction reads
      the architectural vector state; Table 2 ⟨SVE, Scalar⟩). A context
@@ -890,7 +1243,8 @@ let step_frontend t c =
      [pending_red]) never ends. *)
   if c.pending_red && pipeline_drained c then begin
     c.pending_red <- false;
-    t.work_cycle <- t.cycle
+    t.work_cycle <- t.cycle;
+    pf_edge_seen t
   end;
   if (not (cs_is_running c)) || c.halted then ()
   else if c.pending_vl >= 0 then
@@ -909,7 +1263,8 @@ let step_frontend t c =
     while c.fe_cont && c.fe_budget > 0 && not c.halted do
       if c.pc >= Array.length code then begin
         c.halted <- true;
-        c.finish <- t.cycle
+        c.finish <- t.cycle;
+        pf_edge_seen t
       end
       else begin
         let instr = code.(c.pc) in
@@ -923,6 +1278,13 @@ let step_frontend t c =
           c.fe_budget <- c.fe_budget - 1
         | Instr.Iop (op, Reg.X d, Reg.X s, src) ->
           let a = c.xregs.(s) and b = eval_src c src in
+          if t.pf_mode > 0 then begin
+            match op, src with
+            | Instr.Mini, _ -> pf_site t c k_site_min a b
+            | Instr.Maxi, _ -> pf_site t c k_site_max a b
+            | Instr.Muli, Instr.Reg _ -> pf_site t c k_site_mul a b
+            | _ -> ()
+          end;
           c.xregs.(d) <-
             (match op with
             | Instr.Addi -> a + b
@@ -965,14 +1327,20 @@ let step_frontend t c =
         | Instr.Fsw _ -> c.fe_budget <- c.fe_budget - 1
         | Instr.B _ ->
           c.fe_next <- targets.(c.pc);
+          if c.fe_next <= c.pc && c.id < t.pf_edge then t.pf_edge <- c.id;
           c.fe_budget <- c.fe_budget - 1
         | Instr.Bc (cond, Reg.X r, src, _) ->
-          if cond_holds cond c.xregs.(r) (eval_src c src) then
+          let a = c.xregs.(r) and b = eval_src c src in
+          if t.pf_mode > 0 then pf_site t c k_site_br a b;
+          if cond_holds cond a b then begin
             c.fe_next <- targets.(c.pc);
+            if c.fe_next <= c.pc && c.id < t.pf_edge then t.pf_edge <- c.id
+          end;
           c.fe_budget <- c.fe_budget - 1
         | Instr.Halt ->
           c.halted <- true;
           c.finish <- t.cycle;
+          pf_edge_seen t;
           c.fe_budget <- c.fe_budget - 1
         | Instr.Mrs (Reg.X d, sr) ->
           (match sr with
@@ -997,6 +1365,7 @@ let step_frontend t c =
           let l = eval_src c src in
           if l < 0 || l > t.cfg.exebus then error "core%d: MSR <VL> %d" c.id l;
           c.pending_vl <- l;
+          pf_edge_seen t;
           if tracing t then begin
             trace_core t c (Event.Vl_request { core = c.id; requested = l });
             t.obs_req_cycle.(c.id) <- t.cycle
@@ -1010,13 +1379,17 @@ let step_frontend t c =
              block for the drain (its real cost) and yield zero. *)
           c.fregs.(d) <- 0.0;
           c.pending_red <- true;
+          pf_edge_seen t;
           c.fe_budget <- c.fe_budget - 1;
           c.fe_cont <- false
         | Instr.Vload _ | Instr.Vstore _ | Instr.Vop _ | Instr.Vdup _ ->
           if c.vl <= 0 then
             error "core%d: SVE instruction with <VL>=0 at pc=%d" c.id c.pc;
           if c.fe_tbudget = 0 then c.fe_cont <- false
-          else if transmit c instr then c.fe_tbudget <- c.fe_tbudget - 1
+          else if transmit c instr then begin
+            c.fe_tbudget <- c.fe_tbudget - 1;
+            if t.pf_mode > 0 then transmit_sites t c instr
+          end
           else c.fe_cont <- false);
         if c.fe_cont && not c.halted then c.pc <- c.fe_next
         else if c.halted then ()
@@ -1074,7 +1447,6 @@ let rec rename_loop t c renamed =
       c.w_elems.(slot) <- c.p_elems.(ps);
       c.w_lat.(slot) <- c.p_lat.(ps);
       c.w_done.(slot) <- max_int;
-      c.w_mob.(slot) <- -1;
       c.w_wfirst.(slot) <- -1;
       c.w_rdy.(slot) <- false;
       if kind = k_store then begin
@@ -1295,6 +1667,7 @@ let record_compute_issue t c width =
   t.busy_lanes.(0) <-
     t.busy_lanes.(0) +. (float_of_int num /. float_of_int den);
   Buckets.add_ratio c.lanes_buckets ~cycle:t.cycle ~num ~den;
+  if t.pf_mode = 2 then pf_log_comp t c width;
   if Prof.sampled t.prof then Prof.exit t.prof
 
 let record_mem_issue t c =
@@ -1372,9 +1745,9 @@ let attempt_issue t c ~dom ~units ~n slot =
       t.sc_load <- -1;
       t.sc_store <- -1;
       t.mem_budget.(dom) <- t.mem_budget.(dom) - 1;
-      let level =
-        Profile.classify (Workload.profile_of_array c.wl c.w_arr.(slot)) t.rng
-      in
+      let arr = c.w_arr.(slot) in
+      let prof = Workload.profile_of_array c.wl arr in
+      let level = Profile.classify prof t.rng in
       let bytes = c.w_elems.(slot) * 4 in
       (* Unit-stride vector loads are the stream prefetcher's best case;
          stores are buffered anyway so their observed latency does not
@@ -1383,6 +1756,11 @@ let attempt_issue t c ~dom ~units ~n slot =
         Hierarchy.book t.hierarchy ~prefetched:t.cfg.prefetch ~now:t.cycle
           ~level ~bytes
       in
+      if t.pf_mode > 0 then begin
+        (* A mixed profile draws its level: no period replays it. *)
+        if not (Profile.deterministic prof) then pf_edge_seen t;
+        if t.pf_mode = 2 then pf_log_mem t c ~arr ~bytes ~level ~done_at
+      end;
       let mslot =
         Mob.insert_slot t.mob ~arr:c.w_arr.(slot)
           ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
@@ -1397,7 +1775,6 @@ let attempt_issue t c ~dom ~units ~n slot =
          it. Loads hold their window slot (and register row) until the
          data returns. *)
       c.w_done.(slot) <- (if is_store then t.cycle else done_at);
-      c.w_mob.(slot) <- mslot;
       record_mem_issue t c;
       if t.inj_on then
         inject_opportunity t c
@@ -1607,7 +1984,8 @@ let restore_target t c ~saved_vl =
 
 let set_cs_state t c s =
   c.cs_state <- s;
-  t.work_cycle <- t.cycle
+  t.work_cycle <- t.cycle;
+  pf_edge_seen t
 
 let resume_task t c ~saved_status =
   Rtbl.set_status t.rtbl ~core:c.id saved_status;
@@ -1622,7 +2000,8 @@ let step_context_switch t c =
       set_cs_state t c Cs_draining
     | cycle :: rest when c.halted ->
       ignore cycle;
-      c.cs_schedule <- rest
+      c.cs_schedule <- rest;
+      pf_edge_seen t
     | _ -> ())
   | Cs_draining ->
     if pipeline_drained c && c.pending_vl < 0 && not c.pending_red then begin
@@ -1810,7 +2189,10 @@ let step t =
   end;
   if pr then Prof.enter t.prof Prof.Sample;
   sample_stats t;
-  if t.at_on then classify_cores t;
+  if t.at_on then begin
+    classify_cores t;
+    if t.pf_mode = 2 then pf_log_buckets t
+  end;
   if t.cycle land 1023 = 0 then check_invariants t;
   if pr then Prof.exit t.prof
 
@@ -1818,10 +2200,19 @@ let step t =
 (* Event-horizon fast-forwarding                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The skipping loop (gem5-style): after each step, compute a
-   conservative *event horizon* — the earliest future cycle at which any
-   core can change state — and when that horizon is beyond the next
-   cycle, advance [t.cycle] and every per-cycle counter in one jump.
+(* The skipping loop (gem5-style) has two kinds of jump, both booked by
+   one routine, [replay], which repeats a recorded period of stepped
+   cycles k times:
+   - an idle jump (here): the period is the one idle step just taken,
+     repeated up to the next event;
+   - a periodic jump ("Periodic fast-forward" below): the period is a
+     verified steady-state period of P <= 256 steps, repeated up to the
+     next edge that breaks it.
+
+   For idle jumps: after each step, compute a conservative *event
+   horizon* — the earliest future cycle at which any core can change
+   state — and when that horizon is beyond the next cycle, advance
+   [t.cycle] and every per-cycle counter in one jump.
 
    The proof obligation is bit-identical equivalence with the naive tick
    loop ([Config.fast_forward = false]). A jump is only attempted after
@@ -1838,11 +2229,12 @@ let step t =
    and none after it, and slow memory can leave that drain idle for
    hundreds of cycles. So the idle
    step is a fixed point: each skipped cycle would repeat it exactly,
-   and [fast_forward_to] adds [k] times the step's per-core deltas and
-   bucket instead of re-deriving them. No instruction moves, no RNG is
-   drawn and no trace event fires inside the stretch. The sim-vs-sim
+   and [fast_forward_to] replays the step's per-core deltas and bucket
+   [k] times instead of re-deriving them. No instruction moves, no RNG
+   is drawn and no trace event fires inside the stretch. The sim-vs-sim
    harness (test_fastforward) and the differential fuzzer hold both
-   loops to this equality on metrics, counters and trace streams. *)
+   loops to this equality on metrics, counters, attribution and trace
+   streams. *)
 
 exception Horizon_now
 
@@ -1977,42 +2369,188 @@ let horizon t =
   done;
   t.hz_ev
 
-(* Jump to [target] (exclusive of the step that will execute
-   [target + 1]), replaying the idle step that just ran once for each
-   cycle [t.cycle+1 .. target] the naive loop would have stepped. The
-   VL sample is re-taken from [c.vl], which is constant too. *)
-let fast_forward_to t ~target =
-  let k = target - t.cycle in
-  for i = 0 to Array.length t.cores - 1 do
-    let c = t.cores.(i) in
-    c.blocked_vl_cycles <- c.blocked_vl_cycles + (k * t.d_blocked.(i));
-    let stalls = k * t.d_stalls.(i) in
-    c.rename_stalls <- c.rename_stalls + stalls;
-    (match c.cur_phase with
-    | Some pa -> pa.pa_stalls <- pa.pa_stalls + stalls
-    | None -> ());
-    Freelist.record_failures c.freelist ~count:stalls;
-    (* Per-cycle sampling ([sample_stats]) for live cores. *)
-    if not c.halted then begin
-      Buckets.add_run_int c.vl_buckets ~cycle:(t.cycle + 1) ~len:k c.vl;
-      match c.cur_phase with
-      | Some pa ->
-        pa.pa_vl_sum <- pa.pa_vl_sum + (k * c.vl);
-        pa.pa_cycles <- pa.pa_cycles + k
-      | None -> ()
-    end
-  done;
-  if t.at_on then
-    Attrib.add_run_all t.attrib ~start_cycle:(t.cycle + 1) ~len:k
-      ~buckets:t.at_bucket;
-  (* The naive loop checks invariants at multiples of 1024; state is
-     constant across the jump, so one check at the far end is
+(* ------------------------------------------------------------------ *)
+(* Fast-forward jumps: one replay routine                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every jump books [k] more repetitions of a recorded period of [p]
+   stepped cycles that ended at [t.cycle]. An idle jump is the [p = 1]
+   case: the period is the idle step that just ran, and its log is
+   empty. A periodic jump's log holds period B's effects (see below).
+
+   - Counters gain [k] times the period's per-core deltas
+     ([pr_delta], in [read_counters] order).
+   - The per-cycle VL sample is constant across the jump ([c.vl] does
+     not change), so each live core books one run of [k * p] samples.
+   - The period's memory bookings, compute issues and trace events are
+     re-executed [k] times, period by period, with stamps shifted by
+     whole periods. Re-executing [Hierarchy.book] and the level draw
+     keeps the float channel state, the traffic totals and the RNG
+     bit-identical to the naive loop; the repeated [busy_lanes] adds do
+     the same for the utilisation sum.
+   - Attribution repeats the period's bucket runs; a period of one run
+     (always the case for an idle step) books all [k * p] cycles in one
+     [Attrib.add_run_all].
+   - The naive loop checks invariants at multiples of 1024; the checked
+     tables do not change inside a jump, so one check at the far end is
      equivalent whenever the jump crosses such a boundary. *)
+
+let counter c j =
+  match j with
+  | 0 -> c.issued_compute
+  | 1 -> c.issued_mem
+  | 2 -> c.rename_stalls
+  | 3 -> c.blocked_vl_cycles
+  | 4 -> c.monitor_instrs
+  | 5 -> c.monitor_stall_cycles
+  | _ -> (
+    match c.cur_phase with
+    | None -> 0
+    | Some pa -> (
+      match j with
+      | 6 -> pa.pa_compute
+      | 7 -> pa.pa_mem
+      | 8 -> pa.pa_stalls
+      | 9 -> pa.pa_vl_sum
+      | _ -> pa.pa_cycles))
+
+let read_counters c (d : int array) o =
+  for j = 0 to n_cnt - 1 do
+    d.(o + j) <- counter c j
+  done
+
+(* Turn the values [read_counters] stored into increments since. *)
+let sub_counters c (d : int array) o =
+  for j = 0 to n_cnt - 1 do
+    d.(o + j) <- counter c j - d.(o + j)
+  done
+
+let add_counters c (d : int array) o k =
+  c.issued_compute <- c.issued_compute + (k * d.(o));
+  c.issued_mem <- c.issued_mem + (k * d.(o + 1));
+  c.rename_stalls <- c.rename_stalls + (k * d.(o + 2));
+  c.blocked_vl_cycles <- c.blocked_vl_cycles + (k * d.(o + 3));
+  c.monitor_instrs <- c.monitor_instrs + (k * d.(o + 4));
+  c.monitor_stall_cycles <- c.monitor_stall_cycles + (k * d.(o + 5));
+  Freelist.record_failures c.freelist ~count:(k * d.(o + 2));
+  match c.cur_phase with
+  | Some pa ->
+    pa.pa_compute <- pa.pa_compute + (k * d.(o + 6));
+    pa.pa_mem <- pa.pa_mem + (k * d.(o + 7));
+    pa.pa_stalls <- pa.pa_stalls + (k * d.(o + 8));
+    pa.pa_vl_sum <- pa.pa_vl_sum + (k * d.(o + 9));
+    pa.pa_cycles <- pa.pa_cycles + (k * d.(o + 10))
+  | None -> ()
+
+let replay_mems t shift =
+  let l = t.pb.mems in
+  let o = ref 0 in
+  while !o < l.len do
+    let b = l.buf and i = !o in
+    let c = t.cores.(b.(i)) in
+    let now = b.(i + 1) + shift in
+    let level = Profile.classify (Workload.profile_of_array c.wl b.(i + 2)) t.rng in
+    let done_at =
+      Hierarchy.book t.hierarchy ~prefetched:t.cfg.prefetch ~now ~level
+        ~bytes:b.(i + 3)
+    in
+    if Occamy_mem.Level.depth level <> b.(i + 4) || done_at <> b.(i + 5) + shift
+    then error "periodic replay diverged: core%d booking at cycle %d" c.id now;
+    o := i + 6
+  done
+
+let replay_comps t shift =
+  let l = t.pb.comps in
+  let o = ref 0 in
+  while !o < l.len do
+    let b = l.buf and i = !o in
+    let c = t.cores.(b.(i)) in
+    let num = b.(i + 2) * Lane.f32_per_granule in
+    let den = t.cfg.pipes_per_exebu in
+    t.busy_lanes.(0) <-
+      t.busy_lanes.(0) +. (float_of_int num /. float_of_int den);
+    Buckets.add_ratio c.lanes_buckets ~cycle:(b.(i + 1) + shift) ~num ~den;
+    o := i + 3
+  done
+
+(* Rename-stall episodes are the only events a period can contain that
+   carry a cycle of their own (see [pf_edge_seen] for the rest). *)
+let shift_event ev s =
+  match ev with
+  | Event.Rename_stall r ->
+    Event.Rename_stall { r with start_cycle = r.start_cycle + s }
+  | ev -> ev
+
+let replay_trace t shift =
+  let pb = t.pb in
+  for e = 0 to pb.tr_n - 1 do
+    Trace.record t.trace ~track:pb.tr_track.(e) ~cycle:(pb.tr_cyc.(e) + shift)
+      (shift_event pb.tr_ev.(e) shift)
+  done
+
+let replay_runs t ~start =
+  let l = t.pb.runs and n = Array.length t.cores in
+  let pos = ref start and o = ref 0 in
+  while !o < l.len do
+    let len = l.buf.(!o) in
+    Array.blit l.buf (!o + 1) t.pf_runbuf 0 n;
+    Attrib.add_run_all t.attrib ~start_cycle:!pos ~len ~buckets:t.pf_runbuf;
+    pos := !pos + len;
+    o := !o + 1 + n
+  done
+
+let replay t ~p ~k =
+  let n = Array.length t.cores in
+  let span = k * p in
+  for i = 0 to n - 1 do
+    let c = t.cores.(i) in
+    add_counters c t.pr_delta (i * n_cnt) k;
+    if not c.halted then
+      Buckets.add_run_int c.vl_buckets ~cycle:(t.cycle + 1) ~len:span c.vl
+  done;
+  let pb = t.pb in
+  let single = pb.runs.len <= 1 + n in
+  if pb.mems.len > 0 || pb.comps.len > 0 || pb.tr_n > 0 || (t.at_on && not single)
+  then
+    for j = 1 to k do
+      let shift = j * p in
+      replay_mems t shift;
+      replay_comps t shift;
+      replay_trace t shift;
+      if t.at_on && not single then
+        replay_runs t ~start:(t.cycle + shift - p + 1)
+    done;
+  if t.at_on && single then begin
+    if pb.runs.len > 0 then Array.blit pb.runs.buf 1 t.pf_runbuf 0 n
+    else Array.blit t.at_bucket 0 t.pf_runbuf 0 n;
+    Attrib.add_run_all t.attrib ~start_cycle:(t.cycle + 1) ~len:span
+      ~buckets:t.pf_runbuf
+  end;
+  let target = t.cycle + span in
   let crossed_check = target lsr 10 > t.cycle lsr 10 in
   t.cycle <- target;
-  t.ff_skipped <- t.ff_skipped + k;
+  t.ff_skipped <- t.ff_skipped + span;
   t.ff_jumps <- t.ff_jumps + 1;
   if crossed_check then check_invariants t
+
+(* Jump to [target] (exclusive of the step that will execute
+   [target + 1]) by replaying the idle step that just ran once for each
+   cycle [t.cycle+1 .. target] the naive loop would have stepped. The
+   idle step changed only the per-cycle counters its deltas hold. *)
+let fast_forward_to t ~target =
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) and o = i * n_cnt in
+    let live = if c.halted then 0 else 1 in
+    for j = 0 to n_cnt - 1 do
+      t.pr_delta.(o + j) <- 0
+    done;
+    t.pr_delta.(o + 2) <- t.d_stalls.(i);
+    t.pr_delta.(o + 3) <- t.d_blocked.(i);
+    t.pr_delta.(o + 8) <- t.d_stalls.(i);
+    t.pr_delta.(o + 9) <- live * c.vl;
+    t.pr_delta.(o + 10) <- live
+  done;
+  replay t ~p:1 ~k:(target - t.cycle)
 
 (* Smallest jump worth taking: batching the counters for a 1–2 cycle
    skip costs more than stepping those cycles naively. *)
@@ -2042,6 +2580,732 @@ let try_fast_forward t =
       let target = Int.min (h - 1) (t.cfg.max_cycles - 1) in
       if target - t.cycle >= ff_min_jump then fast_forward_to t ~target
 
+(* ------------------------------------------------------------------ *)
+(* Periodic fast-forward                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A vector loop in steady state repeats its micro-architectural state
+   every P cycles, up to a shift: P cycles in time, a fixed number of
+   sequence numbers in each core's pool and window, a fixed address
+   stride per address stream (one core's accesses to one array), and a
+   fixed increment per scalar register. A periodic jump verifies such a
+   period once and then replays it k times instead of stepping it. It
+   is taken only when [pf_ok]: no fault injection (its decisions are
+   per issue) and power-of-two channel bandwidths, which keep the float
+   channel arithmetic exact, so a backlog shifted by whole cycles books
+   the same completions shifted by the same cycles.
+
+   {b Detection.} At the end of every step in which the sampling core
+   (the lowest-numbered one still running) took a backward branch,
+   [pf_hash] hashes a cheap digest of the machine
+   (pcs, occupancies, relative completion times, channel backlogs) into
+   a 64-entry ring. An earlier entry with the same hash at most
+   [pf_max_period] cycles back, at a distance that is a multiple of the
+   core count (issue and rename arbitration rotate with [cycle mod
+   cores]), proposes P.
+
+   {b Verification.} From the proposal at t1 the loop steps two more
+   periods, A = (t1, t2] and B = (t2, t3], taking the canonical
+   snapshot S of [pf_snapshot] at t1, t2 and t3, and logging every
+   value-dependent site (branch, MIN/MAX, register MUL, element count,
+   transmitted address). The period holds iff
+   - S(t1) = S(t2) and S(t2) = S(t3), where S records times relative
+     to [cycle], sequence numbers relative to each ring's head,
+     addresses relative to each stream's lowest in-flight base, MOB
+     regions through their LSU entries in sorted order, heap and
+     waiter-list membership per window entry, and channel backlogs;
+     layouts that cannot change what happens next (heap array order,
+     MOB slot numbers, waiter-list order) are left out;
+   - A and B log the same sites with the same outcomes, and no edge
+     that no period may contain ([pf_edge_seen]: <OI>/<VL> writes and
+     grants, context-switch edges, reductions, halts, an access to an
+     array whose profile draws its level) happened;
+   - every scalar register moved by the same amount in A and in B.
+   Along one control path the scalar computation is affine in the
+   period index (MIN/MAX fix an operand, a register MUL is allowed only
+   when one factor is constant), so every site value moves by the same
+   step each period, measured as its B-minus-A difference.
+
+   {b Where a jump stops.} [pf_bound] gives the largest k for which no
+   site flips: a branch on an affine register, the MIN of an [elems_of]
+   tail, a MIN/MAX operand choice. It also stops k periods short of the
+   next scheduled context switch or return and of [max_cycles], and
+   requires every stream's transmitted addresses to move by the same
+   stride as its in-flight regions. The MOB tells arrays apart by id
+   alone, so two cores' streams of one id can conflict: they must move
+   together (a fixed offset, which S then preserves) or stay apart, and
+   k ends before their extents over period B, moved k periods on,
+   would meet.
+
+   {b The jump} replays period B k times through [replay] and shifts the
+   state by k periods ([pf_shift]): scalar registers, ring heads and
+   slots (rotating each ring's arrays), producer sequence numbers,
+   completion and ready times, in-flight addresses, and an open
+   rename-stall episode. A producer that had retired stays below the
+   window head, so its raw sequence number is left alone.
+
+   Untouched by a jump: scalar float registers, per-ExeBU µop totals and
+   [Lsu.total_issued], which neither the simulator nor its results
+   read. Everything else the naive loop would change inside the jumped
+   periods, it changes: the test_fastforward suite and every fuzz case
+   hold both loops to bit-identical metrics, counters, attribution and
+   trace streams. A replayed booking that does not land where period B's
+   did raises [Simulation_error] instead of continuing on a diverged
+   state.
+
+   The verification and the jump allocate nothing once the buffers are
+   sized (the [dod] test); [run] then hands them to the next simulation
+   on the same domain. *)
+
+let[@inline] mix h v = (h lxor v) * 0x100000001B3
+
+(* A channel's backlog past the current cycle, into [dst.(i)]: any free
+   time up to the next cycle is equivalent (the next booking starts no
+   earlier), so it reads 0. *)
+let chan_rel_into t level (dst : float array) i =
+  Channel.next_free_into (Hierarchy.channel t.hierarchy level) t.pf_fl 0;
+  let b = t.pf_fl.(0) -. float_of_int t.cycle in
+  dst.(i) <- (if b > 1.0 then b else 0.0)
+
+(* The same, in 1/64 cycles, for the hash. *)
+let chan_backlog t level =
+  chan_rel_into t level t.pf_fl 0;
+  int_of_float (t.pf_fl.(0) *. 64.0)
+
+let pf_hash t =
+  let now = t.cycle in
+  let h = ref 0 in
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    h := mix !h c.pc;
+    h := mix !h (c.p_tail - c.p_head);
+    h := mix !h (c.w_tail - c.w_head);
+    h := mix !h c.hp_n;
+    h := mix !h (Lsu.outstanding_loads c.lsu);
+    h := mix !h (Lsu.outstanding_stores c.lsu);
+    let nd = Lsu.next_done_at c.lsu in
+    h := mix !h (if nd = max_int then -1 else nd - now);
+    h := mix !h (Freelist.free c.freelist);
+    for q = c.w_head to c.w_tail - 1 do
+      let s = q land c.w_mask in
+      if Bitset.mem c.w_unissued s then h := mix !h (-2 - c.w_kind.(s))
+      else h := mix !h (Int.max (-1) (c.w_done.(s) - now))
+    done
+  done;
+  h := mix !h (chan_backlog t Occamy_mem.Level.Vec_cache);
+  h := mix !h (chan_backlog t Occamy_mem.Level.L2);
+  mix !h (chan_backlog t Occamy_mem.Level.Dram)
+
+(* The periodic buffers outlive their simulation: [run] hands them to a
+   per-domain cache, and the next simulation on that domain to propose a
+   period takes them over, growing any array its configuration needs
+   larger. A sweep of short runs allocates them once per domain. *)
+let pbuf_cache : pbuf option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let fit a n v = if Array.length a >= n then a else Array.make n v
+let exact a n v = if Array.length a = n then a else Array.make n v
+
+let clear_logs pb =
+  pb.sites.len <- 0;
+  pb.mems.len <- 0;
+  pb.comps.len <- 0;
+  pb.runs.len <- 0;
+  pb.tr_n <- 0
+
+(* Size the buffers on the first proposal. *)
+let pf_ensure t =
+  if not t.pb_ready then begin
+    let pb =
+      match Domain.DLS.get pbuf_cache with
+      | Some pb ->
+        Domain.DLS.set pbuf_cache None;
+        pb
+      | None -> t.pb
+    in
+    let cfg = t.cfg and n = Array.length t.cores in
+    let narr =
+      Array.fold_left
+        (fun acc c ->
+          Int.max acc
+            (Int.max
+               (Array.length c.wl.Workload.profiles)
+               (Array.fold_left
+                  (fun a d -> Int.max a (d.Program.arr_id + 1))
+                  0 c.wl.Workload.program.Program.arrays)))
+        1 t.cores
+    in
+    let w_cap = t.cores.(0).w_cap and p_cap = t.cores.(0).p_mask + 1 in
+    (* [emit_core]'s most ints per core: full pool, window, LSU and
+       waiter lists *)
+    let per_core =
+      10 + (cfg.Config.pool_capacity * 6) + (cfg.Config.window * 14)
+      + Reg.num_v
+      + ((cfg.Config.lsu_load_capacity + cfg.Config.lsu_store_capacity) * 4)
+    in
+    let ns = n * narr in
+    Array.iter
+      (fun sn ->
+        sn.sn <- fit sn.sn (n * per_core) 0;
+        sn.sn_ref <- fit sn.sn_ref ns max_int;
+        sn.sn_hi <- fit sn.sn_hi ns min_int;
+        sn.sn_x <- exact sn.sn_x (n * Reg.num_x) 0;
+        sn.sn_chan <- exact sn.sn_chan 3 0.0;
+        sn.sn_stall <- exact sn.sn_stall n (-1);
+        sn.sn_head <- exact sn.sn_head (2 * n) 0)
+      pb.pb_s;
+    pb.narr <- narr;
+    pb.delta <- fit pb.delta ns 0;
+    pb.sdelta <- fit pb.sdelta ns 0;
+    pb.ext_lo <- fit pb.ext_lo ns 0;
+    pb.ext_hi <- fit pb.ext_hi ns 0;
+    pb.hp_mark <- fit pb.hp_mark w_cap 0;
+    pb.park_mark <- fit pb.park_mark w_cap 0;
+    pb.sort_idx <-
+      fit pb.sort_idx
+        (Int.max cfg.Config.lsu_load_capacity cfg.Config.lsu_store_capacity)
+        0;
+    pb.rot <- fit pb.rot (Int.max w_cap p_cap) 0;
+    pb.rot_b <- fit pb.rot_b w_cap false;
+    clear_logs pb;
+    t.pb <- pb;
+    t.pb_ready <- true
+  end
+
+(* Hand the buffers to the domain's cache once the run is over. *)
+let pf_release t =
+  if t.pb_ready then begin
+    clear_logs t.pb;
+    Domain.DLS.set pbuf_cache (Some t.pb);
+    t.pb <- empty_pbuf ();
+    t.pb_ready <- false;
+    t.pf_mode <- 0
+  end
+
+let put sn v =
+  let i = sn.sn_len in
+  if i = Array.length sn.sn then begin
+    let a = Array.make (Int.max 1024 (2 * i)) 0 in
+    Array.blit sn.sn 0 a 0 i;
+    sn.sn <- a
+  end;
+  sn.sn.(i) <- v;
+  sn.sn_len <- i + 1
+
+(* An address stream is one core's accesses to one array id. The MOB
+   compares regions by array id alone, so two cores' streams of the same
+   id interact only if their regions overlap; [pf_bound] keeps them
+   apart for the whole jump. *)
+let[@inline] stream t c arr = (c.id * t.pb.narr) + arr
+
+let note_extent t sn c arr base len =
+  let i = stream t c arr in
+  if base < sn.sn_ref.(i) then sn.sn_ref.(i) <- base;
+  if base + len > sn.sn_hi.(i) then sn.sn_hi.(i) <- base + len
+
+(* LSU entries in canonical order: by (completion, array, relative base,
+   length), so the heap's array layout does not matter. *)
+let lsu_key t c ~is_store (refs : int array) j f =
+  let m = Lsu.entry_mob c.lsu ~is_store j in
+  match f with
+  | 0 -> Lsu.entry_done c.lsu ~is_store j
+  | 1 -> Mob.slot_arr t.mob m
+  | 2 -> Mob.slot_base t.mob m - refs.(stream t c (Mob.slot_arr t.mob m))
+  | _ -> Mob.slot_len t.mob m
+
+let rec lsu_lt t c ~is_store refs a b f =
+  f < 4
+  &&
+  let x = lsu_key t c ~is_store refs a f and y = lsu_key t c ~is_store refs b f in
+  x < y || (x = y && lsu_lt t c ~is_store refs a b (f + 1))
+
+let emit_lsu t sn c ~is_store =
+  let idx = t.pb.sort_idx and refs = sn.sn_ref in
+  let n =
+    if is_store then Lsu.outstanding_stores c.lsu
+    else Lsu.outstanding_loads c.lsu
+  in
+  put sn n;
+  for j = 0 to n - 1 do
+    (* insertion sort *)
+    let i = ref (j - 1) in
+    while !i >= 0 && lsu_lt t c ~is_store refs j idx.(!i) 0 do
+      idx.(!i + 1) <- idx.(!i);
+      decr i
+    done;
+    idx.(!i + 1) <- j
+  done;
+  for j = 0 to n - 1 do
+    let e = idx.(j) in
+    let m = Lsu.entry_mob c.lsu ~is_store e in
+    put sn (Lsu.entry_done c.lsu ~is_store e - t.cycle);
+    put sn (Mob.slot_arr t.mob m);
+    put sn (Mob.slot_base t.mob m - refs.(stream t c (Mob.slot_arr t.mob m)));
+    put sn (Mob.slot_len t.mob m)
+  done
+
+let[@inline] rel_seq c d = if d >= c.w_head then d - c.w_head else -1
+
+let emit_core t sn c =
+  let pb = t.pb and refs = sn.sn_ref and now = t.cycle in
+  put sn c.pc;
+  put sn (Bool.to_int c.halted);
+  put sn (match c.cs_state with Cs_running -> 0 | _ -> 1);
+  put sn (List.length c.cs_schedule);
+  put sn c.vl;
+  put sn (Freelist.free c.freelist);
+  (* pool *)
+  put sn (c.p_tail - c.p_head);
+  for q = c.p_head to c.p_tail - 1 do
+    let s = q land c.p_mask in
+    let kind = c.p_kind.(s) in
+    put sn kind;
+    put sn c.p_dst.(s);
+    if kind < k_compute then begin
+      put sn c.p_arr.(s);
+      put sn (c.p_base.(s) - refs.(stream t c c.p_arr.(s)));
+      put sn c.p_elems.(s)
+    end
+    else begin
+      put sn c.p_lat.(s);
+      if kind = k_compute then begin
+        put sn c.p_s1.(s);
+        put sn c.p_s2.(s);
+        put sn c.p_s3.(s)
+      end
+    end
+  done;
+  (* window: per entry, its fields, flags, and heap / waiter membership *)
+  let head = c.w_head and hslot = c.w_head land c.w_mask in
+  for h = 0 to c.hp_n - 1 do
+    pb.hp_mark.(c.hp_slot.(h)) <- c.hp_rdy.(h) - now
+  done;
+  for q = head to c.w_tail - 1 do
+    let w = ref c.w_wfirst.(q land c.w_mask) in
+    while !w >= 0 do
+      pb.park_mark.(!w) <- q - head + 1;
+      w := c.w_wnext.(!w)
+    done
+  done;
+  put sn (c.w_tail - head);
+  for q = head to c.w_tail - 1 do
+    let s = q land c.w_mask in
+    let kind = c.w_kind.(s) in
+    put sn kind;
+    put sn c.w_width.(s);
+    if kind < k_compute then begin
+      put sn c.w_arr.(s);
+      put sn (c.w_base.(s) - refs.(stream t c c.w_arr.(s)));
+      put sn c.w_elems.(s)
+    end
+    else put sn c.w_lat.(s);
+    put sn (rel_seq c c.w_s1.(s));
+    put sn (rel_seq c c.w_s2.(s));
+    put sn (rel_seq c c.w_s3.(s));
+    let un = Bitset.mem c.w_unissued s in
+    put sn
+      (Bool.to_int un
+      lor (Bool.to_int (Bitset.mem c.w_scan_c s) lsl 1)
+      lor (Bool.to_int (Bitset.mem c.w_scan_m s) lsl 2)
+      lor (Bool.to_int c.w_rdy.(s) lsl 3));
+    put sn (if un then 0 else c.w_done.(s) - now);
+    put sn pb.hp_mark.(s);
+    pb.hp_mark.(s) <- 0;
+    put sn pb.park_mark.(s);
+    pb.park_mark.(s) <- 0
+  done;
+  (* LSU-space waiters, in their FIFO order *)
+  let w = ref c.lw_head in
+  while !w >= 0 do
+    put sn ((!w - hslot) land c.w_mask);
+    w := c.w_wnext.(!w)
+  done;
+  put sn (-1);
+  w := c.sw_head;
+  while !w >= 0 do
+    put sn ((!w - hslot) land c.w_mask);
+    w := c.w_wnext.(!w)
+  done;
+  put sn (-1);
+  for v = 0 to Reg.num_v - 1 do
+    put sn (rel_seq c c.vmap.(v))
+  done;
+  emit_lsu t sn c ~is_store:false;
+  emit_lsu t sn c ~is_store:true
+
+(* Canonical snapshot of the machine into [sn]; [false] when the state
+   cannot lie inside a period (a core draining, restoring, or blocked on
+   a <VL> request or a reduction). *)
+let pf_snapshot t sn =
+  let narr = t.pb.narr in
+  Array.fill sn.sn_ref 0 (Array.length sn.sn_ref) max_int;
+  Array.fill sn.sn_hi 0 (Array.length sn.sn_hi) min_int;
+  sn.sn_len <- 0;
+  let ok = ref true in
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    (match c.cs_state with
+    | Cs_running | Cs_away _ -> ()
+    | Cs_draining | Cs_restoring _ -> ok := false);
+    if c.pending_vl >= 0 || c.pending_red then ok := false;
+    for q = c.p_head to c.p_tail - 1 do
+      let s = q land c.p_mask in
+      if c.p_kind.(s) < k_compute then
+        if c.p_arr.(s) < narr then
+          note_extent t sn c c.p_arr.(s) c.p_base.(s) c.p_elems.(s)
+        else ok := false
+    done;
+    for q = c.w_head to c.w_tail - 1 do
+      let s = q land c.w_mask in
+      if c.w_kind.(s) < k_compute then
+        if c.w_arr.(s) < narr then
+          note_extent t sn c c.w_arr.(s) c.w_base.(s) c.w_elems.(s)
+        else ok := false
+    done;
+    for d = 0 to 1 do
+      let is_store = d = 1 in
+      let n =
+        if is_store then Lsu.outstanding_stores c.lsu
+        else Lsu.outstanding_loads c.lsu
+      in
+      for j = 0 to n - 1 do
+        let m = Lsu.entry_mob c.lsu ~is_store j in
+        if m < 0 || Mob.slot_arr t.mob m >= narr then ok := false
+        else
+          note_extent t sn c (Mob.slot_arr t.mob m) (Mob.slot_base t.mob m)
+            (Mob.slot_len t.mob m)
+      done
+    done
+  done;
+  if !ok then begin
+    for i = 0 to Array.length t.cores - 1 do
+      let c = t.cores.(i) in
+      emit_core t sn c;
+      Array.blit c.xregs 0 sn.sn_x (i * Reg.num_x) Reg.num_x;
+      sn.sn_stall.(i) <- t.obs_stall_start.(i);
+      sn.sn_head.(2 * i) <- c.w_head;
+      sn.sn_head.((2 * i) + 1) <- c.p_head
+    done;
+    chan_rel_into t Occamy_mem.Level.Vec_cache sn.sn_chan 0;
+    chan_rel_into t Occamy_mem.Level.L2 sn.sn_chan 1;
+    chan_rel_into t Occamy_mem.Level.Dram sn.sn_chan 2
+  end;
+  !ok
+
+let snap_equal a b ~p =
+  let same = ref (a.sn_len = b.sn_len) in
+  let i = ref 0 in
+  while !same && !i < a.sn_len do
+    if a.sn.(!i) <> b.sn.(!i) then same := false;
+    incr i
+  done;
+  for l = 0 to 2 do
+    if a.sn_chan.(l) <> b.sn_chan.(l) then same := false
+  done;
+  (* An open rename-stall episode either stayed open across the period
+     (same start) or restarted one period later. *)
+  for c = 0 to Array.length a.sn_stall - 1 do
+    let x = a.sn_stall.(c) and y = b.sn_stall.(c) in
+    if not (x = y || (x >= 0 && y >= 0 && y - x = p)) then same := false
+  done;
+  !same
+
+(* Periods for which two cores' streams of one array id keep every
+   overlap test between them as it was in period B: forever if they
+   move together (their offset is fixed, like within one stream);
+   otherwise as long as their extents stay apart (0 if they overlap). *)
+let apart_below pb lo hi =
+  let gap = pb.ext_lo.(hi) - pb.ext_hi.(lo) in
+  let closing = pb.delta.(lo) - pb.delta.(hi) in
+  if gap < 0 then 0 else if closing <= 0 then max_int else gap / closing
+
+let apart pb si sj =
+  if pb.delta.(si) = pb.delta.(sj) then max_int
+  else if pb.ext_hi.(si) <= pb.ext_lo.(sj) then apart_below pb si sj
+  else apart_below pb sj si
+
+(* How many whole periods may follow period B (see "Where a jump
+   stops"); fills [pb.delta] with each address stream's shift. *)
+let pf_bound t =
+  let pb = t.pb and p = t.pf_p and now = t.cycle in
+  let sa = pb.pb_s.(0) and sb = pb.pb_s.(1) and sc = pb.pb_s.(2) in
+  let k = ref max_int in
+  for i = 0 to Array.length sa.sn_x - 1 do
+    if sc.sn_x.(i) - sb.sn_x.(i) <> sb.sn_x.(i) - sa.sn_x.(i) then k := 0
+  done;
+  (* Per stream: the shift of its in-flight regions, which B's
+     transmitted addresses must share, and its extent over period B
+     (regions in flight at t2 or t3, or transmitted in B). *)
+  let narr = pb.narr in
+  k := Int.min !k pb.site_k;
+  if pb.site_pos <> pb.sites.len then k := 0;
+  for i = 0 to Array.length pb.delta - 1 do
+    if sb.sn_ref.(i) = max_int then pb.delta.(i) <- pb.sdelta.(i)
+    else begin
+      pb.delta.(i) <- sc.sn_ref.(i) - sb.sn_ref.(i);
+      if pb.sdelta.(i) <> min_int && pb.sdelta.(i) <> pb.delta.(i) then
+        k := 0;
+      pb.ext_lo.(i) <- Int.min pb.ext_lo.(i) (Int.min sb.sn_ref.(i) sc.sn_ref.(i));
+      pb.ext_hi.(i) <- Int.max pb.ext_hi.(i) (Int.max sb.sn_hi.(i) sc.sn_hi.(i))
+    end
+  done;
+  (* Two cores' streams of one array id must stay disjoint. *)
+  let n = Array.length t.cores in
+  for arr = 0 to narr - 1 do
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let si = (i * narr) + arr and sj = (j * narr) + arr in
+        if pb.ext_lo.(si) < pb.ext_hi.(si) && pb.ext_lo.(sj) < pb.ext_hi.(sj)
+        then k := Int.min !k (apart pb si sj)
+      done
+    done
+  done;
+  k := Int.min !k ((t.cfg.max_cycles - 1 - now) / p);
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    match c.cs_state with
+    | Cs_running -> (
+      match c.cs_schedule with
+      | s :: _ -> k := if c.halted then 0 else Int.min !k ((s - 1 - now) / p)
+      | [] -> ())
+    | Cs_away { resume_at; _ } -> k := Int.min !k ((resume_at - 1 - now) / p)
+    | Cs_draining | Cs_restoring _ -> k := 0
+  done;
+  Int.max !k 0
+
+(* Ring rotation: the element at slot [s] moves to [(s + r) land mask]. *)
+let rotate_ints (a : int array) (tmp : int array) ~mask ~r =
+  Array.blit a 0 tmp 0 (mask + 1);
+  for s = 0 to mask do
+    a.((s + r) land mask) <- tmp.(s)
+  done
+
+let rotate_bools (a : bool array) (tmp : bool array) ~mask ~r =
+  Array.blit a 0 tmp 0 (mask + 1);
+  for s = 0 to mask do
+    a.((s + r) land mask) <- tmp.(s)
+  done
+
+let rotate_bits bs (tmp : int array) ~mask ~r =
+  let n = ref 0 and s = ref (Bitset.next_set_from bs 0) in
+  while !s >= 0 do
+    tmp.(!n) <- !s;
+    incr n;
+    s := Bitset.next_set_from bs (!s + 1)
+  done;
+  Bitset.clear bs;
+  for i = 0 to !n - 1 do
+    Bitset.add bs ((tmp.(i) + r) land mask)
+  done
+
+let[@inline] rot_slot v ~mask ~r = if v < 0 then v else (v + r) land mask
+
+let rotate_window pb c ~r =
+  let mask = c.w_mask and tmp = pb.rot in
+  for s = 0 to mask do
+    c.w_wfirst.(s) <- rot_slot c.w_wfirst.(s) ~mask ~r;
+    c.w_wnext.(s) <- rot_slot c.w_wnext.(s) ~mask ~r
+  done;
+  for h = 0 to c.hp_n - 1 do
+    c.hp_slot.(h) <- rot_slot c.hp_slot.(h) ~mask ~r
+  done;
+  c.lw_head <- rot_slot c.lw_head ~mask ~r;
+  c.lw_tail <- rot_slot c.lw_tail ~mask ~r;
+  c.sw_head <- rot_slot c.sw_head ~mask ~r;
+  c.sw_tail <- rot_slot c.sw_tail ~mask ~r;
+  rotate_ints c.w_kind tmp ~mask ~r;
+  rotate_ints c.w_width tmp ~mask ~r;
+  rotate_ints c.w_arr tmp ~mask ~r;
+  rotate_ints c.w_base tmp ~mask ~r;
+  rotate_ints c.w_elems tmp ~mask ~r;
+  rotate_ints c.w_lat tmp ~mask ~r;
+  rotate_ints c.w_s1 tmp ~mask ~r;
+  rotate_ints c.w_s2 tmp ~mask ~r;
+  rotate_ints c.w_s3 tmp ~mask ~r;
+  rotate_ints c.w_done tmp ~mask ~r;
+  rotate_ints c.w_wfirst tmp ~mask ~r;
+  rotate_ints c.w_wnext tmp ~mask ~r;
+  rotate_bools c.w_rdy pb.rot_b ~mask ~r;
+  rotate_bits c.w_unissued tmp ~mask ~r;
+  rotate_bits c.w_scan_c tmp ~mask ~r;
+  rotate_bits c.w_scan_m tmp ~mask ~r
+
+let rotate_pool pb c ~r =
+  let mask = c.p_mask and tmp = pb.rot in
+  rotate_ints c.p_kind tmp ~mask ~r;
+  rotate_ints c.p_dst tmp ~mask ~r;
+  rotate_ints c.p_arr tmp ~mask ~r;
+  rotate_ints c.p_base tmp ~mask ~r;
+  rotate_ints c.p_elems tmp ~mask ~r;
+  rotate_ints c.p_lat tmp ~mask ~r;
+  rotate_ints c.p_s1 tmp ~mask ~r;
+  rotate_ints c.p_s2 tmp ~mask ~r;
+  rotate_ints c.p_s3 tmp ~mask ~r
+
+(* Carry the state at t3 across [k] more periods. *)
+let pf_shift t ~k =
+  let pb = t.pb in
+  let sb = pb.pb_s.(1) and sc = pb.pb_s.(2) in
+  let span = k * t.pf_p in
+  for i = 0 to Array.length t.cores - 1 do
+    let c = t.cores.(i) in
+    let dw = k * (sc.sn_head.(2 * i) - sb.sn_head.(2 * i)) in
+    let dp = k * (sc.sn_head.((2 * i) + 1) - sb.sn_head.((2 * i) + 1)) in
+    for r = 0 to Reg.num_x - 1 do
+      let o = (i * Reg.num_x) + r in
+      c.xregs.(r) <- c.xregs.(r) + (k * (sc.sn_x.(o) - sb.sn_x.(o)))
+    done;
+    let head = c.w_head in
+    for q = head to c.w_tail - 1 do
+      let s = q land c.w_mask in
+      if not (Bitset.mem c.w_unissued s) then c.w_done.(s) <- c.w_done.(s) + span;
+      if c.w_kind.(s) < k_compute then
+        c.w_base.(s) <- c.w_base.(s) + (k * pb.delta.(stream t c c.w_arr.(s)));
+      if c.w_s1.(s) >= head then c.w_s1.(s) <- c.w_s1.(s) + dw;
+      if c.w_s2.(s) >= head then c.w_s2.(s) <- c.w_s2.(s) + dw;
+      if c.w_s3.(s) >= head then c.w_s3.(s) <- c.w_s3.(s) + dw
+    done;
+    for v = 0 to Reg.num_v - 1 do
+      if c.vmap.(v) >= head then c.vmap.(v) <- c.vmap.(v) + dw
+    done;
+    for h = 0 to c.hp_n - 1 do
+      c.hp_rdy.(h) <- c.hp_rdy.(h) + span
+    done;
+    for q = c.p_head to c.p_tail - 1 do
+      let s = q land c.p_mask in
+      if c.p_kind.(s) < k_compute then
+        c.p_base.(s) <- c.p_base.(s) + (k * pb.delta.(stream t c c.p_arr.(s)))
+    done;
+    for d = 0 to 1 do
+      let is_store = d = 1 in
+      let n =
+        if is_store then Lsu.outstanding_stores c.lsu
+        else Lsu.outstanding_loads c.lsu
+      in
+      for j = 0 to n - 1 do
+        let m = Lsu.entry_mob c.lsu ~is_store j in
+        Mob.shift_base t.mob m
+          ~by:(k * pb.delta.(stream t c (Mob.slot_arr t.mob m)))
+      done
+    done;
+    Lsu.shift_done c.lsu ~by:span;
+    if dw land c.w_mask <> 0 then rotate_window pb c ~r:(dw land c.w_mask);
+    c.w_head <- c.w_head + dw;
+    c.w_tail <- c.w_tail + dw;
+    if dp land c.p_mask <> 0 then rotate_pool pb c ~r:(dp land c.p_mask);
+    c.p_head <- c.p_head + dp;
+    c.p_tail <- c.p_tail + dp;
+    let st = t.obs_stall_start.(i) in
+    if st >= 0 && st <> sb.sn_stall.(i) then t.obs_stall_start.(i) <- st + span
+  done;
+  t.work_cycle <- t.work_cycle + span
+
+let pf_reset t =
+  t.pf_mode <- 0;
+  t.pf_ring_n <- 0;
+  clear_logs t.pb
+
+let pf_fail t =
+  pf_reset t;
+  t.pf_fails <- Int.min (t.pf_fails + 1) 6;
+  t.pf_retry_at <- t.cycle + (t.pf_p lsl t.pf_fails)
+
+let pf_start t ~p =
+  pf_ensure t;
+  if pf_snapshot t t.pb.pb_s.(0) then begin
+    t.pf_mode <- 1;
+    t.pf_p <- p;
+    t.pf_t0 <- t.cycle;
+    t.pf_edges0 <- t.pf_edges
+  end
+  else t.pf_retry_at <- t.cycle + p
+
+(* After a back-edge step: hash the state into the ring and propose the
+   shortest period whose start hashed the same. *)
+let pf_detect t =
+  if t.cycle >= t.pf_retry_at then begin
+    let h = pf_hash t in
+    let now = t.cycle and n = Array.length t.cores in
+    let found = ref 0 and i = ref 0 in
+    let m = Int.min t.pf_ring_n pf_ring in
+    while !i < m do
+      let e = (t.pf_ring_n - 1 - !i) land (pf_ring - 1) in
+      let p = now - t.pf_ring_cyc.(e) in
+      if p > pf_max_period then i := m
+      else if t.pf_ring_hash.(e) = h && p > 0 && p mod n = 0 then begin
+        found := p;
+        i := m
+      end
+      else incr i
+    done;
+    let e = t.pf_ring_n land (pf_ring - 1) in
+    t.pf_ring_cyc.(e) <- now;
+    t.pf_ring_hash.(e) <- h;
+    t.pf_ring_n <- t.pf_ring_n + 1;
+    if !found > 0 then pf_start t ~p:!found
+  end
+
+(* While verifying: at each period boundary compare snapshots; after
+   period B, bound and take the jump. *)
+let pf_on_step t =
+  let pb = t.pb and n = Array.length t.cores in
+  if t.pf_edges <> t.pf_edges0 then pf_fail t
+  else if t.cycle - t.pf_t0 >= t.pf_p then
+    if t.pf_mode = 1 then begin
+      if pf_snapshot t pb.pb_s.(1) && snap_equal pb.pb_s.(0) pb.pb_s.(1) ~p:t.pf_p
+      then begin
+        pb.site_pos <- 0;
+        pb.site_k <- max_int;
+        Array.fill pb.sdelta 0 (Array.length pb.sdelta) min_int;
+        Array.fill pb.ext_lo 0 (Array.length pb.ext_lo) max_int;
+        Array.fill pb.ext_hi 0 (Array.length pb.ext_hi) min_int;
+        for i = 0 to n - 1 do
+          read_counters t.cores.(i) t.pr_delta (i * n_cnt)
+        done;
+        t.pf_mode <- 2;
+        t.pf_t0 <- t.cycle
+      end
+      else pf_fail t
+    end
+    else if pf_snapshot t pb.pb_s.(2) && snap_equal pb.pb_s.(1) pb.pb_s.(2) ~p:t.pf_p
+    then begin
+      for i = 0 to n - 1 do
+        sub_counters t.cores.(i) t.pr_delta (i * n_cnt)
+      done;
+      let k = pf_bound t in
+      if k >= 1 then begin
+        let p = t.pf_p in
+        replay t ~p ~k;
+        pf_shift t ~k;
+        t.pf_skipped <- t.pf_skipped + (k * p);
+        t.pf_jumps <- t.pf_jumps + 1;
+        t.pf_fails <- 0;
+        pf_reset t
+      end
+      else pf_fail t
+    end
+    else pf_fail t
+
+(* The core whose back-edges sample the machine: the lowest-numbered
+   one still running its program. A machine period spans whole
+   iterations of every looping core, so one core's back-edges find it,
+   and sampling at one core's edges keeps the samples in phase. *)
+let rec sampler t i =
+  if i >= Array.length t.cores then max_int
+  else
+    let c = t.cores.(i) in
+    if (not c.halted) && cs_is_running c then i else sampler t (i + 1)
+
+(* Between steps of the fast-forwarding loop. *)
+let ff_after_step t =
+  if t.pf_mode > 0 then pf_on_step t
+  else begin
+    if t.pf_edge < max_int && t.pf_ok && t.pf_edge = sampler t 0 then
+      pf_detect t;
+    if t.pf_mode = 0 then try_fast_forward t
+  end;
+  t.pf_edge <- max_int
+
 let core_result c =
   {
     Metrics.core = c.id;
@@ -2064,26 +3328,28 @@ let core_result c =
     vl_timeline = Buckets.rates c.vl_buckets;
   }
 
+let advance t =
+  step t;
+  if t.cfg.fast_forward then begin
+    (* The fast-forward work runs between steps; [Prof.sampled] keeps
+       this cycle's sampling decision until the next [begin_cycle], so
+       the scan is attributed to the same profiled cycle. *)
+    if Prof.sampled t.prof then begin
+      Prof.enter t.prof Prof.Ff_scan;
+      ff_after_step t;
+      Prof.exit t.prof
+    end
+    else ff_after_step t
+  end;
+  Prof.end_cycle t.prof
+
+let finished t = all_done t || t.cycle >= t.cfg.max_cycles
+
 let run t =
-  if t.cfg.fast_forward then
-    while (not (all_done t)) && t.cycle < t.cfg.max_cycles do
-      step t;
-      (* The horizon scan runs between steps; [Prof.sampled] keeps this
-         cycle's sampling decision until the next [begin_cycle], so the
-         scan is attributed to the same profiled cycle. *)
-      if Prof.sampled t.prof then begin
-        Prof.enter t.prof Prof.Ff_scan;
-        try_fast_forward t;
-        Prof.exit t.prof
-      end
-      else try_fast_forward t;
-      Prof.end_cycle t.prof
-    done
-  else
-    while (not (all_done t)) && t.cycle < t.cfg.max_cycles do
-      step t;
-      Prof.end_cycle t.prof
-    done;
+  while not (finished t) do
+    advance t
+  done;
+  pf_release t;
   if not (all_done t) then
     error "simulation exceeded %d cycles (deadlock or runaway loop?)"
       t.cfg.max_cycles;
@@ -2153,6 +3419,8 @@ let simulate ?cfg ?trace ?prof ?attrib ?decisions ?context_switches ~arch
 let cycle t = t.cycle
 let config t = t.cfg
 let skipped_cycles t = t.ff_skipped
+let periodic_skipped_cycles t = t.pf_skipped
 let ff_jumps t = t.ff_jumps
+let periodic_jumps t = t.pf_jumps
 let prof t = t.prof
 let attrib t = t.attrib

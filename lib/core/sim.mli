@@ -83,6 +83,15 @@ val simulate :
 val step : t -> unit
 (** Advance one cycle (exposed for tests). *)
 
+val advance : t -> unit
+(** One iteration of {!run}'s loop (exposed for tests): a {!step}, then
+    with [fast_forward] a fast-forward attempt, which may jump over idle
+    cycles or whole verified periods. *)
+
+val finished : t -> bool
+(** Every workload is done, or the run reached [max_cycles]; {!run}
+    advances until this holds. *)
+
 val cycle : t -> int
 val config : t -> Config.t
 
@@ -96,6 +105,14 @@ val skipped_cycles : t -> int
 val ff_jumps : t -> int
 (** Number of fast-forward jumps taken ([skipped_cycles] spread over
     this many horizon events). *)
+
+val periodic_skipped_cycles : t -> int
+(** The part of [skipped_cycles] covered by periodic jumps: whole
+    verified periods of a steady-state loop replayed instead of stepped.
+    The rest are idle cycles skipped up to an event horizon. *)
+
+val periodic_jumps : t -> int
+(** The part of [ff_jumps] that were periodic jumps. *)
 
 val prof : t -> Occamy_obs.Prof.t
 (** The profiler passed at [create] ({!Occamy_obs.Prof.disabled} when

@@ -18,14 +18,22 @@ type sample = {
   arch : Arch.t;
   simulated_cycles : int;  (* final simulator cycle of the run *)
   skipped_cycles : int;    (* cycles covered by fast-forward jumps *)
+  periodic_cycles : int;   (* the part covered by periodic jumps *)
   ff_jumps : int;
   naive_seconds : float;
   ff_seconds : float;
 }
 
-let skip_ratio s =
+let ratio n s =
   if s.simulated_cycles <= 0 then 0.0
-  else float_of_int s.skipped_cycles /. float_of_int s.simulated_cycles
+  else float_of_int n /. float_of_int s.simulated_cycles
+
+let skip_ratio s = ratio s.skipped_cycles s
+
+(* The skip split: idle stretches jumped to an event horizon vs whole
+   periods of a steady-state loop. *)
+let idle_ratio s = ratio (s.skipped_cycles - s.periodic_cycles) s
+let periodic_ratio s = ratio s.periodic_cycles s
 
 (* Wall-clock guard: a degenerate 0-second measurement (clock
    granularity) must not produce infinite rates or NaN gates. *)
@@ -79,6 +87,7 @@ let measure ?(cfg = Config.default) ?(context_switches = []) ?(repeat = 1)
     arch;
     simulated_cycles = Sim.cycle t_ff;
     skipped_cycles = Sim.skipped_cycles t_ff;
+    periodic_cycles = Sim.periodic_skipped_cycles t_ff;
     ff_jumps = Sim.ff_jumps t_ff;
     naive_seconds;
     ff_seconds;
@@ -99,8 +108,10 @@ let total_ff_seconds samples =
 
 let pp_sample ppf s =
   Fmt.pf ppf
-    "%-8s %10d cycles  skip %5.1f%% in %4d jumps  naive %8.0f cyc/s  ff \
-     %8.0f cyc/s  speedup %.2fx"
+    "%-8s %10d cycles  skip %5.1f%% (idle %5.1f%%, periodic %5.1f%%) in \
+     %4d jumps  naive %8.0f cyc/s  ff %8.0f cyc/s  speedup %.2fx"
     (Arch.name s.arch) s.simulated_cycles
     (100.0 *. skip_ratio s)
+    (100.0 *. idle_ratio s)
+    (100.0 *. periodic_ratio s)
     s.ff_jumps (naive_cycles_per_sec s) (ff_cycles_per_sec s) (speedup s)

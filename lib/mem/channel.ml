@@ -67,6 +67,10 @@ let book t ~io =
 (** Would a request issued [now] start immediately (no queueing)? *)
 let[@inline] is_free t ~now = t.st.(0) <= now
 
+(** Copy the cycle at which the channel frees up into [dst.(i)]; a float
+    array cell keeps it unboxed across the call. *)
+let next_free_into t (dst : float array) i = dst.(i) <- t.st.(0)
+
 let bytes_per_cycle t = t.bytes_per_cycle
 let busy_cycles t = t.st.(1)
 let bytes_moved t = t.st.(2)

@@ -21,6 +21,10 @@ val book : t -> io:float array -> unit
 val is_free : t -> now:float -> bool
 (** Would a request at [now] start without queueing? *)
 
+val next_free_into : t -> float array -> int -> unit
+(** [next_free_into t dst i] stores the cycle at which the channel frees
+    up in [dst.(i)] (unboxed, like {!book}). *)
+
 val bytes_per_cycle : t -> float
 val busy_cycles : t -> float
 val bytes_moved : t -> float

@@ -101,6 +101,21 @@ let remove_slot t s =
   t.free.(t.free_n) <- s;
   t.free_n <- t.free_n + 1
 
+(** Region of an occupied slot (read-only views for the simulator's
+    periodic fast-forward state digest). *)
+let slot_arr t s = t.arrs.(s)
+
+let slot_base t s = t.bases.(s)
+let slot_len t s = t.lens.(s)
+
+(** Move an occupied slot's region [by] elements within its array. A
+    periodic fast-forward jump shifts every in-flight region of an array
+    by the same amount, which preserves all overlaps. *)
+let shift_base t s ~by =
+  if s < 0 || s >= t.capacity || t.arrs.(s) < 0 then
+    invalid_arg "Mob.shift_base: not occupied";
+  t.bases.(s) <- t.bases.(s) + by
+
 let[@inline] ranges_overlap b1 l1 b2 l2 = b1 < b2 + l2 && b2 < b1 + l1
 
 let rec chain_scan t ~base ~len ~is_store s =

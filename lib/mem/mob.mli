@@ -17,6 +17,16 @@ val insert_slot : t -> arr:int -> base:int -> len:int -> is_store:bool -> int
 val remove_slot : t -> int -> unit
 (** Deallocate by slot handle; raises on a slot that is not occupied. *)
 
+val slot_arr : t -> int -> int
+(** Array id of a slot, [-1] when free. *)
+
+val slot_base : t -> int -> int
+val slot_len : t -> int -> int
+
+val shift_base : t -> int -> by:int -> unit
+(** Move an occupied slot's region [by] elements; raises on a free slot.
+    Used by the simulator's periodic fast-forward jump. *)
+
 val conflicts : t -> arr:int -> base:int -> len:int -> is_store:bool -> bool
 (** Reads conflict with in-flight stores; writes with everything. Walks
     only the in-flight entries of [arr]. *)

@@ -50,4 +50,10 @@ let classify t rng =
   else if x < t.vc +. t.l2 then Level.L2
   else Level.Dram
 
+(** Does {!classify} return the same level for every draw? True for the
+    pure profiles (all accesses at one level): a uniform draw in [0, 1)
+    is always below [vc = 1] and never below [0]. The draw itself still
+    advances the generator. *)
+let deterministic t = t.vc >= 1.0 || (t.vc <= 0.0 && (t.l2 >= 1.0 || t.l2 <= 0.0))
+
 let pp ppf t = Fmt.pf ppf "{vc=%.2f; l2=%.2f; dram=%.2f}" t.vc t.l2 t.dram

@@ -19,4 +19,7 @@ val l2_resident : t
 
 val dominant : t -> Level.t
 val classify : t -> Occamy_util.Rng.t -> Level.t
+val deterministic : t -> bool
+(** [classify] returns one level whatever the draw (a pure profile). *)
+
 val pp : Format.formatter -> t -> unit

@@ -83,8 +83,6 @@ type job = {
   body : int -> unit;
   obs : observer;
   cursor : int Atomic.t;  (* next unclaimed task index *)
-  minor : int Atomic.t;  (* GC collections, summed over participants *)
-  major : int Atomic.t;
   err : (int * exn * Printexc.raw_backtrace) option Atomic.t;
 }
 
@@ -101,7 +99,6 @@ let rec note_error job i exn bt =
    the task or from a buggy observer) are recorded, never propagated:
    every claimed task must finish or the job would never drain. *)
 let participate job ~worker =
-  let g0 = Gc.quick_stat () in
   let rec claim () =
     let i = Atomic.fetch_and_add job.cursor 1 in
     if i < job.n then begin
@@ -114,14 +111,7 @@ let participate job ~worker =
       claim ()
     end
   in
-  claim ();
-  let g1 = Gc.quick_stat () in
-  ignore
-    (Atomic.fetch_and_add job.minor
-       (g1.Gc.minor_collections - g0.Gc.minor_collections));
-  ignore
-    (Atomic.fetch_and_add job.major
-       (g1.Gc.major_collections - g0.Gc.major_collections))
+  claim ()
 
 (* ------------------------------------------------------------------ *)
 (* The shared pool                                                     *)
@@ -234,7 +224,9 @@ let run_pooled job =
 
 (* Run [body 0 .. body (n-1)] on [workers] participants, record the
    totals, then re-raise the lowest-index failure. One worker, or a
-   pool already busy, runs the same claim loop on the caller alone. *)
+   pool already busy, runs the same claim loop on the caller alone.
+   The GC counts of [Gc.quick_stat] are process-wide, so one delta taken
+   on the caller around the whole job counts each collection once. *)
 let run ~workers ~observer body n =
   let job =
     {
@@ -243,11 +235,10 @@ let run ~workers ~observer body n =
       body;
       obs = observer;
       cursor = Atomic.make 0;
-      minor = Atomic.make 0;
-      major = Atomic.make 0;
       err = Atomic.make None;
     }
   in
+  let g0 = Gc.quick_stat () in
   let used =
     if workers > 1 && Mutex.try_lock pool.busy then begin
       Fun.protect
@@ -260,6 +251,7 @@ let run ~workers ~observer body n =
       1
     end
   in
+  let g1 = Gc.quick_stat () in
   Mutex.protect totals_mutex (fun () ->
       let t = !running in
       running :=
@@ -267,8 +259,12 @@ let run ~workers ~observer body n =
           t with
           t_tasks = t.t_tasks + n;
           t_max_workers = max t.t_max_workers used;
-          t_minor_collections = t.t_minor_collections + Atomic.get job.minor;
-          t_major_collections = t.t_major_collections + Atomic.get job.major;
+          t_minor_collections =
+            t.t_minor_collections
+            + (g1.Gc.minor_collections - g0.Gc.minor_collections);
+          t_major_collections =
+            t.t_major_collections
+            + (g1.Gc.major_collections - g0.Gc.major_collections);
         });
   match Atomic.get job.err with
   | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt

@@ -125,7 +125,9 @@ type totals = {
   t_tasks : int;  (** tasks run *)
   t_max_workers : int;  (** widest effective worker count seen *)
   t_minor_collections : int;
-      (** [Gc.quick_stat] deltas, summed over each map's participants *)
+      (** [Gc.quick_stat] deltas, one per map, taken on the calling domain
+          around the whole map (the counts are process-wide, so each
+          collection is counted once however many workers ran) *)
   t_major_collections : int;
   t_steals : int;
   t_steal_attempts : int;

@@ -132,6 +132,19 @@ let test_diff_catches_injected_bugs () =
         (report.Fuzz.counterexample <> None))
     Fuzz.injections
 
+let test_fuzz_covers_periodic_jumps () =
+  (* Every case runs both tick loops, so a case whose fast-forwarding
+     runs took a periodic jump checks that path against the naive loop.
+     A fixed campaign must contain such cases, or the oracle no longer
+     sees the path. *)
+  let report = Fuzz.run ~seed:0 ~count:48 ~jobs:1 () in
+  Helpers.check_bool "campaign passes" true (report.Fuzz.counterexample = None);
+  Helpers.check_bool
+    (Printf.sprintf "%d of 48 cases took a periodic jump"
+       report.Fuzz.periodic_cases)
+    true
+    (report.Fuzz.periodic_cases >= 1)
+
 let test_fuzz_rejects_invalid_args () =
   (* A negative count or non-positive deadline used to run zero cases
      and report success; both must now be rejected loudly, like
@@ -292,6 +305,8 @@ let suites =
       [
         Alcotest.test_case "clean cases pass" `Quick test_diff_clean_cases_pass;
         Alcotest.test_case "injected bugs caught" `Quick test_diff_catches_injected_bugs;
+        Alcotest.test_case "campaign covers periodic jumps" `Quick
+          test_fuzz_covers_periodic_jumps;
         Alcotest.test_case "invalid campaign args rejected" `Quick
           test_fuzz_rejects_invalid_args;
       ] );

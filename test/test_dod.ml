@@ -218,10 +218,49 @@ let check_zero_alloc ?prof label =
        words"
       label !min_delta
 
+(* The same for the fast-forwarding loop across periodic stretches:
+   drive [Sim.advance] (a step, then the fast-forward attempt) through a
+   vector loop repeated by an outer loop, so one run takes a periodic
+   jump per repetition with no phase change in between. The first jump
+   sizes the recording buffers; from there to the last jump, every
+   detection hash, snapshot, recorded period, replay and state shift
+   must allocate nothing. *)
+let check_zero_alloc_periodic ?prof label =
+  let loop = Occamy_workloads.Motivating.wsm5_loop ~tc:4096 in
+  let wl =
+    Occamy_compiler.Codegen.compile_workload ~name:"repeated"
+      ~kind:Occamy_core.Workload.Compute_intensive
+      [ { loop with Occamy_compiler.Loop_ir.outer_reps = 5 } ]
+  in
+  let cfg = { Config.default with Config.cores = 1 } in
+  let sim = Sim.create ~cfg ?prof ~arch:Arch.Private [ wl ] in
+  while (not (Sim.finished sim)) && Sim.periodic_jumps sim = 0 do
+    Sim.advance sim
+  done;
+  let before = Gc.minor_words () in
+  let last = ref before in
+  let first = Sim.periodic_jumps sim in
+  while not (Sim.finished sim) do
+    let jumps = Sim.periodic_jumps sim in
+    Sim.advance sim;
+    if Sim.periodic_jumps sim > jumps then last := Gc.minor_words ()
+  done;
+  Helpers.check_bool
+    (Printf.sprintf "several periodic jumps after the first%s" label)
+    true
+    (Sim.periodic_jumps sim >= first + 3);
+  if !last -. before <> 0.0 then
+    Alcotest.failf
+      "periodic fast-forward allocates%s: %.0f minor words from the first \
+       jump to the last"
+      label (!last -. before)
+
 let test_zero_alloc_steady_state () =
   check_zero_alloc "";
+  check_zero_alloc_periodic "";
   let prof = Occamy_obs.Prof.create () in
   check_zero_alloc ~prof " with a profiler attached";
+  check_zero_alloc_periodic ~prof " with a profiler attached";
   if Occamy_obs.Prof.sampled_cycles prof = 0 then
     Alcotest.fail "the profiler sampled no cycle"
 

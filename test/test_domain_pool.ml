@@ -166,6 +166,28 @@ let test_totals_accumulate () =
   Dp.reset_totals ();
   Helpers.check_int "reset" 0 (Dp.totals ()).Dp.t_tasks
 
+(* GC collections are process-wide: an N-worker map must report each one
+   once, not once per participant. *)
+let test_gc_counted_once () =
+  Dp.reset_totals ();
+  let g0 = Gc.quick_stat () in
+  ignore
+    (Dp.map ~jobs:2 ~oversubscribe:true
+       (fun i ->
+         for j = 0 to 200_000 do
+           ignore (Sys.opaque_identity (Array.make 10 (i + j)))
+         done)
+       (List.init 40 Fun.id));
+  let g1 = Gc.quick_stat () in
+  let t = Dp.totals () in
+  let observed = g1.Gc.minor_collections - g0.Gc.minor_collections in
+  Helpers.check_bool
+    (Printf.sprintf "totals %d <= caller-observed %d minor collections"
+       t.Dp.t_minor_collections observed)
+    true
+    (t.Dp.t_minor_collections <= observed);
+  Helpers.check_bool "the map collected" true (t.Dp.t_minor_collections > 0)
+
 (* The sequential path and the pooled path keep one contract: with a
    task failing, every task still runs exactly once, every Start gets
    its Stop, the lowest failing index is re-raised and the totals still
@@ -406,5 +428,7 @@ let suites =
         Alcotest.test_case "pool grows, never shrinks" `Quick
           test_pool_grows_never_shrinks;
         Alcotest.test_case "nested map" `Quick test_nested_map;
+        Alcotest.test_case "GC collections counted once" `Quick
+          test_gc_counted_once;
       ] );
   ]

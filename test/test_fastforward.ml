@@ -20,14 +20,16 @@ module Motivating = Occamy_workloads.Motivating
 module Suite = Occamy_workloads.Suite
 
 (* Run both loops on identical inputs; fail the test on any divergence
-   in metrics or trace streams; hand back the fast-forwarding simulator
-   so callers can also assert skip statistics. *)
+   in metrics, attribution time series or trace streams; hand back the
+   fast-forwarding simulator so callers can also assert skip
+   statistics. [attrib_window] sets the attribution sampling window. *)
 let run_both ?(cfg = Config.default) ?(context_switches = [])
-    ?(attrib = false) ~label ~arch wls =
+    ?(attrib = false) ?attrib_window ~label ~arch wls =
   let run fast_forward =
     let trace = Trace.for_sim ~cores:cfg.Config.cores () in
     let attrib =
-      if attrib then Attrib.create ~cores:cfg.Config.cores ()
+      if attrib then
+        Attrib.create ?window:attrib_window ~cores:cfg.Config.cores ()
       else Attrib.disabled
     in
     let t =
@@ -54,7 +56,24 @@ let run_both ?(cfg = Config.default) ?(context_switches = [])
   Helpers.check_int
     (Printf.sprintf "%s/%s: same final cycle" label (Arch.name arch))
     (Sim.cycle t_naive) (Sim.cycle t_ff);
+  Helpers.check_bool
+    (Printf.sprintf "%s/%s: same attribution windows" label (Arch.name arch))
+    true
+    (Attrib.samples (Sim.attrib t_naive) = Attrib.samples (Sim.attrib t_ff)
+    && Attrib.pending (Sim.attrib t_naive) = Attrib.pending (Sim.attrib t_ff)
+    && Attrib.dropped_windows (Sim.attrib t_naive)
+       = Attrib.dropped_windows (Sim.attrib t_ff));
   t_ff
+
+(* Share of the run's cycles that periodic jumps covered. *)
+let periodic_share t =
+  float_of_int (Sim.periodic_skipped_cycles t) /. float_of_int (Sim.cycle t)
+
+let check_periodic label t =
+  Helpers.check_bool
+    (Printf.sprintf "%s: took a periodic jump" label)
+    true
+    (Sim.periodic_jumps t > 0)
 
 (* ---------------- Motivating pairs ---------------------------------- *)
 
@@ -232,8 +251,173 @@ let test_fresh_fuzz_cases () =
         Arch.all
   done
 
+(* ---------------- Periodic jumps ------------------------------------ *)
+
+let pair_1_13 = lazy (Suite.compile_pair (Option.get (Suite.find_pair "1+13")))
+
+let test_periodic_every_arch () =
+  (* The dense sweep's steady-state loops must keep taking periodic
+     jumps, so the path cannot silently switch off. Each jump also ends
+     at a loop exit: the loop's exit branch flips one period later. *)
+  List.iter
+    (fun arch ->
+      let label = "periodic-1+13/" ^ Arch.name arch in
+      let t = run_both ~attrib:true ~label ~arch (Lazy.force pair_1_13) in
+      check_periodic label t;
+      Helpers.check_bool
+        (Printf.sprintf "%s: periodic share %.2f >= 0.40" label
+           (periodic_share t))
+        true
+        (periodic_share t >= 0.40))
+    Arch.all
+
+let test_periodic_tail () =
+  (* 4100 elements: the last iteration's count (4) is below the vector
+     length, so a jump must stop before the MIN that computes it flips. *)
+  let wls = Motivating.pair ~tc0:4100 ~tc1:4100 () in
+  List.iter
+    (fun arch ->
+      let label = "periodic-tail/" ^ Arch.name arch in
+      check_periodic label (run_both ~attrib:true ~label ~arch wls))
+    Arch.all
+
+let test_periodic_replan () =
+  (* On Occamy each phase entry/exit writes <OI> and replans; jumps
+     happen between them, never across one. *)
+  let t =
+    run_both ~attrib:true ~label:"periodic-replan" ~arch:Arch.Occamy
+      (Lazy.force pair_1_13)
+  in
+  check_periodic "periodic-replan" t
+
+let test_periodic_context_switch () =
+  (* Core 1 of 1+13 runs one long steady loop after core 0 halts; a
+     preemption in the middle of it splits it into two periodic
+     stretches, and a jump must stop short of the switch. *)
+  List.iter
+    (fun arch ->
+      let label = "periodic-preempt/" ^ Arch.name arch in
+      let t =
+        run_both ~attrib:true
+          ~context_switches:[ (1, 25_000) ]
+          ~label ~arch (Lazy.force pair_1_13)
+      in
+      Helpers.check_bool
+        (Printf.sprintf "%s: jumps on both sides of the switch" label)
+        true
+        (Sim.periodic_jumps t >= 2))
+    Arch.all
+
+let test_periodic_boundaries () =
+  (* Long jumps cross Buckets' 1000-cycle buckets, the 1024-cycle
+     invariant checks and, with a 100-cycle attribution window, many
+     attribution windows at once. *)
+  List.iter
+    (fun arch ->
+      let label = "periodic-windows/" ^ Arch.name arch in
+      let t =
+        run_both ~attrib:true ~attrib_window:100 ~label ~arch
+          (Lazy.force pair_1_13)
+      in
+      check_periodic label t;
+      Helpers.check_bool
+        (Printf.sprintf "%s: a jump spans several buckets" label)
+        true
+        (Sim.periodic_skipped_cycles t / Sim.periodic_jumps t > 3000))
+    Arch.all
+
+let test_periodic_shared_ports () =
+  (* FTS: both cores share the issue ports and the freelist; the same
+     loop on both cores runs in lockstep, so a period spans both. *)
+  let wl = List.nth (Lazy.force pair_1_13) 1 in
+  let t =
+    run_both ~attrib:true ~label:"periodic-fts" ~arch:Arch.Fts [ wl; wl ]
+  in
+  check_periodic "periodic-fts" t
+
+let test_periodic_mixed_profile () =
+  (* A mixed profile draws each access's level from the RNG, so no two
+     periods are alike: it must never take a periodic jump. *)
+  let mixed (wl : Workload.t) =
+    {
+      wl with
+      Workload.profiles =
+        Array.map
+          (fun _ -> Occamy_mem.Profile.make ~vc:0.5 ~l2:0.3 ~dram:0.2)
+          wl.Workload.profiles;
+    }
+  in
+  let wls = List.map mixed (Lazy.force pair_1_13) in
+  List.iter
+    (fun arch ->
+      let label = "periodic-mixed/" ^ Arch.name arch in
+      let t = run_both ~attrib:true ~label ~arch wls in
+      Helpers.check_int (label ^ ": no periodic jump") 0 (Sim.periodic_jumps t))
+    Arch.all
+
+let test_periodic_shared_array_ids () =
+  (* Both programs number their arrays from 0, and the MOB tells arrays
+     apart by id alone, so the two cores' streams of one id are one
+     address space. While their regions stay apart they cannot
+     conflict and the cores' loops may be periodic together; a jump
+     must end before the streams meet (4+14 on Private and VLS, 11+5 on
+     Occamy, exercise exactly that). *)
+  List.iter
+    (fun (label, archs) ->
+      let wls = Suite.compile_pair (Option.get (Suite.find_pair label)) in
+      List.iter
+        (fun arch ->
+          let label = Printf.sprintf "periodic-streams-%s/%s" label (Arch.name arch) in
+          check_periodic label (run_both ~label ~arch wls))
+        archs)
+    [ ("4+14", [ Arch.Private; Arch.Vls ]); ("11+5", [ Arch.Occamy ]) ]
+
+let test_periodic_then_mixed () =
+  (* WL1 alone, its first phase's arrays pure and its second phase's
+     mixed: the second phase draws every access's level from the RNG, so
+     it sees the generator exactly where the first phase's jumps left
+     it. A jump that skipped its period's draws would shift every later
+     level. *)
+  let wl = List.hd (Lazy.force pair_1_13) in
+  let profiles =
+    Array.map
+      (fun (d : Occamy_isa.Program.array_decl) ->
+        if String.length d.arr_name > 6 && String.sub d.arr_name 0 6 = "step3d"
+        then Occamy_mem.Profile.make ~vc:0.4 ~l2:0.3 ~dram:0.3
+        else wl.Workload.profiles.(d.arr_id))
+      wl.Workload.program.Occamy_isa.Program.arrays
+  in
+  let cfg = { Config.default with Config.cores = 1 } in
+  List.iter
+    (fun arch ->
+      let label = "periodic-then-mixed/" ^ Arch.name arch in
+      check_periodic label
+        (run_both ~cfg ~attrib:true ~label ~arch
+           [ { wl with Workload.profiles } ]))
+    [ Arch.Private; Arch.Occamy ]
+
 let suites =
   [
+    ( "fastforward.periodic",
+      [
+        Alcotest.test_case "1+13 jumps on every arch" `Quick
+          test_periodic_every_arch;
+        Alcotest.test_case "tail iteration below the vector length" `Quick
+          test_periodic_tail;
+        Alcotest.test_case "<OI> writes and replans" `Quick
+          test_periodic_replan;
+        Alcotest.test_case "context switch inside a stretch" `Quick
+          test_periodic_context_switch;
+        Alcotest.test_case "bucket, window and invariant boundaries" `Quick
+          test_periodic_boundaries;
+        Alcotest.test_case "FTS shared ports" `Quick test_periodic_shared_ports;
+        Alcotest.test_case "mixed profile never jumps" `Quick
+          test_periodic_mixed_profile;
+        Alcotest.test_case "mixed profile after a stretch" `Quick
+          test_periodic_then_mixed;
+        Alcotest.test_case "two cores' streams of one array id" `Quick
+          test_periodic_shared_array_ids;
+      ] );
     ( "fastforward.equivalence",
       [
         Alcotest.test_case "motivating pair" `Quick test_motivating_pair;
