@@ -1,13 +1,12 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§7), plus three self-checking sections — `perf`
-   (fast-forward never slower than the naive loop), `scaling` (`-j N`
-   never slower than `-j 1`) and `reliability` (TMR masks every
-   injected flip) — that exit non-zero when their gate fails.
+   paper's evaluation (§7), plus two self-checking sections — `perf`
+   (fast-forward never slower than the naive loop) and `scaling` (`-j N`
+   never slower than `-j 1`) — that exit non-zero when their gate fails.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig10   -- one section (any of: table4
         table3 fig2 table5 fig14 fig10 fig16 fig12 ablations perf
-        scaling reliability)
+        scaling)
 
    Host-time numbers are printed, never recorded: a speed claim is
    measured with the performance ledger (bench/ledger/, BENCHMARK.json),
@@ -27,7 +26,7 @@ module E = Occamy_experiments
 
 let known_sections =
   [ "table4"; "table3"; "fig2"; "table5"; "fig14"; "fig10"; "fig16"; "fig12";
-    "ablations"; "perf"; "scaling"; "reliability" ]
+    "ablations"; "perf"; "scaling" ]
 
 let usage () =
   Printf.eprintf
@@ -354,26 +353,6 @@ let run_scaling () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Reliability: TMR cost/benefit                                       *)
-(* ------------------------------------------------------------------ *)
-
-let run_reliability () =
-  let r = E.Reliability.run () in
-  Format.printf "%a@." E.Reliability.pp r;
-  (* The acceptance gate: a TMR trial whose output diverges from the
-     fault-free run is silent corruption — never acceptable. *)
-  let silent = E.Reliability.silent r in
-  if silent > 0 then begin
-    Printf.eprintf
-      "bench: %d silent corruption%s escaped TMR (%d/%d trials masked)\n%!"
-      silent
-      (if silent = 1 then "" else "s")
-      r.E.Reliability.tmr_faults.E.Reliability.masked
-      r.E.Reliability.tmr_faults.E.Reliability.trials;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Golden-metrics drift gate (--golden-check / --golden-update)        *)
 (* ------------------------------------------------------------------ *)
 
@@ -393,12 +372,7 @@ let golden_core_keys cores =
     (List.init cores (fun c ->
          List.map
            (Printf.sprintf "core%d.%s" c)
-           [
-             "finish"; "issued_compute"; "issued_mem"; "reconfigs";
-             (* Injection is off in every gated machine: these must stay
-                0, pinning the fault layer's zero-overhead default. *)
-             "fault_opportunities"; "faults_injected";
-           ]))
+           [ "finish"; "issued_compute"; "issued_mem"; "reconfigs" ]))
 
 let golden_sim_keys =
   [ "sim.total_cycles"; "sim.simd_util"; "sim.busy_lane_cycles";
@@ -429,19 +403,6 @@ let golden_metrics () =
         Config.four_core,
         Occamy_workloads.Suite.compile_group ~tc_scale:0.3
           (List.hd Occamy_workloads.Suite.four_core_groups) );
-      (* The motivating pair lowered with lane-level TMR (keys under
-         "tmr."), at reduced trip counts — replicated issue streams and
-         voter instructions change lane demand, so TMR timing drift is
-         caught by the same gate. Injection itself stays off. *)
-      ( "tmr.",
-        Config.default,
-        Occamy_workloads.Motivating.pair
-          ~options:
-            {
-              Occamy_compiler.Codegen.default_options with
-              Occamy_compiler.Codegen.tmr = true;
-            }
-          ~tc0:3072 ~tc1:49152 () );
     ]
   in
   List.concat_map
@@ -563,5 +524,4 @@ let () =
   timed "ablations" run_ablations;
   timed "perf" run_perf;
   timed "scaling" run_scaling;
-  timed "reliability" run_reliability;
   print_endline "\nAll requested sections completed."

@@ -629,27 +629,7 @@ let corpus_cmd =
                 f ))
         entries
     in
-    let inject_entries = Occamy_check.Corpus.inject_entries in
-    let inject_failures =
-      List.filter_map
-        (fun (e : Occamy_check.Corpus.inject_entry) ->
-          match Occamy_check.Corpus.replay_inject e with
-          | Ok stats ->
-            Fmt.pr "corpus %-32s ok (%a)@." e.Occamy_check.Corpus.i_name
-              Occamy_check.Inject.pp_stats stats;
-            None
-          | Error f ->
-            Fmt.pr "corpus %-32s FAILED: %a@." e.Occamy_check.Corpus.i_name
-              Occamy_check.Diff.pp_failure f;
-            Some
-              ( e.Occamy_check.Corpus.i_name,
-                e.Occamy_check.Corpus.i_seed,
-                Occamy_check.Inject.repro_command e.Occamy_check.Corpus.i_seed,
-                f ))
-        inject_entries
-    in
-    let failures = failures @ inject_failures in
-    let total = List.length entries + List.length inject_entries in
+    let total = List.length entries in
     Fmt.pr "corpus: %d/%d entries passed@." (total - List.length failures)
       total;
     match failures with
@@ -734,18 +714,6 @@ let fuzz_cmd =
                 demonstrating that the fuzzer catches and shrinks it."
                (String.concat ", " names)))
   in
-  let inject_faults_arg =
-    Arg.(
-      value & flag
-      & info [ "inject-faults" ]
-          ~doc:
-            "Fault-injection mode: every case compiles both plain and \
-             TMR lowerings and runs the differential masking oracle — \
-             single-bit lane flips must all be masked by TMR (any escape \
-             is silent corruption and fails), plain-mode flips are \
-             classified detected/benign, and the simulator's two tick \
-             loops must stay bit-identical under rate-driven injection.")
-  in
   let out_arg =
     Arg.(
       value
@@ -755,119 +723,70 @@ let fuzz_cmd =
             "On failure, write the counterexample (JSON summary, pretty \
              loops, repro command) into $(docv) for CI artifact upload.")
   in
-  let write_artifacts dir ~root_seed ~repro ~cx_index ~cx_seed
-      ~(failure : Occamy_check.Diff.failure) ~steps ~shrunk ~original =
+  let write_artifacts dir ~root_seed ?inject_name
+      (cx : Occamy_check.Fuzz.counterexample) =
+    let repro =
+      Occamy_check.Fuzz.repro_command ?inject_name cx.Occamy_check.Fuzz.cx_seed
+    in
+    let failure = cx.Occamy_check.Fuzz.cx_failure in
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
     let json_path = Filename.concat dir "counterexample.json" in
     Occamy_util.Json.write_file ~path:json_path
       (Occamy_util.Json.obj_to_string
       [
         ("root_seed", Occamy_util.Json.Num (float_of_int root_seed));
-        ("case_index", Occamy_util.Json.Num (float_of_int cx_index));
+        ( "case_index",
+          Occamy_util.Json.Num (float_of_int cx.Occamy_check.Fuzz.cx_index) );
         (* as a string: replay seeds are 62-bit, beyond exact float range *)
-        ("case_seed", Occamy_util.Json.Str (string_of_int cx_seed));
+        ( "case_seed",
+          Occamy_util.Json.Str (string_of_int cx.Occamy_check.Fuzz.cx_seed) );
         ("stage", Occamy_util.Json.Str failure.Occamy_check.Diff.stage);
         ("message", Occamy_util.Json.Str failure.Occamy_check.Diff.message);
-        ("shrink_steps", Occamy_util.Json.Num (float_of_int steps));
+        ( "shrink_steps",
+          Occamy_util.Json.Num (float_of_int cx.Occamy_check.Fuzz.cx_steps) );
         ("repro", Occamy_util.Json.Str repro);
       ]);
     let txt_path = Filename.concat dir "counterexample.txt" in
     let oc = open_out txt_path in
     let ppf = Format.formatter_of_out_channel oc in
     Format.fprintf ppf "%a@.@.original:@.%a@.repro: %s@."
-      Occamy_check.Diff.pp_case shrunk Occamy_check.Diff.pp_case original
-      repro;
+      Occamy_check.Diff.pp_case cx.Occamy_check.Fuzz.cx_shrunk
+      Occamy_check.Diff.pp_case cx.Occamy_check.Fuzz.cx_original repro;
     close_out oc;
     Fmt.pr "wrote %s and %s@." json_path txt_path
   in
-  let write_fuzz_artifacts dir ~root_seed ?inject_name
-      (cx : Occamy_check.Fuzz.counterexample) =
-    write_artifacts dir ~root_seed
-      ~repro:
-        (Occamy_check.Fuzz.repro_command ?inject_name
-           cx.Occamy_check.Fuzz.cx_seed)
-      ~cx_index:cx.Occamy_check.Fuzz.cx_index
-      ~cx_seed:cx.Occamy_check.Fuzz.cx_seed
-      ~failure:cx.Occamy_check.Fuzz.cx_failure
-      ~steps:cx.Occamy_check.Fuzz.cx_steps
-      ~shrunk:cx.Occamy_check.Fuzz.cx_shrunk
-      ~original:cx.Occamy_check.Fuzz.cx_original
-  in
-  let write_inject_artifacts dir ~root_seed
-      (cx : Occamy_check.Inject.counterexample) =
-    write_artifacts dir ~root_seed
-      ~repro:(Occamy_check.Inject.repro_command cx.Occamy_check.Inject.cx_seed)
-      ~cx_index:cx.Occamy_check.Inject.cx_index
-      ~cx_seed:cx.Occamy_check.Inject.cx_seed
-      ~failure:cx.Occamy_check.Inject.cx_failure
-      ~steps:cx.Occamy_check.Inject.cx_steps
-      ~shrunk:cx.Occamy_check.Inject.cx_shrunk
-      ~original:cx.Occamy_check.Inject.cx_original
-  in
-  let run seed count minutes case inject inject_faults jobs max_jobs osub out
-      =
-    if inject_faults && inject <> None then
-      `Error (true, "--inject-faults and --inject are mutually exclusive")
-    else
-      match case with
-      | Some cs when inject_faults -> (
-        match Occamy_check.Inject.check_case cs with
-        | Ok stats ->
-          Fmt.pr "case %d: ok (%a)@." cs Occamy_check.Inject.pp_stats stats;
-          `Ok ()
-        | Error f ->
-          Fmt.pr "case %d: %a@.%a@." cs Occamy_check.Diff.pp_failure f
-            Occamy_check.Diff.pp_case
-            (Occamy_check.Inject.case_of_seed cs);
-          `Error (false, "case failed"))
-      | Some cs -> (
-        (* Single-case replay: the repro path a counterexample prints. *)
-        match Occamy_check.Fuzz.run_case ?inject_name:inject cs with
-        | Ok () ->
-          Fmt.pr "case %d: ok@." cs;
-          `Ok ()
-        | Error f ->
-          Fmt.pr "case %d: %a@.%a@." cs Occamy_check.Diff.pp_failure f
-            Occamy_check.Diff.pp_case
-            (Occamy_check.Diff.case_of_seed cs);
-          `Error (false, "case failed"))
-      | None when inject_faults ->
-        let report =
-          Occamy_check.Inject.run ?minutes
-            ~on_batch:(fun ~done_ ->
-              Fmt.pr "  ... %d cases@." done_;
-              Format.pp_print_flush Fmt.stdout ())
-            ?oversubscribe:(resolve_oversubscribe osub) ~seed ~count
-            ~jobs:(resolve_jobs ?cap:max_jobs jobs)
-            ()
-        in
-        Fmt.pr "%a@." Occamy_check.Inject.pp_report report;
-        (match report.Occamy_check.Inject.counterexample with
-        | Some cx ->
-          Option.iter
-            (fun dir -> write_inject_artifacts dir ~root_seed:seed cx)
-            out;
-          `Error (false, "fault-injection fuzzing found a counterexample")
-        | None -> `Ok ())
-      | None ->
-        let report =
-          Occamy_check.Fuzz.run ?inject_name:inject ?minutes
-            ~on_batch:(fun ~done_ ->
-              Fmt.pr "  ... %d cases@." done_;
-              Format.pp_print_flush Fmt.stdout ())
-            ?oversubscribe:(resolve_oversubscribe osub) ~seed ~count
-            ~jobs:(resolve_jobs ?cap:max_jobs jobs)
-            ()
-        in
-        Fmt.pr "%a@." Occamy_check.Fuzz.pp_report report;
-        (match report.Occamy_check.Fuzz.counterexample with
-        | Some cx ->
-          Option.iter
-            (fun dir ->
-              write_fuzz_artifacts dir ~root_seed:seed ?inject_name:inject cx)
-            out;
-          `Error (false, "fuzzing found a counterexample")
-        | None -> `Ok ())
+  let run seed count minutes case inject jobs max_jobs osub out =
+    match case with
+    | Some cs -> (
+      (* Single-case replay: the repro path a counterexample prints. *)
+      match Occamy_check.Fuzz.run_case ?inject_name:inject cs with
+      | Ok () ->
+        Fmt.pr "case %d: ok@." cs;
+        `Ok ()
+      | Error f ->
+        Fmt.pr "case %d: %a@.%a@." cs Occamy_check.Diff.pp_failure f
+          Occamy_check.Diff.pp_case
+          (Occamy_check.Diff.case_of_seed cs);
+        `Error (false, "case failed"))
+    | None ->
+      let report =
+        Occamy_check.Fuzz.run ?inject_name:inject ?minutes
+          ~on_batch:(fun ~done_ ->
+            Fmt.pr "  ... %d cases@." done_;
+            Format.pp_print_flush Fmt.stdout ())
+          ?oversubscribe:(resolve_oversubscribe osub) ~seed ~count
+          ~jobs:(resolve_jobs ?cap:max_jobs jobs)
+          ()
+      in
+      Fmt.pr "%a@." Occamy_check.Fuzz.pp_report report;
+      (match report.Occamy_check.Fuzz.counterexample with
+      | Some cx ->
+        Option.iter
+          (fun dir ->
+            write_artifacts dir ~root_seed:seed ?inject_name:inject cx)
+          out;
+        `Error (false, "fuzzing found a counterexample")
+      | None -> `Ok ())
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -880,7 +799,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ seed_arg $ count_arg $ minutes_arg $ case_arg
-       $ inject_arg $ inject_faults_arg $ jobs_arg $ max_jobs_arg
+       $ inject_arg $ jobs_arg $ max_jobs_arg
        $ oversubscribe_arg $ out_arg))
 
 (* ---------------- main --------------------------------------------- *)

@@ -25,63 +25,3 @@ let entries =
   ]
 
 let replay e = Diff.run (Diff.case_of_seed e.seed)
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injection corpus                                              *)
-(* ------------------------------------------------------------------ *)
-
-type inject_expect = Masked_by_tmr | Detected_by_plain
-
-type inject_entry = { i_name : string; i_seed : int; i_expect : inject_expect }
-
-(* Seeds replay as [occamy-sim fuzz --case <seed> --inject-faults]
-   (i.e. under Inject.gen_cfg — a different workload than the same seed
-   in the plain corpus). *)
-let inject_entries =
-  [
-    (* The counterexample that exposed replica-collapsing register
-       aliasing in the TMR lowering: operand registers freed before all
-       copy destinations were allocated, so copy 0's fadd result
-       clobbered copy 2's source and a single fault on either surviving
-       replica defeated the vote. Must stay fully masked. *)
-    {
-      i_name = "tmr-replica-aliasing";
-      i_seed = 1626386729513190885;
-      i_expect = Masked_by_tmr;
-    };
-    (* Every plain-mode flip of this case lands in the output: pins the
-       detection side of the oracle (a fault model too weak to corrupt
-       anything would vacuously "mask" everything). *)
-    { i_name = "plain-detects-flip"; i_seed = 8; i_expect = Detected_by_plain };
-  ]
-
-let replay_inject e =
-  match Inject.check_case e.i_seed with
-  | Error _ as err -> err
-  | Ok stats -> (
-    match e.i_expect with
-    | Masked_by_tmr ->
-      (* check_case already fails on any unmasked flip; require the
-         entry to actually exercise TMR trials so the pin cannot decay
-         into a vacuous zero-opportunity case. *)
-      if stats.Inject.tmr_trials > 0 && stats.Inject.tmr_masked = stats.Inject.tmr_trials
-      then Ok stats
-      else
-        Error
-          {
-            Diff.stage = "corpus/inject";
-            message =
-              Printf.sprintf "expected TMR-masked trials, got %d/%d"
-                stats.Inject.tmr_masked stats.Inject.tmr_trials;
-          }
-    | Detected_by_plain ->
-      if stats.Inject.plain_detected > 0 then Ok stats
-      else
-        Error
-          {
-            Diff.stage = "corpus/inject";
-            message =
-              Printf.sprintf
-                "expected plain-mode detection, got 0 detected of %d trials"
-                stats.Inject.plain_trials;
-          })

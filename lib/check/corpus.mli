@@ -13,20 +13,3 @@ val entries : entry list
 
 val replay : entry -> (unit, Diff.failure) result
 (** Run one corpus entry through the full differential pipeline. *)
-
-type inject_expect =
-  | Masked_by_tmr      (** TMR trials ran and every flip was masked *)
-  | Detected_by_plain  (** at least one plain-mode flip reached the output *)
-
-type inject_entry = { i_name : string; i_seed : int; i_expect : inject_expect }
-
-val inject_entries : inject_entry list
-(** Fault-injection regression pins, replayed by the tier-1 tests as
-    [occamy-sim fuzz --case <seed> --inject-faults]: one case whose TMR
-    lowering once collapsed two replicas through register aliasing (must
-    stay fully masked), one case pinning that plain-mode flips are
-    actually detected (keeping the fault model honest). *)
-
-val replay_inject : inject_entry -> (Inject.stats, Diff.failure) result
-(** Run one fault-injection entry through {!Inject.check_case} and check
-    the entry's expectation on the resulting stats. *)

@@ -171,9 +171,7 @@ let predicted_bytes ~options loops =
         || l.Loop_ir.trip_count >= options.Codegen.scalar_threshold
       in
       if vectorized then
-        (* TMR lowering triples each load instruction (one per replica);
-           Analysis accounts for that, keeping Equation 5 end-to-end. *)
-        let r = Analysis.analyse ~tmr:options.Codegen.tmr l in
+        let r = Analysis.analyse l in
         acc
         +. float_of_int
              (r.Analysis.issue_bytes * l.Loop_ir.trip_count

@@ -87,9 +87,8 @@ val predicted_bytes :
   float
 (** The static Equation-5 traffic prediction for a compiled workload on
     one core: per-iteration issue bytes times the iteration space of
-    every phase that runs vectorized under [options] (TMR-aware — a TMR
-    lowering issues each load three times). The simulator's observed
-    vector-memory traffic must equal this exactly. *)
+    every phase that runs vectorized under [options]. The simulator's
+    observed vector-memory traffic must equal this exactly. *)
 
 val run_interp :
   stage:string ->
@@ -102,8 +101,7 @@ val run_interp :
 (** Run the compiled workload under the functional interpreter seeded
     from the init image (last argument) and compare every declared array
     against the expectation image (second-to-last): the single-executor
-    building block of {!run}, exposed for the fault-injection layer's
-    fault-free sanity checks. *)
+    building block of {!run}. *)
 
 val schedule_env :
   ?max_granules:int ->

@@ -126,11 +126,8 @@ let case_candidates (c : Diff.case) =
 (* Greedy first-improvement descent                                    *)
 (* ------------------------------------------------------------------ *)
 
-let minimise ?inject ?oracle ?(max_tries = 600) (c0 : Diff.case)
+let minimise ?inject ?(max_tries = 600) (c0 : Diff.case)
     (f0 : Diff.failure) =
-  let oracle =
-    match oracle with Some f -> f | None -> fun c -> Diff.run ?inject c
-  in
   let tried = ref 0 in
   let steps = ref 0 in
   let best = ref c0 in
@@ -147,7 +144,7 @@ let minimise ?inject ?oracle ?(max_tries = 600) (c0 : Diff.case)
         else if not (smaller cand !best) then try_all rest
         else begin
           incr tried;
-          match oracle cand with
+          match Diff.run ?inject cand with
           | Error f ->
             best := cand;
             best_failure := f;
@@ -159,39 +156,3 @@ let minimise ?inject ?oracle ?(max_tries = 600) (c0 : Diff.case)
     try_all candidates
   done;
   { case = !best; failure = !best_failure; steps = !steps; tried = !tried }
-
-(* ------------------------------------------------------------------ *)
-(* Generic list minimisation (fault schedules)                         *)
-(* ------------------------------------------------------------------ *)
-
-let minimise_list ?(max_tries = 200) ~keep xs =
-  let tried = ref 0 in
-  let ask ys =
-    incr tried;
-    keep ys
-  in
-  if xs = [] || (!tried < max_tries && ask []) then []
-  else begin
-    (* Greedy single drops, restarting from the head after every
-       acceptance: each kept element of the result is individually
-       necessary (1-minimality), and every probe strictly shortens the
-       candidate, so the loop terminates without relying on
-       [max_tries]. *)
-    let best = ref xs in
-    let progress = ref true in
-    while !progress && !tried < max_tries do
-      progress := false;
-      let rec try_drop acc = function
-        | [] -> ()
-        | x :: rest ->
-          let cand = List.rev_append acc rest in
-          if cand <> [] && !tried < max_tries && ask cand then begin
-            best := cand;
-            progress := true
-          end
-          else try_drop (x :: acc) rest
-      in
-      try_drop [] !best
-    done;
-    !best
-  end

@@ -27,26 +27,12 @@ val size : Diff.case -> int
 
 val minimise :
   ?inject:(Occamy_compiler.Loop_ir.t -> Occamy_compiler.Loop_ir.t) ->
-  ?oracle:(Diff.case -> (unit, Diff.failure) Stdlib.result) ->
   ?max_tries:int ->
   Diff.case ->
   Diff.failure ->
   result
 (** Shrink a failing case. [inject] must be the same bug hook the case
-    originally failed under. [oracle] replaces {!Diff.run} as the
-    failure predicate (and makes [inject] irrelevant) — the
-    fault-injection fuzzer passes its masking oracle here, so fault
-    counterexamples minimise under the property they violated.
-    [max_tries] (default 600) bounds oracle runs; the measure strictly
-    decreases on every accepted step, so termination never depends on
-    it. The reported failure of the result is re-established by the
-    final oracle run, never assumed. *)
-
-val minimise_list : ?max_tries:int -> keep:('a list -> bool) -> 'a list -> 'a list
-(** Minimise a list under a monotone-ish predicate: the smallest sublist
-    found (by greedy, deterministic single-element drops, empty list
-    tried first) on which [keep] still holds. Intended for fault
-    schedules — reducing a multi-fault witness to a single necessary
-    flip. [keep] is assumed true of the input; every element of the
-    result is individually necessary. [max_tries] (default 200) bounds
-    predicate evaluations. *)
+    originally failed under. [max_tries] (default 600) bounds
+    {!Diff.run} calls; the measure strictly decreases on every accepted
+    step, so termination never depends on it. The reported failure of
+    the result is re-established by the final run, never assumed. *)

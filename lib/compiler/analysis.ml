@@ -27,21 +27,12 @@ type result = {
 
 let elem_bytes = 4
 
-let analyse ?(tmr = false) (l : Loop_ir.t) =
+let analyse (l : Loop_ir.t) =
   let dag = Dag.build l.Loop_ir.body in
-  (* Under TMR lowering ({!Vectorize.lower}) every load and every compute
-     op is issued three times (one per replica), and each store is
-     preceded by a majority vote (one extra compute instruction, one
-     FLOP per element). Stores themselves are not replicated — the voted
-     value is written once — and the per-iteration footprint is
-     unchanged: the three load copies hit the same addresses, so the
-     memory-side reuse analysis sees the same distinct arrays. *)
-  let reps = if tmr then 3 else 1 in
+  let comp_flops = Dag.count_flops dag in
+  let comp_instrs = Dag.count_ops dag in
+  let load_instrs = Dag.count_loads dag in
   let store_instrs = List.length dag.Dag.stores in
-  let votes = if tmr then store_instrs else 0 in
-  let comp_flops = (reps * Dag.count_flops dag) + votes in
-  let comp_instrs = (reps * Dag.count_ops dag) + votes in
-  let load_instrs = reps * Dag.count_loads dag in
   let issue_bytes = elem_bytes * (load_instrs + store_instrs) in
   let arrays =
     List.sort_uniq compare

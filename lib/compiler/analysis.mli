@@ -16,13 +16,7 @@ type result = {
 
 val elem_bytes : int
 
-(** With [~tmr:true], account for the triple-modular-redundancy lowering
-    of {!Vectorize.lower}: loads and compute ops are issued three times,
-    each store gains one majority-vote instruction (one FLOP/element),
-    stores themselves stay single, and the per-iteration footprint is
-    unchanged — so [oi] reflects the replicated issue stream the lane
-    manager actually observes. *)
-val analyse : ?tmr:bool -> Loop_ir.t -> result
+val analyse : Loop_ir.t -> result
 val oi_of : Loop_ir.t -> Occamy_isa.Oi.t
 val has_reuse : Loop_ir.t -> bool
 val pp_result : Format.formatter -> result -> unit

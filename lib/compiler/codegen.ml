@@ -65,13 +65,10 @@ type options = {
   hoist : bool;           (** hoist prologue/epilogue out of outer loops *)
   monitor : bool;         (** emit the lazy-partitioning monitor *)
   scalar_threshold : int; (** trip counts below this run the scalar variant *)
-  tmr : bool;             (** lower with lane-level triple modular
-                              redundancy (voted stores/reductions) *)
 }
 
 let default_options =
-  { multiversion = true; hoist = true; monitor = true; scalar_threshold = 64;
-    tmr = false }
+  { multiversion = true; hoist = true; monitor = true; scalar_threshold = 64 }
 
 let profile_of_level = function
   | Occamy_mem.Level.Vec_cache -> Occamy_mem.Profile.cache_resident
@@ -129,8 +126,8 @@ let emit_vl_request b ~src =
   B.emit b (Instr.Bc (Instr.Ne, Abi.xstatus, Instr.Imm 1, retry))
 
 let emit_phase b ~options ~lookup (l : Loop_ir.t) =
-  let lowered = Vectorize.lower ~tmr:options.tmr ~lookup l in
-  let analysis = Analysis.analyse ~tmr:options.tmr l in
+  let lowered = Vectorize.lower ~lookup l in
+  let analysis = Analysis.analyse l in
   let lo = max 0 (-Loop_ir.min_offset l) in
   let n = lo + l.Loop_ir.trip_count in
   let l_init = B.fresh_label b "init" in

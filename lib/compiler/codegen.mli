@@ -15,12 +15,6 @@ type options = {
   hoist : bool;
   monitor : bool;
   scalar_threshold : int;
-  tmr : bool;
-      (** lower every phase with lane-level triple modular redundancy
-          (see {!Vectorize.lower}): triple register copies, majority
-          votes before stores and reduction folds. Triples the compute
-          and load issue streams; a single-copy transient fault is
-          masked. Default [false]. *)
 }
 
 val default_options : options

@@ -56,7 +56,6 @@ val reduce_max : string -> expr -> stmt
 (** {2 Structure queries} *)
 
 val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
 val pp : Format.formatter -> t -> unit
 
 val expr_iter : (expr -> unit) -> expr -> unit

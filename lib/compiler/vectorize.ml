@@ -95,27 +95,17 @@ let addr_setup slots =
       Instr.Iop (Instr.Addi, Abi.xaddr slot, Abi.xi, Instr.Imm off))
     slots
 
-let lower ?(tmr = false) ~lookup (l : Loop_ir.t) =
+let lower ~lookup (l : Loop_ir.t) =
   let dag = Dag.build l.Loop_ir.body in
   let n = Dag.num_nodes dag in
   let last = Dag.last_uses dag in
   let slots = offset_slots l.Loop_ir.body in
-  (* TMR (lane-level triple modular redundancy, Elzar-style): every
-     vector value is computed in [reps = 3] independent register copies
-     — separate Vloads, separate Vdups, separate ALU ops — and a 2-of-3
-     majority vote collapses the copies right before they leave the
-     sphere of replication (a store, or a reduction fold). A transient
-     single-copy fault is then masked by construction; the voter output
-     and store data path are assumed hardened (ECC), the standard TMR
-     sphere boundary. *)
-  let reps = if tmr then 3 else 1 in
 
   (* --- static assignments: params and reduction accumulators --- *)
-  (* Copies of one value occupy [reps] consecutive vregs from its base. *)
   let params = Dag.params dag in
   let nparams = List.length params in
   let param_vreg =
-    List.mapi (fun i (name, v) -> (name, (v, i * reps))) params
+    List.mapi (fun i (name, v) -> (name, (v, Reg.v i))) params
   in
   let reductions =
     List.mapi
@@ -123,36 +113,31 @@ let lower ?(tmr = false) ~lookup (l : Loop_ir.t) =
         {
           red_op = op;
           red_name = name;
-          acc = Reg.v ((nparams + i) * reps);
+          acc = Reg.v (nparams + i);
           carry = Abi.fcarry i;
           out_array = reduction_out_array name;
         })
       dag.Dag.reduces
   in
-  let nstatic = (nparams + List.length reductions) * reps in
-  (* The voter's destination register, outside every replica set. *)
-  let vote_reg = nstatic in
-  let pool_base = if tmr then nstatic + 1 else nstatic in
-  if pool_base >= Reg.num_v then
-    invalid_arg "Vectorize: too many invariants";
-  let acc_copy r j = Reg.v (Reg.v_index r.acc + j) in
+  let nstatic = nparams + List.length reductions in
+  if nstatic >= Reg.num_v then invalid_arg "Vectorize: too many invariants";
 
   (* --- invariant init block (re-run after every reconfiguration) --- *)
   (* Parameters are compile-time constants: broadcast them through the
      scratch register rather than pinning a scalar FP register each — a
      kernel like a 3x3 colour matrix has nine of them. The scalar variant
-     rematerialises them at use. Under TMR each copy gets its own Vdup,
-     so a broadcast fault stays confined to one replica. *)
+     rematerialises them at use. *)
   let scalar_init = [] in
-  let dup_copies base v =
-    Instr.Fli (Abi.ffold, v)
-    :: List.init reps (fun j -> Instr.Vdup (Reg.v (base + j), Abi.ffold))
-  in
   let init =
-    List.concat_map (fun (_, (v, base)) -> dup_copies base v) param_vreg
+    List.concat_map
+      (fun (_, (v, zr)) -> [ Instr.Fli (Abi.ffold, v); Instr.Vdup (zr, Abi.ffold) ])
+      param_vreg
     @ List.concat_map
         (fun r ->
-          dup_copies (Reg.v_index r.acc) (Vop.Red.identity r.red_op))
+          [
+            Instr.Fli (Abi.ffold, Vop.Red.identity r.red_op);
+            Instr.Vdup (r.acc, Abi.ffold);
+          ])
         reductions
   in
   let carry_init =
@@ -160,131 +145,73 @@ let lower ?(tmr = false) ~lookup (l : Loop_ir.t) =
       (fun r -> Instr.Fli (r.carry, Vop.Red.identity r.red_op))
       reductions
   in
-  (* Fold a reduction's accumulator into its scalar carry. Under TMR the
-     three accumulator copies are voted first, so the folded value is
-     the majority view — a single corrupted copy never reaches the
-     carry. *)
-  let fold_acc r =
-    if tmr then
-      [
-        Instr.Vop
-          {
-            op = Vop.Vote;
-            dst = Reg.v vote_reg;
-            srcs = List.init reps (acc_copy r);
-            cnt = None;
-          };
-        Instr.Vred { op = r.red_op; dst = Abi.ffold; src = Reg.v vote_reg };
-        Instr.Fvop (vop_of_red r.red_op, r.carry, [ r.carry; Abi.ffold ]);
-      ]
-    else
-      [
-        Instr.Vred { op = r.red_op; dst = Abi.ffold; src = r.acc };
-        Instr.Fvop (vop_of_red r.red_op, r.carry, [ r.carry; Abi.ffold ]);
-      ]
+  let save_partials =
+    List.concat_map
+      (fun r ->
+        [
+          Instr.Vred { op = r.red_op; dst = Abi.ffold; src = r.acc };
+          Instr.Fvop (vop_of_red r.red_op, r.carry, [ r.carry; Abi.ffold ]);
+        ])
+      reductions
   in
-  let save_partials = List.concat_map fold_acc reductions in
 
   (* --- vector body --- *)
   let vinstrs = ref [] in
   let emit i = vinstrs := i :: !vinstrs in
   let pool =
-    Pool.create (List.init (Reg.num_v - pool_base) (fun i -> pool_base + i))
+    Pool.create (List.init (Reg.num_v - nstatic) (fun i -> nstatic + i))
   in
-  (* Register of copy [j] of each node's value ([reps] columns). *)
-  let node_reg = Array.make_matrix n reps (-1) in
-  let release_node id =
-    (* Copies were allocated together; release them together. Statics
-       (params, accumulators, the voter register) never return to the
-       pool. *)
-    Array.iter (fun r -> if r >= pool_base then Pool.release pool r)
-      node_reg.(id)
-  in
+  let node_reg = Array.make n (-1) in
   List.iter emit (addr_setup slots);
   Array.iteri
     (fun id node ->
       (match node with
       | Dag.Nload r ->
-        (* One Vload per copy: each load's data transfer is its own
-           fault opportunity, so a corrupted return hits one replica. *)
-        for j = 0 to reps - 1 do
-          let zr = Pool.alloc pool "vector" in
-          node_reg.(id).(j) <- zr;
-          emit
-            (Instr.Vload
-               {
-                 dst = Reg.v zr;
-                 arr = lookup r.Loop_ir.base;
-                 idx = addr_for slots r;
-                 cnt = Some Abi.xk;
-               })
-        done
+        let zr = Pool.alloc pool "vector" in
+        node_reg.(id) <- zr;
+        emit
+          (Instr.Vload
+             {
+               dst = Reg.v zr;
+               arr = lookup r.Loop_ir.base;
+               idx = addr_for slots r;
+               cnt = Some Abi.xk;
+             })
       | Dag.Nconst v ->
+        let zr = Pool.alloc pool "vector" in
+        node_reg.(id) <- zr;
         emit (Instr.Fli (Abi.ffold, v));
-        for j = 0 to reps - 1 do
-          let zr = Pool.alloc pool "vector" in
-          node_reg.(id).(j) <- zr;
-          emit (Instr.Vdup (Reg.v zr, Abi.ffold))
-        done
+        emit (Instr.Vdup (Reg.v zr, Abi.ffold))
       | Dag.Nparam (name, _) ->
-        let _, base = List.assoc name param_vreg in
-        for j = 0 to reps - 1 do
-          node_reg.(id).(j) <- base + j
-        done
+        let _, zr = List.assoc name param_vreg in
+        node_reg.(id) <- Reg.v_index zr
       | Dag.Nop (op, args) ->
+        let srcs = List.map (fun a -> Reg.v node_reg.(a)) args in
         (* Free operands whose last use is this node before allocating the
-           destination, so chains reuse registers. Only without
-           replication: a single instruction may alias its destination
-           onto one of its own sources, but with reps > 1 a register
-           freed here could be re-allocated as copy j's destination
-           while still live as copy j' > j's source — clobbering one
-           replica with another's result and silently collapsing the
-           triple to 2-of-3 (a fault on either surviving copy then
-           defeats the vote). Release after all copies when replicated. *)
-        let release_args () =
-          List.iter
-            (fun a -> if last.(a) = id then release_node a)
-            (List.sort_uniq compare args)
-        in
-        if reps = 1 then release_args ();
-        for j = 0 to reps - 1 do
-          let srcs = List.map (fun a -> Reg.v node_reg.(a).(j)) args in
-          let zr = Pool.alloc pool "vector" in
-          node_reg.(id).(j) <- zr;
-          emit (Instr.Vop { op; dst = Reg.v zr; srcs; cnt = None })
-        done;
-        if reps > 1 then release_args ());
+           destination, so chains reuse registers. *)
+        List.iter
+          (fun a ->
+            if last.(a) = id && node_reg.(a) >= nstatic then
+              Pool.release pool node_reg.(a))
+          (List.sort_uniq compare args);
+        let zr = Pool.alloc pool "vector" in
+        node_reg.(id) <- zr;
+        emit (Instr.Vop { op; dst = Reg.v zr; srcs; cnt = None }));
       ())
     dag.Dag.nodes;
-  (* The voted view of node [id]: itself when plain, the majority of its
-     three copies (left in [vote_reg]) under TMR. *)
-  let voted_reg id =
-    if tmr then begin
-      emit
-        (Instr.Vop
-           {
-             op = Vop.Vote;
-             dst = Reg.v vote_reg;
-             srcs = List.init reps (fun j -> Reg.v node_reg.(id).(j));
-             cnt = Some Abi.xk;
-           });
-      Reg.v vote_reg
-    end
-    else Reg.v node_reg.(id).(0)
-  in
   let pos = ref n in
   List.iter
     (fun (r, id) ->
-      let src = voted_reg id in
       emit
         (Instr.Vstore
            {
-             src;
+             src = Reg.v node_reg.(id);
              arr = lookup r.Loop_ir.base;
              idx = addr_for slots r;
              cnt = Some Abi.xk;
            });
-      if last.(id) = !pos then release_node id;
+      if last.(id) = !pos && node_reg.(id) >= nstatic then
+        Pool.release pool node_reg.(id);
       incr pos)
     dag.Dag.stores;
   List.iteri
@@ -292,21 +219,17 @@ let lower ?(tmr = false) ~lookup (l : Loop_ir.t) =
       let r = List.nth reductions i in
       ignore op;
       (* Merging predication: only the first k elements accumulate, so a
-         loop tail cannot pollute the reduction with inactive lanes.
-         Under TMR each accumulator copy folds its own replica of the
-         value — the copies stay independent until [save_partials]
-         votes them. *)
-      for j = 0 to reps - 1 do
-        emit
-          (Instr.Vop
-             {
-               op = vop_of_red r.red_op;
-               dst = acc_copy r j;
-               srcs = [ acc_copy r j; Reg.v node_reg.(id).(j) ];
-               cnt = Some Abi.xk;
-             })
-      done;
-      if last.(id) = !pos then release_node id;
+         loop tail cannot pollute the reduction with inactive lanes. *)
+      emit
+        (Instr.Vop
+           {
+             op = vop_of_red r.red_op;
+             dst = r.acc;
+             srcs = [ r.acc; Reg.v node_reg.(id) ];
+             cnt = Some Abi.xk;
+           });
+      if last.(id) = !pos && node_reg.(id) >= nstatic then
+        Pool.release pool node_reg.(id);
       incr pos)
     dag.Dag.reduces;
   let vbody = List.rev !vinstrs in
@@ -397,5 +320,5 @@ let lower ?(tmr = false) ~lookup (l : Loop_ir.t) =
     vfinalize;
     sfinalize;
     reductions;
-    vregs_used = max pool_base pool.Pool.high;
+    vregs_used = max nstatic pool.Pool.high;
   }

@@ -34,18 +34,6 @@ val vop_of_red : Occamy_isa.Vop.Red.t -> Occamy_isa.Vop.t
 val reduction_out_array : string -> string
 (** Name of a reduction's one-element output array. *)
 
-val lower : ?tmr:bool -> lookup:(string -> int) -> Loop_ir.t -> t
+val lower : lookup:(string -> int) -> Loop_ir.t -> t
 (** [lookup] maps array names to program array ids. Raises on register
-    exhaustion or too many stencil offsets.
-
-    With [~tmr:true] (default false) the body is lowered with lane-level
-    triple modular redundancy: every vector value — loads, broadcasts,
-    ALU results, reduction accumulators — is computed in three
-    independent register copies, and a 2-of-3 majority {!Occamy_isa.Vop.Vote}
-    collapses the copies immediately before each store and before each
-    reduction fold. A transient fault confined to one copy is masked by
-    construction; the voter output and the store data path lie outside
-    the sphere of replication (assumed hardened, as in ECC-protected
-    memory). Each reduction's [acc] names the first of its three
-    consecutive accumulator registers. The scalar (non-vectorized)
-    variant is unchanged. *)
+    exhaustion or too many stencil offsets. *)

@@ -20,10 +20,6 @@ let create ~name ~units =
 
 let units t = Array.length t.owners
 
-let owner t u =
-  if u < 0 || u >= units t then invalid_arg "Config_tbl.owner";
-  t.owners.(u)
-
 let owned_by t ~core =
   let acc = ref [] in
   for u = units t - 1 downto 0 do

@@ -2,13 +2,10 @@
     core owns each ExeBU ([Dispatcher.Cfg]) / RegBlk ([RegFile.Cfg]).
     ExeBU i is wired to RegBlk i and they move together. *)
 
-type owner = Free | Core of int
-
 type t
 
 val create : name:string -> units:int -> t
 val units : t -> int
-val owner : t -> int -> owner
 val owned_by : t -> core:int -> int list
 val count_owned : t -> core:int -> int
 

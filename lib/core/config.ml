@@ -40,19 +40,6 @@ type t = {
           tick loop (the reference the equivalence suite diffs against) *)
   max_cycles : int;         (** simulation safety bound *)
   seed : int;               (** RNG seed for access-level sampling *)
-  inject_rate : float;
-      (** probability that a fault-injection opportunity (a vector
-          register write-back or an LSU data transfer at issue) flips
-          one bit. 0.0 disables injection entirely — the guard is a
-          single branch and the run is bit-identical to a build without
-          the feature. Timing is never affected either way: injection
-          only marks opportunities (trace events + counters); value
-          corruption lives in the functional interpreter *)
-  inject_seed : int;
-      (** seed of the injection decision stream. Deliberately separate
-          from [seed]: the access-level sampler and the fault stream
-          must not share draws, or enabling injection would perturb
-          memory timing *)
 }
 
 let default =
@@ -78,8 +65,6 @@ let default =
     fast_forward = true;
     max_cycles = 20_000_000;
     seed = 42;
-    inject_rate = 0.0;
-    inject_seed = 1;
   }
 
 (** The 4-core configuration of §7.6: twice the lanes, same per-core
@@ -92,8 +77,6 @@ let granules_per_core_private t = t.exebus / t.cores
 
 let validate t =
   if t.cores <= 0 then invalid_arg "Config: cores";
-  if t.inject_rate < 0.0 || t.inject_rate > 1.0 || Float.is_nan t.inject_rate
-  then invalid_arg "Config: inject_rate must be within [0, 1]";
   if t.exebus mod t.cores <> 0 then
     invalid_arg "Config: exebus must divide evenly across cores for Private";
   if t.window > t.regblk_depth - t.arch_vregs then

@@ -29,18 +29,6 @@ type t = {
                                 for the sim-vs-sim equivalence suite *)
   max_cycles : int;         (** simulation safety bound *)
   seed : int;
-  inject_rate : float;      (** per-opportunity bit-flip probability for
-                                fault injection; 0.0 (the default)
-                                disables it behind a single branch and
-                                is bit-identical to no injection.
-                                Injection never changes timing — the
-                                simulator only *marks* fault
-                                opportunities (trace + counters); value
-                                corruption is the functional
-                                interpreter's job *)
-  inject_seed : int;        (** seed of the fault-decision stream, kept
-                                separate from [seed] so injection never
-                                perturbs access-level sampling *)
 }
 
 val default : t

@@ -33,12 +33,6 @@ type core_result = {
                                      last front-end slot (marginal cost) *)
   reconfigs : int;                (* successful <VL> changes *)
   failed_vl_requests : int;
-  fault_opportunities : int;      (* injection opportunities (vector
-                                     write-backs + LSU transfers at issue)
-                                     seen while injection was enabled;
-                                     0 when [Config.inject_rate] = 0 *)
-  faults_injected : int;          (* opportunities the fault stream fired
-                                     on; 0 whenever injection is off *)
   lsu_peak_loads : int;           (* high-water LSU occupancy (MLP reached) *)
   lsu_peak_stores : int;
   phases : phase_stat list;
@@ -139,8 +133,6 @@ let populate_counters reg t =
       seti (p "monitor_stall_cycles") c.monitor_stall_cycles;
       seti (p "reconfigs") c.reconfigs;
       seti (p "failed_vl_requests") c.failed_vl_requests;
-      seti (p "fault_opportunities") c.fault_opportunities;
-      seti (p "faults_injected") c.faults_injected;
       seti (p "lsu_peak_loads") c.lsu_peak_loads;
       seti (p "lsu_peak_stores") c.lsu_peak_stores;
       seti (p "phases") (List.length c.phases);

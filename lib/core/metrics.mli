@@ -30,14 +30,6 @@ type core_result = {
   monitor_stall_cycles : int;
   reconfigs : int;
   failed_vl_requests : int;
-  fault_opportunities : int;
-      (** fault-injection opportunities (vector write-backs and LSU data
-          transfers at issue) seen while [Config.inject_rate] > 0; 0
-          otherwise *)
-  faults_injected : int;
-      (** opportunities on which the pure per-seed fault stream fired —
-          the Sim-side mirror of the flips the functional interpreter
-          applies to values; always 0 with injection disabled *)
   lsu_peak_loads : int;   (** high-water LSU load-queue occupancy *)
   lsu_peak_stores : int;
   phases : phase_stat list;

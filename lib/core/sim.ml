@@ -226,8 +226,6 @@ type core_state = {
   (* statistics *)
   mutable issued_compute : int;
   mutable issued_mem : int;
-  mutable inj_ops : int;     (* fault-injection opportunities seen *)
-  mutable inj_faults : int;  (* opportunities on which the stream fired *)
   mutable rename_stalls : int;
   mutable blocked_vl_cycles : int;
   mutable monitor_instrs : int;
@@ -355,11 +353,10 @@ type t = {
   at_mob_blocked : bool array;  (* a ready mem uop hit a MOB conflict this
                                    cycle (set by the dispatch sweep) *)
   at_bucket : int array;        (* bucket index the last step chose *)
-  (* -------- fault injection (observational marking only) ------------ *)
   (* -------- periodic fast-forward (see "Periodic fast-forward") ------ *)
   pf_ok : bool;
-      (* periodic jumps allowed: fast-forward on, no fault injection, and
-         channel arithmetic exact (power-of-two bandwidths) *)
+      (* periodic jumps allowed: fast-forward on and channel arithmetic
+         exact (power-of-two bandwidths) *)
   mutable pf_mode : int;  (* 0 detecting, 1 verifying period A, 2 recording B *)
   mutable pf_edge : int;
       (* lowest id of a core that took a backward branch this step,
@@ -382,16 +379,6 @@ type t = {
   mutable pb_ready : bool;  (* [pb] is sized for this simulation *)
   mutable pf_skipped : int; (* cycles skipped by periodic jumps *)
   mutable pf_jumps : int;
-  inj_on : bool;
-      (* hoisted [cfg.inject_rate > 0]: one branch per issue when off.
-         The timing simulator carries no vector *data*, so injection
-         here only marks which opportunities fire (trace events +
-         counters) from the pure per-(seed, core, index) decision
-         stream; the functional interpreter corrupts actual values from
-         the same stream semantics. Opportunities exist only at issue
-         sites, which never occur inside a fast-forwarded stretch
-         (provably inert cycles issue nothing), so naive and
-         fast-forwarding loops see identical fault streams. *)
 }
 
 let src = Logs.Src.create "occamy.sim" ~doc:"cycle-level simulator events"
@@ -521,8 +508,6 @@ let make_core cfg arch ~shared_freelist id wl =
     owned_n = 0;
     issued_compute = 0;
     issued_mem = 0;
-    inj_ops = 0;
-    inj_faults = 0;
     rename_stalls = 0;
     blocked_vl_cycles = 0;
     monitor_instrs = 0;
@@ -741,8 +726,7 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     attrib;
     at_mob_blocked = Array.make cfg.cores false;
     at_bucket = Array.make cfg.cores 0;
-    pf_ok =
-      cfg.fast_forward && cfg.inject_rate <= 0.0 && exact_channels cfg.mem;
+    pf_ok = cfg.fast_forward && exact_channels cfg.mem;
     pf_mode = 0;
     pf_edge = max_int;
     pf_edges = 0;
@@ -761,7 +745,6 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     pb_ready = false;
     pf_skipped = 0;
     pf_jumps = 0;
-    inj_on = cfg.inject_rate > 0.0;
   }
 
 let[@inline] domain t core = if t.shares_ports then 0 else core
@@ -1631,25 +1614,6 @@ let rec heap_release_due c now =
     heap_release_due c now
   end
 
-(* One fault-injection opportunity: a vector write-back or LSU data
-   transfer just issued on [c]. Decide from the pure per-(seed, core,
-   index) stream — replayable without history — and record a firing as
-   a typed trace event plus a per-core counter. Call sites guard on
-   [t.inj_on], so a disabled stream costs exactly one branch; nothing
-   here touches timing state. *)
-let inject_opportunity t c ~site ~len =
-  let index = c.inj_ops in
-  c.inj_ops <- index + 1;
-  match
-    Rng.flip_decision ~seed:t.cfg.inject_seed ~stream:c.id
-      ~rate:t.cfg.inject_rate ~index ~len
-  with
-  | None -> ()
-  | Some (lane, bit) ->
-    c.inj_faults <- c.inj_faults + 1;
-    if tracing t then
-      trace_core t c (Event.Fault_inject { core = c.id; site; index; lane; bit })
-
 let record_compute_issue t c width =
   if Prof.sampled t.prof then Prof.enter t.prof Prof.Exe_apply;
   t.work_cycle <- t.cycle;
@@ -1721,10 +1685,7 @@ let attempt_issue t c ~dom ~units ~n slot =
       Bitset.remove c.w_scan_c slot;
       c.w_done.(slot) <- t.cycle + c.w_lat.(slot);
       wake_waiters c slot;
-      record_compute_issue t c c.w_width.(slot);
-      if t.inj_on then
-        inject_opportunity t c ~site:"reg"
-          ~len:(c.w_width.(slot) * Lane.f32_per_granule)
+      record_compute_issue t c c.w_width.(slot)
     end
     else t.sc_comp <- 0
   end
@@ -1775,11 +1736,7 @@ let attempt_issue t c ~dom ~units ~n slot =
          it. Loads hold their window slot (and register row) until the
          data returns. *)
       c.w_done.(slot) <- (if is_store then t.cycle else done_at);
-      record_mem_issue t c;
-      if t.inj_on then
-        inject_opportunity t c
-          ~site:(if is_store then "store" else "load")
-          ~len:c.w_elems.(slot)
+      record_mem_issue t c
       end
   end
 
@@ -2590,9 +2547,8 @@ let try_fast_forward t =
    stride per address stream (one core's accesses to one array), and a
    fixed increment per scalar register. A periodic jump verifies such a
    period once and then replays it k times instead of stepping it. It
-   is taken only when [pf_ok]: no fault injection (its decisions are
-   per issue) and power-of-two channel bandwidths, which keep the float
-   channel arithmetic exact, so a backlog shifted by whole cycles books
+   is taken only when [pf_ok]: power-of-two channel bandwidths, which
+   keep the float channel arithmetic exact, so a backlog shifted by whole cycles books
    the same completions shifted by the same cycles.
 
    {b Detection.} At the end of every step in which the sampling core
@@ -3319,8 +3275,6 @@ let core_result c =
     monitor_stall_cycles = c.monitor_stall_cycles;
     reconfigs = c.reconfigs;
     failed_vl_requests = c.failed_vl;
-    fault_opportunities = c.inj_ops;
-    faults_injected = c.inj_faults;
     lsu_peak_loads = Lsu.peak_loads c.lsu;
     lsu_peak_stores = Lsu.peak_stores c.lsu;
     phases = List.rev c.done_phases;

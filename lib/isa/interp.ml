@@ -51,19 +51,9 @@ type stats = {
   mutable flops : int;
 }
 
-(* Where a write-back just landed — the four places a transient lane
-   fault can corrupt architectural state. [Site_vote] is distinguished
-   from [Site_reg] so a TMR fault model can exclude the (hardened)
-   voter's own output from its sphere of replication. *)
-type fault_site = Site_reg | Site_vote | Site_load | Site_store
-
-type fault_hook =
-  site:fault_site -> data:float array -> off:int -> len:int -> unit
-
 type state = {
   prog : Program.t;
   env : env;
-  fault_hook : fault_hook option;
   xregs : int array;
   fregs : float array;
   vregs : float array array;   (* num_v x (max_granules*4) *)
@@ -79,7 +69,7 @@ exception Fault of string
 
 let fault fmt = Printf.ksprintf (fun s -> raise (Fault s)) fmt
 
-let create ?env ?fault_hook prog =
+let create ?env prog =
   let env =
     match env with Some e -> e | None -> solo_env ~max_granules:8
   in
@@ -87,7 +77,6 @@ let create ?env ?fault_hook prog =
   {
     prog;
     env;
-    fault_hook;
     xregs = Array.make Reg.num_x 0;
     fregs = Array.make Reg.num_f 0.0;
     vregs = Array.init Reg.num_v (fun _ -> Array.make max_elems Float.nan);
@@ -122,13 +111,6 @@ let set_memory t id data =
 
 let poison_vregs t =
   Array.iter (fun v -> Array.fill v 0 (Array.length v) Float.nan) t.vregs
-
-(* Offer a just-written span to the fault hook (which may corrupt it in
-   place). One branch when no hook is installed. *)
-let[@inline] offer_fault t ~site ~data ~off ~len =
-  match t.fault_hook with
-  | None -> ()
-  | Some f -> if len > 0 then f ~site ~data ~off ~len
 
 let eval_src t = function
   | Instr.Reg (Reg.X i) -> t.xregs.(i)
@@ -267,8 +249,7 @@ let step t =
          zeroing predicated SVE load. *)
       for e = k to active_elems t - 1 do
         v.(e) <- 0.0
-      done;
-      offer_fault t ~site:Site_load ~data:v ~off:0 ~len:k
+      done
     | Instr.Vstore { src = Reg.V s; arr; idx = Reg.X xi; cnt } ->
       check_vec_active t "st1w";
       let mem = memory t arr in
@@ -280,8 +261,7 @@ let step t =
       let v = t.vregs.(s) in
       for e = 0 to k - 1 do
         mem.(base + e) <- v.(e)
-      done;
-      offer_fault t ~site:Site_store ~data:mem ~off:base ~len:k
+      done
     | Instr.Vop { op; dst = Reg.V d; srcs; cnt } ->
       check_vec_active t (Vop.name op);
       if List.length srcs <> Vop.arity op then
@@ -309,16 +289,13 @@ let step t =
           dstv.(e) <- Vop.apply3 op v1.(e) v2.(e) v3.(e)
         done
       | _ -> fault "%s: arity mismatch" (Vop.name op));
-      t.stats.flops <- t.stats.flops + (n * Vop.flops_per_elem op);
-      let site = if op = Vop.Vote then Site_vote else Site_reg in
-      offer_fault t ~site ~data:dstv ~off:0 ~len:n
+      t.stats.flops <- t.stats.flops + (n * Vop.flops_per_elem op)
     | Instr.Vdup (Reg.V d, Reg.F s) ->
       check_vec_active t "dup";
       let v = t.vregs.(d) in
       for e = 0 to active_elems t - 1 do
         v.(e) <- t.fregs.(s)
-      done;
-      offer_fault t ~site:Site_reg ~data:v ~off:0 ~len:(active_elems t)
+      done
     | Instr.Vred { op; dst = Reg.F d; src = Reg.V s } ->
       check_vec_active t (Vop.Red.name op);
       let v = t.vregs.(s) in

@@ -35,33 +35,13 @@ type stats = {
 
 type state
 
-(** Fault-injection sites: the four write-back points where a transient
-    lane fault can corrupt architectural state. [Site_vote] (the output
-    of a {!Vop.Vote}) is distinguished from plain register write-backs
-    so a TMR fault model can treat the voter as hardened and keep it
-    outside the sphere of replication. *)
-type fault_site =
-  | Site_reg    (** vector register write-back (Vop other than Vote, Vdup) *)
-  | Site_vote   (** the majority voter's own output register *)
-  | Site_load   (** LSU load data arriving in a vector register *)
-  | Site_store  (** LSU store data landing in memory *)
-
-type fault_hook =
-  site:fault_site -> data:float array -> off:int -> len:int -> unit
-(** Called immediately after each vector write-back with the span just
-    written ([data.(off .. off+len-1)]); the hook may corrupt elements
-    in place. The hook is purely about *values* — it never changes
-    control flow, so the instruction stream (and hence the timing
-    simulator's view of the program) is identical with or without it. *)
-
 exception Fault of string
 (** Raised on semantic violations: vector use at `<VL>` = 0, out-of-bounds
     access, fuel exhaustion, writes to read-only registers. *)
 
-val create : ?env:env -> ?fault_hook:fault_hook -> Program.t -> state
+val create : ?env:env -> Program.t -> state
 (** Fresh state: zeroed memory, NaN-poisoned vector registers, `<VL>` = 0.
-    The default environment is [solo_env ~max_granules:8]; no fault hook
-    is installed by default (one branch per write-back when absent). *)
+    The default environment is [solo_env ~max_granules:8]. *)
 
 val set_memory : state -> int -> float array -> unit
 (** Overwrite an array's contents (must match the declared size). *)

@@ -15,19 +15,18 @@ type t =
   | Abs
   | Neg
   | Sqrt
-  | Vote  (** dst <- majority(s1, s2, s3): the TMR 2-of-3 voter *)
 
-let all = [ Add; Sub; Mul; Div; Fma; Max; Min; Abs; Neg; Sqrt; Vote ]
+let all = [ Add; Sub; Mul; Div; Fma; Max; Min; Abs; Neg; Sqrt ]
 
 let arity = function
   | Add | Sub | Mul | Div | Max | Min -> 2
-  | Fma | Vote -> 3
+  | Fma -> 3
   | Abs | Neg | Sqrt -> 1
 
 (** Pipelined execution latency in cycles (fully pipelined except Div/Sqrt,
     which occupy an issue slot but not the pipe exclusively in our model). *)
 let latency = function
-  | Add | Sub | Max | Min | Abs | Neg | Vote -> 3
+  | Add | Sub | Max | Min | Abs | Neg -> 3
   | Mul -> 4
   | Fma -> 4
   | Div -> 12
@@ -38,7 +37,7 @@ let latency = function
     uniformly in [comp] of Equation (5). *)
 let flops_per_elem = function
   | Fma -> 2
-  | Add | Sub | Mul | Div | Max | Min | Abs | Neg | Sqrt | Vote -> 1
+  | Add | Sub | Mul | Div | Max | Min | Abs | Neg | Sqrt -> 1
 
 let name = function
   | Add -> "fadd"
@@ -51,19 +50,8 @@ let name = function
   | Abs -> "fabs"
   | Neg -> "fneg"
   | Sqrt -> "fsqrt"
-  | Vote -> "fvote"
 
 let pp ppf t = Fmt.string ppf (name t)
-
-(* 2-of-3 majority over the raw value bits. [Float.equal] (compare-based)
-   rather than (=) so a replicated NaN poison still forms a majority: the
-   voter must pass poison through unchanged, not launder it into one of
-   the minority copies. With no majority (all three differ) the fault
-   model is already violated; keep the first copy deterministically. *)
-let[@inline] vote a b c =
-  if Float.equal a b || Float.equal a c then a
-  else if Float.equal b c then b
-  else a
 
 (** Element-wise semantics, used by the functional interpreter. *)
 let apply t (args : float array) =
@@ -73,7 +61,6 @@ let apply t (args : float array) =
   | Mul, [| a; b |] -> a *. b
   | Div, [| a; b |] -> a /. b
   | Fma, [| a; b; c |] -> a +. (b *. c)
-  | Vote, [| a; b; c |] -> vote a b c
   | Max, [| a; b |] -> Float.max a b
   | Min, [| a; b |] -> Float.min a b
   | Abs, [| a |] -> Float.abs a
@@ -103,7 +90,6 @@ let[@inline] apply2 t a b =
 let[@inline] apply3 t a b c =
   match t with
   | Fma -> a +. (b *. c)
-  | Vote -> vote a b c
   | _ -> invalid_arg "Vop.apply3: arity mismatch"
 
 (** Reduction operators ([Vred] instructions). *)

@@ -1,19 +1,12 @@
 (** Vector ALU operations with the timing metadata the simulator and the
     Equation-5 analysis need. *)
 
-type t = Add | Sub | Mul | Div | Fma | Max | Min | Abs | Neg | Sqrt | Vote
+type t = Add | Sub | Mul | Div | Fma | Max | Min | Abs | Neg | Sqrt
 
 val all : t list
 
 val arity : t -> int
-(** Operand count; [Fma] takes three: [dst <- s1 + s2*s3], as does
-    [Vote]: [dst <- majority(s1, s2, s3)]. *)
-
-val vote : float -> float -> float -> float
-(** The TMR 2-of-3 majority element-wise semantics behind [Vote]:
-    returns the value held by at least two of the three operands
-    (bit-compare via [Float.equal], so a replicated NaN poison votes as
-    itself); with no majority, the first operand. *)
+(** Operand count; [Fma] takes three: [dst <- s1 + s2*s3]. *)
 
 val latency : t -> int
 (** Pipelined execution latency in cycles. *)

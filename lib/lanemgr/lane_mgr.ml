@@ -69,7 +69,6 @@ let decision t ~core = t.decision.(core)
 let decisions t = Array.copy t.decision
 let replans t = t.replans
 let total t = t.total
-let current_oi t ~core = t.oi.(core)
 let current_level t ~core = t.level.(core)
 
 (** Roofline verdict per core at the current plan: which ceiling binds

@@ -72,7 +72,6 @@ let[@inline] is_free t ~now = t.st.(0) <= now
 let next_free_into t (dst : float array) i = dst.(i) <- t.st.(0)
 
 let bytes_per_cycle t = t.bytes_per_cycle
-let busy_cycles t = t.st.(1)
 let bytes_moved t = t.st.(2)
 let name t = t.name
 

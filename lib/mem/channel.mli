@@ -26,7 +26,6 @@ val next_free_into : t -> float array -> int -> unit
     up in [dst.(i)] (unboxed, like {!book}). *)
 
 val bytes_per_cycle : t -> float
-val busy_cycles : t -> float
 val bytes_moved : t -> float
 val name : t -> string
 

@@ -54,13 +54,6 @@ type t =
   | Task_begin of { worker : int; index : int; label : string }
       (** a sweep task started on a {!Occamy_util.Domain_pool} worker *)
   | Task_end of { worker : int; index : int; label : string }
-  | Fault_inject of { core : int; site : string; index : int; lane : int;
-                      bit : int }
-      (** the fault-decision stream fired at opportunity [index] of
-          [core]: a transient bit flip at [site] ("reg", "load" or
-          "store"), hitting f32 lane [lane] at bit [bit]. Purely
-          observational in the timing simulator — the same pure stream
-          drives the value corruption in the functional interpreter *)
 
 let kind = function
   | Phase_begin _ -> "phase_begin"
@@ -75,7 +68,6 @@ let kind = function
   | Mem_transition _ -> "mem_transition"
   | Task_begin _ -> "task_begin"
   | Task_end _ -> "task_end"
-  | Fault_inject _ -> "fault_inject"
 
 let core = function
   | Phase_begin { core; _ }
@@ -86,8 +78,7 @@ let core = function
   | Vl_deny { core; _ }
   | Rename_stall { core; _ }
   | Reconfig_blocked { core; _ }
-  | Mem_transition { core; _ }
-  | Fault_inject { core; _ } -> Some core
+  | Mem_transition { core; _ } -> Some core
   | Replan { trigger; _ } -> Some trigger
   | Task_begin _ | Task_end _ -> None
 
@@ -151,14 +142,6 @@ let args t =
       ("worker", string_of_int worker);
       ("index", string_of_int index);
       ("label", label);
-    ]
-  | Fault_inject { core; site; index; lane; bit } ->
-    [
-      ("core", string_of_int core);
-      ("site", site);
-      ("index", string_of_int index);
-      ("lane", string_of_int lane);
-      ("bit", string_of_int bit);
     ]
 
 (** Closed interval covered by an episode event, if it is one. *)

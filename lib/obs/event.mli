@@ -34,13 +34,6 @@ type t =
     }
   | Task_begin of { worker : int; index : int; label : string }
   | Task_end of { worker : int; index : int; label : string }
-  | Fault_inject of {
-      core : int;
-      site : string;  (** "reg", "load" or "store" *)
-      index : int;    (** per-core fault-opportunity index the flip hit *)
-      lane : int;     (** f32 lane within the transfer *)
-      bit : int;      (** flipped bit within the f32 word *)
-    }
 
 val kind : t -> string
 (** Stable snake_case tag, the CSV [event] column. *)

@@ -123,12 +123,11 @@ let choose t weighted =
   go k weighted
 
 (* ------------------------------------------------------------------ *)
-(* Pure seed hashing (fuzz cases, fault injection)                     *)
+(* Pure seed hashing (fuzz cases, per-run seeds)                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Stafford mix13 (the SplitMix64 finalizer) on boxed Int64 — this is
-   NOT the hot path: callers guard on a disabled flag first, and an
-   enabled fault stream runs once per instruction issue, not per cycle. *)
+   NOT the hot path: it runs once per fuzz case or seeded run. *)
 let stafford_mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -149,15 +148,3 @@ let mix3 ~seed ~stream index =
   let h = stafford_mix64 (add (mul (of_int seed) golden) (of_int stream)) in
   let h = stafford_mix64 (add (mul h golden) (of_int index)) in
   to_int (logand h 0x3FFF_FFFF_FFFF_FFFFL)
-
-let flip_decision ~seed ~stream ~rate ~index ~len =
-  if rate <= 0.0 || len <= 0 then None
-  else
-    let h = mix3 ~seed ~stream (2 * index) in
-    (* Top 53 of the 62 hash bits as a uniform in [0,1), exactly as
-       [float] scales [bits53]. *)
-    let u = Stdlib.float_of_int (h lsr 9) *. (1.0 /. 9007199254740992.0) in
-    if u >= rate then None
-    else
-      let h2 = mix3 ~seed ~stream ((2 * index) + 1) in
-      Some ((h2 lsr 5) mod len, h2 land 31)

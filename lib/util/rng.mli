@@ -44,18 +44,5 @@ val case_seed : seed:int -> int -> int
 
 val mix3 : seed:int -> stream:int -> int -> int
 (** Pure (stateless) 62-bit non-negative hash of a (seed, stream, index)
-    triple — the basis of replayable per-opportunity decision streams:
-    deciding opportunity [i] never requires visiting opportunities
-    [0..i-1], and distinct streams (e.g. per-core) are independent. *)
-
-val flip_decision :
-  seed:int -> stream:int -> rate:float -> index:int -> len:int ->
-  (int * int) option
-(** The fault-injection decision for one opportunity, as a pure function
-    of the stream coordinates: [Some (lane, bit)] when opportunity
-    [index] of [stream] under [seed] fires at probability [rate] — the
-    flip hits f32 [lane] ([< len], the transfer's element count) at
-    [bit] ([< 32]). [None] at rate 0 (or an empty transfer), with no
-    arithmetic performed. Both the timing simulator and the functional
-    interpreter's fault hook decide from this one function, so a fault
-    schedule is replayable from [(seed, rate)] alone. *)
+    triple: draw [i] never requires visiting draws [0..i-1], and
+    distinct streams are independent. *)

@@ -72,5 +72,4 @@ let wl1 ?options ?(tc = 163840) () =
     ~kind:Workload.Compute_intensive
     [ wsm5_loop ~tc ]
 
-let pair ?options ?tc0 ?tc1 () =
-  [ wl0 ?options ?tc:tc0 (); wl1 ?options ?tc:tc1 () ]
+let pair ?tc0 ?tc1 () = [ wl0 ?tc:tc0 (); wl1 ?tc:tc1 () ]

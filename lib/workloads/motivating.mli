@@ -16,6 +16,4 @@ val wl1 :
   Occamy_core.Workload.t
 (** WL#1, for Core1. *)
 
-val pair :
-  ?options:Occamy_compiler.Codegen.options -> ?tc0:int -> ?tc1:int -> unit ->
-  Occamy_core.Workload.t list
+val pair : ?tc0:int -> ?tc1:int -> unit -> Occamy_core.Workload.t list

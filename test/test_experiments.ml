@@ -188,28 +188,6 @@ let test_pairs_csv_shape () =
     Alcotest.(check string) "label" r.Pair_run.pair.Suite.label label
   | [] -> Alcotest.fail "empty data row"
 
-let test_reliability_shape () =
-  (* Scaled-down reliability axis: TMR must cost cycles (replicated
-     issue stream) but never leak a fault; the plain lowering must let
-     at least one flip through, or the fault model is vacuous. *)
-  let r =
-    Occamy_experiments.Reliability.run ~tc0:512 ~tc1:2048 ~trials:4 ()
-  in
-  let module R = Occamy_experiments.Reliability in
-  Helpers.check_int "no silent corruption" 0 (R.silent r);
-  Helpers.check_int "all TMR trials masked" r.R.tmr_faults.R.trials
-    r.R.tmr_faults.R.masked;
-  Helpers.check_bool "TMR trials ran" true (r.R.tmr_faults.R.trials > 0);
-  Helpers.check_bool "plain detects at least one flip" true
-    (r.R.plain_faults.R.detected > 0);
-  List.iter
-    (fun s ->
-      Helpers.check_bool
-        (Printf.sprintf "TMR slows %s down" (Arch.name s.R.arch))
-        true
-        (R.slowdown s > 1.0))
-    r.R.costs
-
 let suites =
   [
     ( "experiments",
@@ -226,6 +204,5 @@ let suites =
         Alcotest.test_case "timeline csv shape" `Quick test_timeline_csv_shape;
         Alcotest.test_case "pairs csv shape" `Quick test_pairs_csv_shape;
         Alcotest.test_case "four-core shape" `Slow test_four_core_group_shape;
-        Alcotest.test_case "reliability shape" `Quick test_reliability_shape;
       ] );
   ]

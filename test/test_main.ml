@@ -8,5 +8,5 @@ let () =
    @ Test_workloads.suites @ Test_experiments.suites @ Test_parallel.suites
    @ Test_ordering.suites @ Test_obs.suites @ Test_histogram.suites
    @ Test_prof.suites @ Test_fastforward.suites
-   @ Test_check.suites @ Test_inject.suites @ Test_dod.suites
+   @ Test_check.suites @ Test_dod.suites
    @ Test_attrib.suites)

@@ -1,6 +1,5 @@
 module Rng = Occamy_util.Rng
 module Stats = Occamy_util.Stats
-module Bq = Occamy_util.Bounded_queue
 module Table = Occamy_util.Table
 
 let test_rng_deterministic () =
@@ -64,17 +63,17 @@ let test_buckets_growth () =
   Helpers.check_int "1000 buckets" 1000 (Array.length avgs);
   Helpers.check_float "last" 999.0 avgs.(999)
 
-let test_bounded_queue () =
-  let q = Bq.create ~capacity:2 in
-  Helpers.check_bool "push 1" true (Bq.push q 1);
-  Helpers.check_bool "push 2" true (Bq.push q 2);
-  Helpers.check_bool "push 3 rejected" false (Bq.push q 3);
-  Helpers.check_int "length" 2 (Bq.length q);
-  Helpers.check_int "fifo order" 1 (Bq.pop q);
-  Helpers.check_bool "room again" true (Bq.push q 3);
-  Helpers.check_int "next" 2 (Bq.pop q);
-  Helpers.check_int "next" 3 (Bq.pop q);
-  Helpers.check_bool "empty" true (Bq.is_empty q)
+let test_mix3_pure () =
+  for i = 0 to 63 do
+    Helpers.check_bool "mix3 non-negative" true
+      (Rng.mix3 ~seed:5 ~stream:9 i >= 0);
+    Helpers.check_int "mix3 deterministic"
+      (Rng.mix3 ~seed:5 ~stream:9 i)
+      (Rng.mix3 ~seed:5 ~stream:9 i)
+  done;
+  Helpers.check_bool "mix3 streams differ" true
+    (List.init 64 (Rng.mix3 ~seed:5 ~stream:0)
+    <> List.init 64 (Rng.mix3 ~seed:5 ~stream:1))
 
 let test_table_render () =
   let t =
@@ -117,7 +116,7 @@ let suites =
         Alcotest.test_case "acc" `Quick test_acc;
         Alcotest.test_case "buckets" `Quick test_buckets;
         Alcotest.test_case "buckets growth" `Quick test_buckets_growth;
-        Alcotest.test_case "bounded queue" `Quick test_bounded_queue;
+        Alcotest.test_case "mix3 pure" `Quick test_mix3_pure;
         Alcotest.test_case "table render" `Quick test_table_render;
       ] );
     Helpers.qsuite "util.qcheck" [ qcheck_geomean_bounds; qcheck_acc_mean ];
