@@ -567,6 +567,20 @@ let export_cmd =
 
 (* ---------------- fuzz --------------------------------------------- *)
 
+(* Exit status of a check that ran and found a failure: a fuzz
+   counterexample, a failing replayed case or corpus entry. Cmdliner
+   keeps 124 for usage errors (a bad flag) and 125 for internal ones, so
+   a script can tell a found bug from a bad command line. *)
+let found_failure_exit = 1
+
+let found_failure_exits =
+  Cmd.Exit.info found_failure_exit ~doc:"when the check found a failure."
+  :: Cmd.Exit.defaults
+
+let found_failure msg =
+  Fmt.epr "occamy-sim: %s@." msg;
+  exit found_failure_exit
+
 let corpus_cmd =
   (* Replay the pinned regression corpus through the full differential
      pipeline (reference semantics vs EM-SIMD interpreter vs cycle
@@ -636,10 +650,10 @@ let corpus_cmd =
     | [] -> `Ok ()
     | _ :: _ ->
       Option.iter (fun dir -> write_corpus_failures dir failures) out;
-      `Error (false, "corpus replay found failures")
+      found_failure "corpus replay found failures"
   in
   Cmd.v
-    (Cmd.info "corpus"
+    (Cmd.info "corpus" ~exits:found_failure_exits
        ~doc:
          "Replay the pinned regression corpus through the differential \
           pipeline (naive and fast-forwarding simulator loops held \
@@ -767,7 +781,7 @@ let fuzz_cmd =
         Fmt.pr "case %d: %a@.%a@." cs Occamy_check.Diff.pp_failure f
           Occamy_check.Diff.pp_case
           (Occamy_check.Diff.case_of_seed cs);
-        `Error (false, "case failed"))
+        found_failure "case failed")
     | None ->
       let report =
         Occamy_check.Fuzz.run ?inject_name:inject ?minutes
@@ -785,11 +799,11 @@ let fuzz_cmd =
           (fun dir ->
             write_artifacts dir ~root_seed:seed ?inject_name:inject cx)
           out;
-        `Error (false, "fuzzing found a counterexample")
+        found_failure "fuzzing found a counterexample"
       | None -> `Ok ())
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits:found_failure_exits
        ~doc:
          "Differential fuzzing: random loop workloads through the \
           reference semantics, the EM-SIMD interpreter under adversarial \

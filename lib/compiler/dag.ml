@@ -32,12 +32,23 @@ let build (body : Loop_ir.stmt list) =
       nodes := node :: !nodes;
       id
   in
+  (* A shared operator node interns to the same id on every path to it,
+     and its second visit would intern nothing new: memoise on the node
+     (see [Loop_ir.expr_iter]), so a DAG-shaped body costs one visit per
+     distinct node, not one per path. *)
+  let memo = ref [] in
   let rec of_expr (e : Loop_ir.expr) =
     match e with
     | Loop_ir.Load r -> intern (Nload r)
     | Loop_ir.Const v -> intern (Nconst v)
     | Loop_ir.Param (n, v) -> intern (Nparam (n, v))
-    | Loop_ir.Op (op, args) -> intern (Nop (op, List.map of_expr args))
+    | Loop_ir.Op (op, args) -> (
+      match List.assq_opt e !memo with
+      | Some id -> id
+      | None ->
+        let id = intern (Nop (op, List.map of_expr args)) in
+        memo := (e, id) :: !memo;
+        id)
   in
   let stores = ref [] and reduces = ref [] in
   List.iter

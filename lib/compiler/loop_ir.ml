@@ -78,15 +78,30 @@ let pp ppf t =
     Occamy_mem.Level.pp t.level;
   List.iter (fun s -> Fmt.pf ppf "  %a@." pp_stmt s) t.body
 
-let rec expr_iter f e =
-  f e;
+(* A body that reuses a subterm (a refinement chain [fma e w e]) is a
+   DAG whose tree expansion doubles with every link, so walks visit each
+   physically distinct operator node once. The visited set is a list
+   searched by physical equality: bodies have a few dozen operators, and
+   a hash table costs more per node than the scan (fuzzer loops, which
+   share nothing, compiled a third slower with one). Leaves are cheap
+   and are visited on every path. *)
+let rec expr_iter_from seen f e =
   match e with
-  | Load _ | Const _ | Param _ -> ()
-  | Op (_, args) -> List.iter (expr_iter f) args
+  | Load _ | Const _ | Param _ -> f e
+  | Op (_, args) ->
+    if not (List.memq e !seen) then begin
+      seen := e :: !seen;
+      f e;
+      List.iter (expr_iter_from seen f) args
+    end
+
+let expr_iter f e = expr_iter_from (ref []) f e
 
 let stmt_expr = function Store (_, e) -> e | Reduce (_, _, e) -> e
 
-let iter_exprs f t = List.iter (fun s -> expr_iter f (stmt_expr s)) t.body
+let iter_exprs f t =
+  let seen = ref [] in
+  List.iter (fun s -> expr_iter_from seen f (stmt_expr s)) t.body
 
 (* Distinct array names read / written, in first-appearance order. *)
 let arrays_read t =
@@ -136,19 +151,18 @@ let offsets_of_array t arr =
     t.body;
   List.sort_uniq compare !offs
 
-let min_offset t =
-  List.fold_left
-    (fun acc arr ->
-      List.fold_left Stdlib.min acc (offsets_of_array t arr))
-    0
-    (arrays_read t @ arrays_written t)
+(* Every load's and store's offset: the union of [offsets_of_array]
+   over all arrays, in one walk instead of one per array. *)
+let all_offsets t =
+  let offs = ref [] in
+  iter_exprs (function Load { offset; _ } -> offs := offset :: !offs | _ -> ()) t;
+  List.iter
+    (function Store ({ offset; _ }, _) -> offs := offset :: !offs | Reduce _ -> ())
+    t.body;
+  !offs
 
-let max_offset t =
-  List.fold_left
-    (fun acc arr ->
-      List.fold_left Stdlib.max acc (offsets_of_array t arr))
-    0
-    (arrays_read t @ arrays_written t)
+let min_offset t = List.fold_left Stdlib.min 0 (all_offsets t)
+let max_offset t = List.fold_left Stdlib.max 0 (all_offsets t)
 
 (** Structural size of a loop: statements plus expression nodes, plus the
     trip count's bit length so that shrinking the trip also shrinks the

@@ -59,8 +59,19 @@ val pp_expr : Format.formatter -> expr -> unit
 val pp : Format.formatter -> t -> unit
 
 val expr_iter : (expr -> unit) -> expr -> unit
+(** [expr_iter f e] calls [f] in preorder on the nodes of [e], on each
+    physically distinct operator node (and so its subtree) once: a body
+    that reuses a subterm is a DAG, whose tree walk is exponential in the
+    length of a refinement chain. A leaf is visited once per path to it.
+    Every caller only collects sets, which repeated visits would not
+    change. *)
+
 val stmt_expr : stmt -> expr
+
 val iter_exprs : (expr -> unit) -> t -> unit
+(** {!expr_iter} over every statement's expression, an operator node
+    shared between statements also visited once. *)
+
 val arrays_read : t -> string list
 val arrays_written : t -> string list
 val reduction_names : t -> string list

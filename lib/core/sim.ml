@@ -263,7 +263,7 @@ type snapshot = {
 
 type pbuf = {
   pb_s : snapshot array;  (* S(t1), S(t2), S(t3) *)
-  sites : ilog;           (* period A's value-dependent sites, stride 6 *)
+  sites : ilog;           (* period A's value-dependent sites, stride 3 *)
   mutable site_pos : int;   (* period B: its next site's offset in A's *)
   mutable site_k : int;     (* period B: periods its sites allow so far *)
   mems : ilog;            (* period B's memory bookings, stride 6 *)
@@ -278,6 +278,10 @@ type pbuf = {
   mutable sdelta : int array; (* the same, from B's transmitted addresses *)
   mutable ext_lo : int array; (* per address stream: extent over B *)
   mutable ext_hi : int array;
+  mutable tb_key : int array;     (* detection table: state key per slot *)
+  mutable tb_cyc : int array;     (* and the back-edge cycle it was seen *)
+  mutable cp_off : int array;     (* one core's compute issues in B: offset *)
+  mutable cp_num : int array;     (* and the prefix sums of their lanes *)
   mutable hp_mark : int array;    (* per window slot scratch *)
   mutable park_mark : int array;
   mutable sort_idx : int array;   (* LSU canonical order scratch *)
@@ -355,8 +359,8 @@ type t = {
   at_bucket : int array;        (* bucket index the last step chose *)
   (* -------- periodic fast-forward (see "Periodic fast-forward") ------ *)
   pf_ok : bool;
-      (* periodic jumps allowed: fast-forward on and channel arithmetic
-         exact (power-of-two bandwidths) *)
+      (* periodic jumps allowed: fast-forward on and channel and
+         busy-lane arithmetic exact (power-of-two bandwidths and pipes) *)
   mutable pf_mode : int;  (* 0 detecting, 1 verifying period A, 2 recording B *)
   mutable pf_edge : int;
       (* lowest id of a core that took a backward branch this step,
@@ -369,10 +373,10 @@ type t = {
   mutable pf_t0 : int;      (* start cycle of the period being recorded *)
   mutable pf_retry_at : int;  (* back-off after failed verifications *)
   mutable pf_fails : int;
-  pf_ring_cyc : int array;  (* detection ring: back-edge sample cycles *)
-  pf_ring_hash : int array; (* and their state hashes *)
-  mutable pf_ring_n : int;
+  mutable pf_since : int;
+      (* detection-table entries seen at or before this cycle are stale *)
   pf_fl : float array;      (* unboxed float scratch *)
+  pf_hier : float array;    (* the hierarchy's state after period B *)
   pf_runbuf : int array;    (* one attribution run's buckets *)
   pr_delta : int array;     (* per-core counter deltas of the period *)
   mutable pb : pbuf;
@@ -523,6 +527,10 @@ let make_core cfg arch ~shared_freelist id wl =
 
 let ilog_make () = { buf = [||]; len = 0 }
 
+(* [a] if it holds [n] cells ([exact]: exactly [n]), else a fresh array. *)
+let fit a n v = if Array.length a >= n then a else Array.make n v
+let exact a n v = if Array.length a = n then a else Array.make n v
+
 let empty_snapshot () =
   {
     sn = [||];
@@ -553,6 +561,10 @@ let empty_pbuf () =
     sdelta = [||];
     ext_lo = [||];
     ext_hi = [||];
+    tb_key = [||];
+    tb_cyc = [||];
+    cp_off = [||];
+    cp_num = [||];
     hp_mark = [||];
     park_mark = [||];
     sort_idx = [||];
@@ -563,13 +575,21 @@ let empty_pbuf () =
 (* Per-core counters a replayed period adds to (see [replay]). *)
 let n_cnt = 11
 
-(* Detection ring size and the longest period looked for. *)
-let pf_ring = 64
-let pf_max_period = 256
+(* The longest period looked for, the detection table's size (a power
+   of two, twice the most back-edge samples a [pf_max_period] window can
+   hold) and the longest back-off after failed verifications. *)
+let pf_max_period = 2048
+let pf_tbl = 4096
+let pf_max_backoff = 2048
 
 (* Channel arithmetic is exact — and so shifts by whole cycles — when
    every occupancy [bytes / bandwidth] is a dyadic fraction: power-of-two
-   bandwidths (Table 4's 256/64/32 B/cycle). *)
+   bandwidths (Table 4's 256/64/32 B/cycle). A compute issue adds
+   [lanes / pipes_per_exebu] to the busy-lane sums, dyadic for a
+   power-of-two pipe count (every configuration uses 2), so a jump may
+   add many periods' worth of either in one step. *)
+let pow2_int n = n > 0 && n land (n - 1) = 0
+
 let exact_channels (m : Hierarchy.config) =
   let pow2 x = x > 0.0 && fst (Float.frexp x) = 0.5 in
   pow2 m.Hierarchy.vc_bytes_per_cycle
@@ -726,7 +746,9 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     attrib;
     at_mob_blocked = Array.make cfg.cores false;
     at_bucket = Array.make cfg.cores 0;
-    pf_ok = cfg.fast_forward && exact_channels cfg.mem;
+    pf_ok =
+      cfg.fast_forward && exact_channels cfg.mem
+      && pow2_int cfg.pipes_per_exebu;
     pf_mode = 0;
     pf_edge = max_int;
     pf_edges = 0;
@@ -735,10 +757,9 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     pf_t0 = 0;
     pf_retry_at = 0;
     pf_fails = 0;
-    pf_ring_cyc = Array.make pf_ring 0;
-    pf_ring_hash = Array.make pf_ring 0;
-    pf_ring_n = 0;
+    pf_since = min_int;
     pf_fl = [| 0.0 |];
+    pf_hier = Array.make Hierarchy.state_len 0.0;
     pf_runbuf = Array.make cfg.cores 0;
     pr_delta = Array.make (cfg.cores * n_cnt) 0;
     pb = empty_pbuf ();
@@ -783,19 +804,20 @@ let ilog_room l k =
     l.buf <- nb
   end
 
-(* A site record: core, pc, kind, a, b, and for an address site the
-   access length. *)
-let pf_site_len t c kind a b len =
+(* Which site: its pc, kind and core in one int (kinds are below 8). *)
+let[@inline] site_key t c kind =
+  (((c.pc lsl 3) lor kind) * Array.length t.cores) + c.id
+
+(* A site record: its key, a and b. A period of 2048 cycles can log
+   ten thousand sites, so the record stays small. *)
+let pf_log_site t c kind a b =
   let l = t.pb.sites in
-  ilog_room l 6;
+  ilog_room l 3;
   let o = l.len in
-  l.buf.(o) <- c.id;
-  l.buf.(o + 1) <- c.pc;
-  l.buf.(o + 2) <- kind;
-  l.buf.(o + 3) <- a;
-  l.buf.(o + 4) <- b;
-  l.buf.(o + 5) <- len;
-  l.len <- o + 6
+  l.buf.(o) <- site_key t c kind;
+  l.buf.(o + 1) <- a;
+  l.buf.(o + 2) <- b;
+  l.len <- o + 3
 
 (* A step event that no period may contain. *)
 let[@inline] pf_edge_seen t = t.pf_edges <- t.pf_edges + 1
@@ -1136,14 +1158,12 @@ let site_bound c kind aa ba ab bb =
 let check_site t c kind a b len =
   let pb = t.pb in
   let o = pb.site_pos and l = pb.sites in
-  pb.site_pos <- o + 6;
-  if o + 6 > l.len || l.buf.(o) <> c.id || l.buf.(o + 1) <> c.pc
-     || l.buf.(o + 2) <> kind
-  then pb.site_k <- 0
+  pb.site_pos <- o + 3;
+  if o + 3 > l.len || l.buf.(o) <> site_key t c kind then pb.site_k <- 0
   else if kind = k_site_addr then begin
-    if b <> l.buf.(o + 4) || b < 0 || b >= pb.narr then pb.site_k <- 0
+    if b <> l.buf.(o + 2) || b < 0 || b >= pb.narr then pb.site_k <- 0
     else begin
-      let st = (c.id * pb.narr) + b and e = a - l.buf.(o + 3) in
+      let st = (c.id * pb.narr) + b and e = a - l.buf.(o + 1) in
       if pb.sdelta.(st) = min_int then pb.sdelta.(st) <- e
       else if pb.sdelta.(st) <> e then pb.site_k <- 0;
       if a < pb.ext_lo.(st) then pb.ext_lo.(st) <- a;
@@ -1152,11 +1172,11 @@ let check_site t c kind a b len =
   end
   else
     pb.site_k <-
-      Int.min pb.site_k (site_bound c kind l.buf.(o + 3) l.buf.(o + 4) a b)
+      Int.min pb.site_k (site_bound c kind l.buf.(o + 1) l.buf.(o + 2) a b)
 
 (* A value-dependent site: logged in period A, checked in period B. *)
 let site t c kind a b len =
-  if t.pf_mode = 1 then pf_site_len t c kind a b len
+  if t.pf_mode = 1 then pf_log_site t c kind a b
   else check_site t c kind a b len
 
 let pf_site t c kind a b = site t c kind a b 0
@@ -2163,7 +2183,7 @@ let step t =
    - an idle jump (here): the period is the one idle step just taken,
      repeated up to the next event;
    - a periodic jump ("Periodic fast-forward" below): the period is a
-     verified steady-state period of P <= 256 steps, repeated up to the
+     verified steady-state period of P <= 2048 steps, repeated up to the
      next edge that breaks it.
 
    For idle jumps: after each step, compute a conservative *event
@@ -2339,15 +2359,28 @@ let horizon t =
      ([pr_delta], in [read_counters] order).
    - The per-cycle VL sample is constant across the jump ([c.vl] does
      not change), so each live core books one run of [k * p] samples.
-   - The period's memory bookings, compute issues and trace events are
-     re-executed [k] times, period by period, with stamps shifted by
-     whole periods. Re-executing [Hierarchy.book] and the level draw
-     keeps the float channel state, the traffic totals and the RNG
-     bit-identical to the naive loop; the repeated [busy_lanes] adds do
-     the same for the utilisation sum.
-   - Attribution repeats the period's bucket runs; a period of one run
-     (always the case for an idle step) books all [k * p] cycles in one
-     [Attrib.add_run_all].
+   - The period's memory bookings and compute issues are re-executed
+     once, one period on: [Hierarchy.book] and the level draw, each
+     booking checked to complete where period B's did, and the
+     [busy_lanes] and lane-bucket adds. Every channel B booked must then
+     free up exactly one period later than after B, or the jump raises.
+   - Periods 2..k add exactly period 1's effects again, one period
+     later each, so they are booked in closed form ([repeat_periods]):
+     the RNG skips their draws ([Rng.skip]: SplitMix64's state is
+     additive), the hierarchy adds [k - 1] times period 1's counter and
+     channel deltas and moves each booked channel's free time [(k - 1)
+     * p] cycles ([Hierarchy.repeat]), [busy_lanes] gains [k - 1] times
+     period 1's sum, and each core's lane buckets gain per bucket the
+     count and lane sum of the issues landing in it. This is
+     bit-identical because every quantity is dyadic, so no sum rounds
+     in either order: occupancies [bytes / bandwidth] and lane shares
+     [lanes / pipes_per_exebu] have power-of-two denominators ([pf_ok]),
+     byte counts and cycles are integers, all far below 2^53 — the same
+     argument as [Buckets.add_run_int]'s [m *. v].
+   - Trace events and attribution runs are repeated period by period;
+     either is on only in observed runs. A period of one attribution
+     run (always the case for an idle step) books all [k * p] cycles in
+     one [Attrib.add_run_all].
    - The naive loop checks invariants at multiples of 1024; the checked
      tables do not change inside a jump, so one check at the far end is
      equivalent whenever the jump crosses such a boundary. *)
@@ -2399,9 +2432,11 @@ let add_counters c (d : int array) o k =
     pa.pa_cycles <- pa.pa_cycles + (k * d.(o + 10))
   | None -> ()
 
+(* Period B's bookings, [shift] cycles on, each checked to land where
+   B's did; the deepest level depth they reached ([-1] for none). *)
 let replay_mems t shift =
   let l = t.pb.mems in
-  let o = ref 0 in
+  let o = ref 0 and deepest = ref (-1) in
   while !o < l.len do
     let b = l.buf and i = !o in
     let c = t.cores.(b.(i)) in
@@ -2413,12 +2448,16 @@ let replay_mems t shift =
     in
     if Occamy_mem.Level.depth level <> b.(i + 4) || done_at <> b.(i + 5) + shift
     then error "periodic replay diverged: core%d booking at cycle %d" c.id now;
+    if b.(i + 4) > !deepest then deepest := b.(i + 4);
     o := i + 6
-  done
+  done;
+  !deepest
 
+(* Period B's compute issues, [shift] cycles on; their busy lanes summed
+   in units of [1 / pipes_per_exebu]. *)
 let replay_comps t shift =
   let l = t.pb.comps in
-  let o = ref 0 in
+  let o = ref 0 and total = ref 0 in
   while !o < l.len do
     let b = l.buf and i = !o in
     let c = t.cores.(b.(i)) in
@@ -2427,8 +2466,10 @@ let replay_comps t shift =
     t.busy_lanes.(0) <-
       t.busy_lanes.(0) +. (float_of_int num /. float_of_int den);
     Buckets.add_ratio c.lanes_buckets ~cycle:(b.(i + 1) + shift) ~num ~den;
+    total := !total + num;
     o := i + 3
-  done
+  done;
+  !total
 
 (* Rename-stall episodes are the only events a period can contain that
    carry a cycle of their own (see [pf_edge_seen] for the rest). *)
@@ -2456,6 +2497,80 @@ let replay_runs t ~start =
     o := !o + 1 + n
   done
 
+(* How many of the offsets [off.(lo .. hi-1)], in increasing order, lie
+   below [r]: a core's compute issues of period B before offset [r]. *)
+let rec issues_before (off : int array) r lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if off.(mid) < r then issues_before off r (mid + 1) hi
+    else issues_before off r lo mid
+
+(* Core [c]'s lane-bucket samples of periods 2..k of a jump, per bucket.
+   Period j repeats period B's issues [j * p] cycles on; from the first
+   cycle [lo] of period 2, the issues before cycle [x] number [q * m +
+   idx] where [x - lo = q * p + r] and [idx] of B's [m] issues lie
+   before offset [r], and their lanes sum alike. *)
+let repeat_lane_buckets t c ~p ~k =
+  let pb = t.pb and l = t.pb.comps in
+  let b0 = t.cycle - p + 1 in
+  let m = ref 0 in
+  pb.cp_num.(0) <- 0;
+  let o = ref 0 in
+  while !o < l.len do
+    if l.buf.(!o) = c.id then begin
+      pb.cp_off.(!m) <- l.buf.(!o + 1) - b0;
+      pb.cp_num.(!m + 1) <- pb.cp_num.(!m) + (l.buf.(!o + 2) * Lane.f32_per_granule);
+      incr m
+    end;
+    o := !o + 3
+  done;
+  let m = !m in
+  if m > 0 then begin
+    let lo = b0 + (2 * p) and hi = t.cycle + (k * p) + 1 in
+    let w = Buckets.width c.lanes_buckets and den = t.cfg.pipes_per_exebu in
+    let x = ref lo and cnt0 = ref 0 and num0 = ref 0 in
+    while !x < hi do
+      let e = Int.min hi (((!x / w) + 1) * w) in
+      let d = e - lo in
+      let q = d / p in
+      let idx = issues_before pb.cp_off (d - (q * p)) 0 m in
+      let cnt = (q * m) + idx and num = (q * pb.cp_num.(m)) + pb.cp_num.(idx) in
+      if cnt > !cnt0 then
+        Buckets.add_ratios c.lanes_buckets ~cycle:!x ~count:(cnt - !cnt0)
+          ~num:(num - !num0) ~den;
+      cnt0 := cnt;
+      num0 := num;
+      x := e
+    done
+  end
+
+(* Periods 2..k of a periodic jump, after period 1 re-executed: each
+   adds exactly period 1's effects, shifted by one more period. *)
+let repeat_periods t ~p ~k ~deepest ~lanes =
+  let times = k - 1 and pb = t.pb in
+  if
+    not
+      (Hierarchy.repeat t.hierarchy ~since:t.pf_hier ~deepest ~times ~shift:p)
+  then
+    error "periodic replay diverged: a channel did not end %d cycles after \
+           period B at cycle %d" p t.cycle;
+  if times > 0 then begin
+    Rng.skip t.rng (times * (pb.mems.len / 6));
+    t.busy_lanes.(0) <-
+      t.busy_lanes.(0)
+      +. (float_of_int (times * lanes) /. float_of_int t.cfg.pipes_per_exebu);
+    if pb.comps.len > 0 then begin
+      (* sized by the log's capacity, so they grow only when it does *)
+      let cap = (Array.length pb.comps.buf / 3) + 1 in
+      pb.cp_off <- fit pb.cp_off cap 0;
+      pb.cp_num <- fit pb.cp_num cap 0;
+      for i = 0 to Array.length t.cores - 1 do
+        repeat_lane_buckets t t.cores.(i) ~p ~k
+      done
+    end
+  end
+
 let replay t ~p ~k =
   let n = Array.length t.cores in
   let span = k * p in
@@ -2466,13 +2581,16 @@ let replay t ~p ~k =
       Buckets.add_run_int c.vl_buckets ~cycle:(t.cycle + 1) ~len:span c.vl
   done;
   let pb = t.pb in
+  if pb.mems.len > 0 || pb.comps.len > 0 then begin
+    Hierarchy.state_into t.hierarchy t.pf_hier;
+    let deepest = replay_mems t p in
+    let lanes = replay_comps t p in
+    repeat_periods t ~p ~k ~deepest ~lanes
+  end;
   let single = pb.runs.len <= 1 + n in
-  if pb.mems.len > 0 || pb.comps.len > 0 || pb.tr_n > 0 || (t.at_on && not single)
-  then
+  if pb.tr_n > 0 || (t.at_on && not single) then
     for j = 1 to k do
       let shift = j * p in
-      replay_mems t shift;
-      replay_comps t shift;
       replay_trace t shift;
       if t.at_on && not single then
         replay_runs t ~start:(t.cycle + shift - p + 1)
@@ -2547,18 +2665,29 @@ let try_fast_forward t =
    stride per address stream (one core's accesses to one array), and a
    fixed increment per scalar register. A periodic jump verifies such a
    period once and then replays it k times instead of stepping it. It
-   is taken only when [pf_ok]: power-of-two channel bandwidths, which
-   keep the float channel arithmetic exact, so a backlog shifted by whole cycles books
-   the same completions shifted by the same cycles.
+   is taken only when [pf_ok]: power-of-two channel bandwidths and
+   pipe counts, which keep the float channel and busy-lane arithmetic
+   exact, so a backlog shifted by whole cycles books the same
+   completions shifted by the same cycles, and k periods' sums can be
+   added in one step.
 
    {b Detection.} At the end of every step in which the sampling core
    (the lowest-numbered one still running) took a backward branch,
-   [pf_hash] hashes a cheap digest of the machine
-   (pcs, occupancies, relative completion times, channel backlogs) into
-   a 64-entry ring. An earlier entry with the same hash at most
-   [pf_max_period] cycles back, at a distance that is a multiple of the
-   core count (issue and rename arbitration rotate with [cycle mod
-   cores]), proposes P.
+   [pf_hash] hashes a cheap digest of the machine (pcs, occupancies,
+   relative completion times, channel backlogs). A direct-mapped table
+   of [pf_tbl] slots, keyed by that hash and [cycle mod cores] (issue
+   and rename arbitration rotate with it), holds the last back-edge
+   cycle per key: one lookup proposes P when that cycle is at most
+   [pf_max_period] = 2048 back, long enough for two co-running loops
+   whose joint period is the least common multiple of theirs (9+4
+   repeats together every 260 cycles, 21+17 every 624). A slot another
+   key overwrote only loses a proposal; a false one fails verification.
+
+   {b Back-off.} A verification that an edge broke ([pf_edge_seen])
+   looks again at once: a halt or a <VL> write starts a new regime,
+   such as the other core's solo stretch. Any other failure waits a
+   doubling number of periods before the next lookup, at most
+   [pf_max_backoff] cycles.
 
    {b Verification.} From the proposal at t1 the loop steps two more
    periods, A = (t1, t2] and B = (t2, t3], taking the canonical
@@ -2593,9 +2722,10 @@ let try_fast_forward t =
    k ends before their extents over period B, moved k periods on,
    would meet.
 
-   {b The jump} replays period B k times through [replay] and shifts the
-   state by k periods ([pf_shift]): scalar registers, ring heads and
-   slots (rotating each ring's arrays), producer sequence numbers,
+   {b The jump} replays period B k times through [replay] — the first
+   period re-executed and checked, periods 2..k in closed form — and
+   shifts the state by k periods ([pf_shift]): scalar registers, ring
+   heads and slots (rotating each ring's arrays), producer sequence numbers,
    completion and ready times, in-flight addresses, and an open
    rename-stall episode. A producer that had retired stays below the
    window head, so its raw sequence number is left alone.
@@ -2659,9 +2789,6 @@ let pf_hash t =
 let pbuf_cache : pbuf option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let fit a n v = if Array.length a >= n then a else Array.make n v
-let exact a n v = if Array.length a = n then a else Array.make n v
-
 let clear_logs pb =
   pb.sites.len <- 0;
   pb.mems.len <- 0;
@@ -2715,6 +2842,10 @@ let pf_ensure t =
     pb.sdelta <- fit pb.sdelta ns 0;
     pb.ext_lo <- fit pb.ext_lo ns 0;
     pb.ext_hi <- fit pb.ext_hi ns 0;
+    pb.tb_key <- exact pb.tb_key pf_tbl 0;
+    pb.tb_cyc <- exact pb.tb_cyc pf_tbl 0;
+    (* entries of an earlier simulation are stale in this one *)
+    Array.fill pb.tb_cyc 0 pf_tbl min_int;
     pb.hp_mark <- fit pb.hp_mark w_cap 0;
     pb.park_mark <- fit pb.park_mark w_cap 0;
     pb.sort_idx <-
@@ -3158,16 +3289,25 @@ let pf_shift t ~k =
 
 let pf_reset t =
   t.pf_mode <- 0;
-  t.pf_ring_n <- 0;
+  t.pf_since <- t.cycle;
   clear_logs t.pb
 
-let pf_fail t =
+(* A failed verification. One that an edge broke looks again at once:
+   the edge starts a new regime (a halt leaves the other core's solo
+   stretch, a <VL> write a new phase). Any other failure backs off for a
+   doubling number of periods, at most [pf_max_backoff] cycles. *)
+let pf_fail t ~edge =
   pf_reset t;
-  t.pf_fails <- Int.min (t.pf_fails + 1) 6;
-  t.pf_retry_at <- t.cycle + (t.pf_p lsl t.pf_fails)
+  if edge then begin
+    t.pf_fails <- 0;
+    t.pf_retry_at <- t.cycle
+  end
+  else begin
+    t.pf_fails <- Int.min (t.pf_fails + 1) 6;
+    t.pf_retry_at <- t.cycle + Int.min (t.pf_p lsl t.pf_fails) pf_max_backoff
+  end
 
 let pf_start t ~p =
-  pf_ensure t;
   if pf_snapshot t t.pb.pb_s.(0) then begin
     t.pf_mode <- 1;
     t.pf_p <- p;
@@ -3176,36 +3316,33 @@ let pf_start t ~p =
   end
   else t.pf_retry_at <- t.cycle + p
 
-(* After a back-edge step: hash the state into the ring and propose the
-   shortest period whose start hashed the same. *)
+(* After a back-edge step: look the state up in the detection table by
+   its hash and [cycle mod cores] (issue and rename arbitration rotate
+   with it, so a period is a multiple of the core count), propose the
+   distance to the last back-edge with the same key if it is at most
+   [pf_max_period], and record this one in its place. *)
 let pf_detect t =
   if t.cycle >= t.pf_retry_at then begin
-    let h = pf_hash t in
-    let now = t.cycle and n = Array.length t.cores in
-    let found = ref 0 and i = ref 0 in
-    let m = Int.min t.pf_ring_n pf_ring in
-    while !i < m do
-      let e = (t.pf_ring_n - 1 - !i) land (pf_ring - 1) in
-      let p = now - t.pf_ring_cyc.(e) in
-      if p > pf_max_period then i := m
-      else if t.pf_ring_hash.(e) = h && p > 0 && p mod n = 0 then begin
-        found := p;
-        i := m
-      end
-      else incr i
-    done;
-    let e = t.pf_ring_n land (pf_ring - 1) in
-    t.pf_ring_cyc.(e) <- now;
-    t.pf_ring_hash.(e) <- h;
-    t.pf_ring_n <- t.pf_ring_n + 1;
-    if !found > 0 then pf_start t ~p:!found
+    pf_ensure t;
+    let pb = t.pb and now = t.cycle in
+    let key = mix (pf_hash t) (now mod Array.length t.cores) in
+    let e = (key lxor (key lsr 32)) land (pf_tbl - 1) in
+    let last = pb.tb_cyc.(e) in
+    let p =
+      if pb.tb_key.(e) = key && last > t.pf_since && now - last <= pf_max_period
+      then now - last
+      else 0
+    in
+    pb.tb_key.(e) <- key;
+    pb.tb_cyc.(e) <- now;
+    if p > 0 then pf_start t ~p
   end
 
 (* While verifying: at each period boundary compare snapshots; after
    period B, bound and take the jump. *)
 let pf_on_step t =
   let pb = t.pb and n = Array.length t.cores in
-  if t.pf_edges <> t.pf_edges0 then pf_fail t
+  if t.pf_edges <> t.pf_edges0 then pf_fail t ~edge:true
   else if t.cycle - t.pf_t0 >= t.pf_p then
     if t.pf_mode = 1 then begin
       if pf_snapshot t pb.pb_s.(1) && snap_equal pb.pb_s.(0) pb.pb_s.(1) ~p:t.pf_p
@@ -3221,7 +3358,7 @@ let pf_on_step t =
         t.pf_mode <- 2;
         t.pf_t0 <- t.cycle
       end
-      else pf_fail t
+      else pf_fail t ~edge:false
     end
     else if pf_snapshot t pb.pb_s.(2) && snap_equal pb.pb_s.(1) pb.pb_s.(2) ~p:t.pf_p
     then begin
@@ -3238,9 +3375,9 @@ let pf_on_step t =
         t.pf_fails <- 0;
         pf_reset t
       end
-      else pf_fail t
+      else pf_fail t ~edge:false
     end
-    else pf_fail t
+    else pf_fail t ~edge:false
 
 (* The core whose back-edges sample the machine: the lowest-numbered
    one still running its program. A machine period spans whole

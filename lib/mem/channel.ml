@@ -71,6 +71,30 @@ let[@inline] is_free t ~now = t.st.(0) <= now
     array cell keeps it unboxed across the call. *)
 let next_free_into t (dst : float array) i = dst.(i) <- t.st.(0)
 
+(** Copy [next_free; busy; bytes] into [dst.(i .. i+2)]. *)
+let state_into t (dst : float array) i =
+  dst.(i) <- t.st.(0);
+  dst.(i + 1) <- t.st.(1);
+  dst.(i + 2) <- t.st.(2)
+
+(** Did the channel end exactly [shift] cycles later than in the state
+    [state_into] saved at [since.(i)]? *)
+let moved_by t ~since i ~shift = t.st.(0) = since.(i) +. float_of_int shift
+
+(** [repeat t ~since i ~times ~shift] books [times] more copies of the
+    requests made since [state_into t since i], each copy [shift] cycles
+    after the one before: [busy] and [bytes] gain [times] times their
+    increase, and [next_free] moves [times * shift] cycles. That equals
+    re-issuing the copies when the channel is shift-invariant over them
+    ({!moved_by}) and every quantity is a dyadic rational that a double
+    holds exactly (a power-of-two bandwidth and integer byte counts),
+    so no sum rounds. *)
+let repeat t ~since i ~times ~shift =
+  let k = float_of_int times in
+  t.st.(0) <- t.st.(0) +. float_of_int (times * shift);
+  t.st.(1) <- t.st.(1) +. (k *. (t.st.(1) -. since.(i + 1)));
+  t.st.(2) <- t.st.(2) +. (k *. (t.st.(2) -. since.(i + 2)))
+
 let bytes_per_cycle t = t.bytes_per_cycle
 let bytes_moved t = t.st.(2)
 let name t = t.name

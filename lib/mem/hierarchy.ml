@@ -112,6 +112,43 @@ let book t ~prefetched ~now ~level ~bytes =
 let access ?(prefetched = false) t ~now ~level ~bytes =
   book t ~prefetched ~now ~level ~bytes
 
+(* The image [state_into] saves: accesses, per-level accesses and
+   bytes, then each channel's three cells. Counts are exact as doubles
+   far past any simulation's length. *)
+let state_len = 16
+
+let state_into t (dst : float array) =
+  dst.(0) <- float_of_int t.accesses;
+  for d = 0 to 2 do
+    dst.(1 + d) <- float_of_int t.by_level.(d);
+    dst.(4 + d) <- t.bytes_by_level.(d)
+  done;
+  Channel.state_into t.vc dst 7;
+  Channel.state_into t.l2 dst 10;
+  Channel.state_into t.dram dst 13
+
+(* Channels down to depth [deepest] were booked since [since]. *)
+let shifted t ~since ~deepest ~shift =
+  (deepest < 0 || Channel.moved_by t.vc ~since 7 ~shift)
+  && (deepest < 1 || Channel.moved_by t.l2 ~since 10 ~shift)
+  && (deepest < 2 || Channel.moved_by t.dram ~since 13 ~shift)
+
+let repeat t ~since ~deepest ~times ~shift =
+  shifted t ~since ~deepest ~shift
+  && begin
+    t.accesses <- t.accesses + (times * (t.accesses - int_of_float since.(0)));
+    for d = 0 to 2 do
+      let n = t.by_level.(d) in
+      t.by_level.(d) <- n + (times * (n - int_of_float since.(1 + d)));
+      let b = t.bytes_by_level.(d) in
+      t.bytes_by_level.(d) <- b +. (float_of_int times *. (b -. since.(4 + d)))
+    done;
+    if deepest >= 0 then Channel.repeat t.vc ~since 7 ~times ~shift;
+    if deepest >= 1 then Channel.repeat t.l2 ~since 10 ~times ~shift;
+    if deepest >= 2 then Channel.repeat t.dram ~since 13 ~times ~shift;
+    true
+  end
+
 (** Peak bandwidth (bytes/cycle) of a level, for the roofline model. *)
 let bandwidth_of t level =
   match level with

@@ -31,6 +31,28 @@ val book : t -> prefetched:bool -> now:int -> level:Level.t -> bytes:int -> int
     wraps its value in [Some] at every call site, which the simulator's
     zero-allocation issue path cannot afford. Semantics are identical. *)
 
+val state_len : int
+(** Length of the image {!state_into} saves. *)
+
+val state_into : t -> float array -> unit
+(** Save the traffic counters and every channel's state into the first
+    {!state_len} cells of a float array (unboxed, allocation-free). *)
+
+val repeat :
+  t -> since:float array -> deepest:int -> times:int -> shift:int -> bool
+(** [repeat t ~since ~deepest ~times ~shift] books, in O(1), [times]
+    more copies of every access booked since [state_into t since], each
+    copy [shift] cycles after the one before; those accesses reached
+    level depth [deepest] at most ([-1] for none). Counters and channel
+    totals gain [times] times their increase and each booked channel's
+    free time moves [times * shift] cycles. It first checks that every
+    booked channel now frees up exactly [shift] cycles later than in
+    [since] — the accesses were one shift-invariant copy — and returns
+    [false], changing nothing, if one does not. With power-of-two
+    bandwidths every quantity is dyadic, so the result is bit-identical
+    to re-booking the copies one by one. [times = 0] is the check
+    alone. *)
+
 val latency_to : t -> Level.t -> int
 val bandwidth_of : t -> Level.t -> float
 val accesses : t -> int

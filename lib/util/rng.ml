@@ -76,6 +76,33 @@ let step t =
   t.zhi <- nh lxor (nh lsr 31);
   t.zlo <- nl lxor (((nh lsl 1) land mask32) lor (nl lsr 31))
 
+(** [skip t n] is [n] calls to [step]: the SplitMix64 state only ever
+    gains the golden gamma, so [n - 1] steps collapse into one
+    multiply-add mod 2^64 (schoolbook on 16-bit limbs, as in [step]) and
+    a last real step leaves the same output bits. Lets a replayed stretch
+    of [n] draws whose values are already known cost O(1). *)
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip: negative count";
+  if n > 0 then begin
+    let m = n - 1 in
+    let m0 = m land 0xFFFF and m1 = (m lsr 16) land 0xFFFF in
+    let m2 = (m lsr 32) land 0xFFFF and m3 = (m lsr 48) land 0xFFFF in
+    (* m * 0x9E3779B97F4A7C15 mod 2^64 *)
+    let r0 = m0 * 0x7C15 in
+    let r1 = (m1 * 0x7C15) + (m0 * 0x7F4A) + (r0 lsr 16) in
+    let r2 = (m2 * 0x7C15) + (m1 * 0x7F4A) + (m0 * 0x79B9) + (r1 lsr 16) in
+    let r3 =
+      (m3 * 0x7C15) + (m2 * 0x7F4A) + (m1 * 0x79B9) + (m0 * 0x9E37)
+      + (r2 lsr 16)
+    in
+    let lo0 = t.lo + ((r0 land 0xFFFF) lor ((r1 land 0xFFFF) lsl 16)) in
+    t.hi <-
+      (t.hi + ((r2 land 0xFFFF) lor ((r3 land 0xFFFF) lsl 16)) + (lo0 lsr 32))
+      land mask32;
+    t.lo <- lo0 land mask32;
+    step t
+  end
+
 (** [bits53 t] is the next draw's top 53 output bits as a non-negative
     native int — the integer behind {!float}. Callers that need the
     uniform float can scale by [2^-53] themselves: an int return value

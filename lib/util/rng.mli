@@ -20,6 +20,11 @@ val bits53 : t -> int
     callers keep the float math on their own side of the module boundary
     (a float return boxes at any non-inlined call). *)
 
+val skip : t -> int -> unit
+(** [skip t n] advances [t] exactly as [n] draws would, in O(1): the
+    following draws, and the generator's whole state, equal those after
+    [n] draws. Raises [Invalid_argument] on a negative [n]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] on a
     non-positive bound. *)

@@ -116,6 +116,17 @@ module Buckets = struct
     t.sums.(idx) <- t.sums.(idx) +. (float_of_int num /. float_of_int den);
     t.counts.(idx) <- t.counts.(idx) + 1
 
+  (** [add_ratios t ~cycle ~count ~num ~den] books [count] samples
+      whose ratios over [den] sum to [num / den] into the bucket of
+      [cycle]: [count] calls to [add_ratio] whose [num]s sum to [num],
+      bit-identical when every partial sum is exact (a power-of-two
+      [den], integer [num]s). *)
+  let add_ratios t ~cycle ~count ~num ~den =
+    let idx = cycle / t.width in
+    ensure t idx;
+    t.sums.(idx) <- t.sums.(idx) +. (float_of_int num /. float_of_int den);
+    t.counts.(idx) <- t.counts.(idx) + count
+
   let rec add_run_from t pos left v =
     if left > 0 then begin
       let idx = pos / t.width in

@@ -51,6 +51,12 @@ module Buckets : sig
   (** [add t ~cycle (float_of_int num /. float_of_int den)], conversions
       on the callee side (see {!add_int}). *)
 
+  val add_ratios : t -> cycle:int -> count:int -> num:int -> den:int -> unit
+  (** [count] calls to {!add_ratio} into the bucket of [cycle] whose
+      [num]s sum to [num], in one step. Bit-identical to those calls
+      when every partial sum is exact: integer [num]s over a
+      power-of-two [den]. The simulator's periodic jumps rely on it. *)
+
   val add_run_int : t -> cycle:int -> len:int -> int -> unit
   (** [add_run t ~cycle ~len (float_of_int v)], conversion on the callee
       side (see {!add_int}). *)

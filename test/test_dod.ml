@@ -223,8 +223,10 @@ let check_zero_alloc ?prof label =
    vector loop repeated by an outer loop, so one run takes a periodic
    jump per repetition with no phase change in between. The first jump
    sizes the recording buffers; from there to the last jump, every
-   detection hash, snapshot, recorded period, replay and state shift
-   must allocate nothing. *)
+   detection lookup, hash, snapshot, recorded period, replay and state
+   shift must allocate nothing. The loop's period is 27 cycles and each
+   jump spans 9-10 of them, so every jump also adds its periods 2..k in
+   closed form (RNG skip, channel and counter deltas, lane buckets). *)
 let check_zero_alloc_periodic ?prof label =
   let loop = Occamy_workloads.Motivating.wsm5_loop ~tc:4096 in
   let wl =
@@ -249,6 +251,10 @@ let check_zero_alloc_periodic ?prof label =
     (Printf.sprintf "several periodic jumps after the first%s" label)
     true
     (Sim.periodic_jumps sim >= first + 3);
+  Helpers.check_bool
+    (Printf.sprintf "jumps span several periods%s" label)
+    true
+    (Sim.periodic_skipped_cycles sim / Sim.periodic_jumps sim >= 200);
   if !last -. before <> 0.0 then
     Alcotest.failf
       "periodic fast-forward allocates%s: %.0f minor words from the first \

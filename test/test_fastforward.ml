@@ -396,6 +396,55 @@ let test_periodic_then_mixed () =
            [ { wl with Workload.profiles } ]))
     [ Arch.Private; Arch.Occamy ]
 
+(* Drive the fast-forwarding loop step by step: the cycles at which its
+   periodic jumps ended, and the cycle the first core halted at. *)
+let jump_ends ~arch wls =
+  let t = Sim.create ~arch wls in
+  let ends = ref [] in
+  while not (Sim.finished t) do
+    let j = Sim.periodic_jumps t in
+    Sim.advance t;
+    if Sim.periodic_jumps t > j then ends := Sim.cycle t :: !ends
+  done;
+  let m = Sim.run t in
+  let first_halt =
+    Array.fold_left
+      (fun acc (c : Occamy_core.Metrics.core_result) -> min acc c.finish)
+      max_int m.Occamy_core.Metrics.cores
+  in
+  (List.rev !ends, first_halt)
+
+let test_periodic_co_run () =
+  (* 9+4's two loops repeat together only every 260 cycles: the jump
+     must come while both cores still run. *)
+  let wls = Suite.compile_pair (Option.get (Suite.find_pair "9+4")) in
+  List.iter
+    (fun arch ->
+      let label = "periodic-co-run-9+4/" ^ Arch.name arch in
+      check_periodic label (run_both ~attrib:true ~label ~arch wls);
+      let ends, first_halt = jump_ends ~arch wls in
+      Helpers.check_bool
+        (Printf.sprintf "%s: a jump ends before cycle %d" label first_halt)
+        true
+        (List.exists (fun c -> c < first_halt) ends))
+    [ Arch.Private; Arch.Vls ]
+
+let test_periodic_after_halt () =
+  (* 21+17 on VLS at a 0.3 trip-count scale: core 0 halts in the middle
+     of a verification, and the halt (an edge) fails it. Detection must
+     look again at once, not back off, or core 1's solo stretch after
+     the halt ends before a jump. *)
+  let wls =
+    Suite.compile_pair ~tc_scale:0.3 (Option.get (Suite.find_pair "21+17"))
+  in
+  let label = "periodic-after-halt-21+17/VLS" in
+  check_periodic label (run_both ~attrib:true ~label ~arch:Arch.Vls wls);
+  let ends, first_halt = jump_ends ~arch:Arch.Vls wls in
+  Helpers.check_bool
+    (Printf.sprintf "%s: a jump ends after cycle %d" label first_halt)
+    true
+    (List.exists (fun c -> c > first_halt) ends)
+
 let suites =
   [
     ( "fastforward.periodic",
@@ -417,6 +466,10 @@ let suites =
           test_periodic_then_mixed;
         Alcotest.test_case "two cores' streams of one array id" `Quick
           test_periodic_shared_array_ids;
+        Alcotest.test_case "co-running loops of joint period 260" `Quick
+          test_periodic_co_run;
+        Alcotest.test_case "an edge-failed verification, then a solo stretch"
+          `Quick test_periodic_after_halt;
       ] );
     ( "fastforward.equivalence",
       [

@@ -331,9 +331,52 @@ let qcheck_prefetch_only_changes_latency =
       && Channel.bytes_moved (Hierarchy.channel h1 Level.Dram)
          = Channel.bytes_moved (Hierarchy.channel h2 Level.Dram))
 
+let qcheck_hierarchy_repeat =
+  (* [Hierarchy.repeat] books [times] more shifted copies of a pattern in
+     one step: bit-identical to booking them one by one whenever every
+     booked channel ended one shift later over the last copy, and a
+     no-op when one did not. *)
+  QCheck2.Test.make ~name:"repeat = booking the shifted copies" ~count:300
+    QCheck2.Gen.(
+      quad (int_range 1 400) (int_range 1 3) (int_range 0 20)
+        (list_size (int_range 1 12)
+           (triple (int_range 0 399) (int_range 0 2) (int_range 1 64))))
+    (fun (p, warm, times, pattern) ->
+      let pattern =
+        List.sort compare (List.map (fun (o, l, b) -> (o mod p, l, b * 16)) pattern)
+      in
+      let level = function 0 -> Level.Vec_cache | 1 -> Level.L2 | _ -> Level.Dram in
+      let deepest = List.fold_left (fun a (_, l, _) -> max a l) (-1) pattern in
+      let copy h j =
+        List.iter
+          (fun (o, l, bytes) ->
+            ignore
+              (Hierarchy.book h ~prefetched:true ~now:((j * p) + o)
+                 ~level:(level l) ~bytes))
+          pattern
+      in
+      let image h =
+        let a = Array.make Hierarchy.state_len 0.0 in
+        Hierarchy.state_into h a;
+        a
+      in
+      let h = Hierarchy.create () and naive = Hierarchy.create () in
+      for j = 0 to warm - 1 do copy h j done;
+      let since = image h in
+      copy h warm;
+      let after_one = image h in
+      for j = 0 to warm + times do copy naive j done;
+      if Hierarchy.repeat h ~since ~deepest ~times ~shift:p then
+        image h = image naive
+      else image h = after_one)
+
 let suites =
   suites
   @ [
       Helpers.qsuite "mem.qcheck2"
-        [ qcheck_hierarchy_conserves_bytes; qcheck_prefetch_only_changes_latency ];
+        [
+          qcheck_hierarchy_conserves_bytes;
+          qcheck_prefetch_only_changes_latency;
+          qcheck_hierarchy_repeat;
+        ];
     ]

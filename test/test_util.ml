@@ -105,6 +105,48 @@ let qcheck_acc_mean =
       List.iter (Stats.Acc.add acc) xs;
       Float.abs (Stats.Acc.mean acc -. Stats.mean xs) < 1e-9)
 
+let qcheck_rng_skip =
+  (* [skip n] is [n] draws: the whole generator, last output included,
+     and every later draw. *)
+  QCheck2.Test.make ~name:"skip n = n draws" ~count:200
+    QCheck2.Gen.(triple int (int_range 0 50) (int_range 0 3000))
+    (fun (seed, pre, n) ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      for _ = 1 to pre do
+        ignore (Rng.bits53 a);
+        ignore (Rng.bits53 b)
+      done;
+      Rng.skip a n;
+      for _ = 1 to n do
+        ignore (Rng.bits53 b)
+      done;
+      a = b && List.init 8 (fun _ -> Rng.bits53 a) = List.init 8 (fun _ -> Rng.bits53 b))
+
+let qcheck_rng_skip_compose =
+  (* Far beyond what a test can step: skips compose additively. *)
+  QCheck2.Test.make ~name:"skip m then n = skip (m + n)" ~count:200
+    QCheck2.Gen.(triple int (int_range 0 (1 lsl 40)) (int_range 0 (1 lsl 40)))
+    (fun (seed, m, n) ->
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      Rng.skip a m;
+      Rng.skip a n;
+      Rng.skip b (m + n);
+      a = b)
+
+let qcheck_buckets_add_ratios =
+  (* One [add_ratios] = its [add_ratio] calls, for a power-of-two [den]. *)
+  QCheck2.Test.make ~name:"add_ratios = add_ratio calls"
+    QCheck2.Gen.(
+      pair (int_range 0 5000) (list_size (int_range 0 30) (int_range 0 64)))
+    (fun (cycle, nums) ->
+      let a = Stats.Buckets.create ~width:1000
+      and b = Stats.Buckets.create ~width:1000 in
+      List.iter (fun num -> Stats.Buckets.add_ratio a ~cycle ~num ~den:2) nums;
+      Stats.Buckets.add_ratios b ~cycle ~count:(List.length nums)
+        ~num:(List.fold_left ( + ) 0 nums) ~den:2;
+      Stats.Buckets.rates a = Stats.Buckets.rates b
+      && Stats.Buckets.averages a = Stats.Buckets.averages b)
+
 let suites =
   [
     ( "util",
@@ -119,5 +161,12 @@ let suites =
         Alcotest.test_case "mix3 pure" `Quick test_mix3_pure;
         Alcotest.test_case "table render" `Quick test_table_render;
       ] );
-    Helpers.qsuite "util.qcheck" [ qcheck_geomean_bounds; qcheck_acc_mean ];
+    Helpers.qsuite "util.qcheck"
+      [
+        qcheck_geomean_bounds;
+        qcheck_acc_mean;
+        qcheck_rng_skip;
+        qcheck_rng_skip_compose;
+        qcheck_buckets_add_ratios;
+      ];
   ]
