@@ -437,10 +437,57 @@ let golden_metrics () =
         per_arch)
     machines
 
+(* The fast-forward audit at paper scale: all 100 Fig 10 sweep
+   simulations (25 pairs x 4 archs) under both loops. The first naive
+   vs fast-forward divergence, in sweep order, is printed with its pair
+   and arch. Otherwise the result is an MD5 over the simulations'
+   counters, computed as the performance ledger computes its [sweep]
+   [sim_digest], and pinned in the golden file under [sweep_key]. *)
+let sweep_key = "sweep.counters_digest"
+
+let sweep_audit () =
+  let module Suite = Occamy_workloads.Suite in
+  let per_pair =
+    Domain_pool.map ~jobs ?oversubscribe
+      (fun pair ->
+        let wls = Suite.compile_pair pair in
+        List.map
+          (fun arch ->
+            let run fast_forward =
+              Occamy_core.Sim.simulate
+                ~cfg:{ Config.default with Config.fast_forward }
+                ~arch wls
+            in
+            let naive = run false in
+            let m = run true in
+            (pair, arch, Occamy_check.Invariant.check_equivalent naive m, m))
+          Arch.all)
+      Suite.pairs
+  in
+  let digests = Buffer.create 1600 in
+  List.iter
+    (fun (pair, arch, equal, m) ->
+      match equal with
+      | Error msg ->
+        Printf.eprintf
+          "bench: sweep audit: pair %s arch %s: fast-forward diverged from \
+           the naive loop: %s\n%!"
+          pair.Suite.label (Arch.name arch) msg;
+        exit 1
+      | Ok () ->
+        Buffer.add_string digests
+          (Digest.string
+             (Json.obj_to_line
+                (Occamy_obs.Counters.to_json (Occamy_core.Metrics.counters m)))))
+    (List.concat per_pair);
+  Digest.to_hex (Digest.string (Buffer.contents digests))
+
 let run_golden_update () =
   ensure_dir "test";
   ensure_dir (Filename.concat "test" "golden");
-  Json.write_file ~path:golden_path (Json.obj_to_string (golden_metrics ()));
+  Json.write_file ~path:golden_path
+    (Json.obj_to_string
+       (golden_metrics () @ [ (sweep_key, Json.Str (sweep_audit ())) ]));
   Printf.printf "wrote %s\n%!" golden_path
 
 let run_golden_check () =
@@ -451,22 +498,30 @@ let run_golden_check () =
       golden_path e;
     exit 1
   | Ok contents ->
-    let want =
+    let kvs =
       match Json.parse_flat_obj contents with
-      | Ok kvs ->
-        List.filter_map
-          (fun (k, v) -> match v with Json.Num f -> Some (k, f) | _ -> None)
-          kvs
+      | Ok kvs -> kvs
       | Error e ->
         Printf.eprintf "bench: %s is not a flat JSON object: %s\n%!"
           golden_path e;
         exit 1
+    in
+    let want =
+      List.filter_map
+        (fun (k, v) -> match v with Json.Num f -> Some (k, f) | _ -> None)
+        kvs
     in
     let got =
       List.filter_map
         (fun (k, v) -> match v with Json.Num f -> Some (k, f) | _ -> None)
         (golden_metrics ())
     in
+    let want_sweep =
+      match List.assoc_opt sweep_key kvs with
+      | Some (Json.Str d) -> Some d
+      | _ -> None
+    in
+    let sweep = sweep_audit () in
     (* Runs are deterministic, so the gate is near-exact: the epsilon
        only absorbs decimal-printing round-trip of the float metrics. *)
     let drift = ref [] in
@@ -484,9 +539,18 @@ let run_golden_check () =
         if not (List.mem_assoc k want) then
           drift := Printf.sprintf "%s: not in the golden file" k :: !drift)
       got;
+    (match want_sweep with
+    | Some d when d = sweep -> ()
+    | Some d ->
+      drift :=
+        Printf.sprintf "%s: golden %s, measured %s" sweep_key d sweep :: !drift
+    | None ->
+      drift := Printf.sprintf "%s: not in the golden file" sweep_key :: !drift);
     if !drift = [] then
-      Printf.printf "golden check: %d metrics match %s\n%!" (List.length want)
-        golden_path
+      Printf.printf
+        "golden check: %d metrics match %s\n\
+         sweep audit: 100 simulations, naive = fast-forward, %s matches\n%!"
+        (List.length want) golden_path sweep_key
     else begin
       Printf.eprintf
         "bench: golden metrics drift detected (%d metric%s):\n%!"

@@ -18,11 +18,9 @@ let create ~name ~units =
   if units <= 0 then invalid_arg "Config_tbl.create";
   { name; owners = Array.make units Free }
 
-let units t = Array.length t.owners
-
 let owned_by t ~core =
   let acc = ref [] in
-  for u = units t - 1 downto 0 do
+  for u = Array.length t.owners - 1 downto 0 do
     if t.owners.(u) = Core core then acc := u :: !acc
   done;
   !acc
@@ -36,20 +34,6 @@ let rec count_owned_from owners core u acc =
       (match owners.(u) with Core c when c = core -> acc + 1 | _ -> acc)
 
 let count_owned t ~core = count_owned_from t.owners core 0 0
-
-(** Write the unit indices core [core] owns into [buf] (increasing
-    order); returns how many. Allocation-free [owned_by] for the
-    dispatcher's cached per-core unit arrays. *)
-let rec owned_fill owners core buf u k =
-  if u >= Array.length owners then k
-  else
-    match owners.(u) with
-    | Core c when c = core ->
-        buf.(k) <- u;
-        owned_fill owners core buf (u + 1) (k + 1)
-    | _ -> owned_fill owners core buf (u + 1) k
-
-let owned_into t ~core buf = owned_fill t.owners core buf 0 0
 
 let count_free t =
   Array.fold_left (fun n o -> if o = Free then n + 1 else n) 0 t.owners
@@ -87,14 +71,3 @@ let rec consistent_from t expected_counts c =
      && consistent_from t expected_counts (c + 1)
 
 let consistent_with t expected_counts = consistent_from t expected_counts 0
-
-let pp ppf t =
-  Fmt.pf ppf "%s[" t.name;
-  Array.iteri
-    (fun u o ->
-      if u > 0 then Fmt.string ppf " ";
-      match o with
-      | Free -> Fmt.pf ppf "%d:free" u
-      | Core c -> Fmt.pf ppf "%d:c%d" u c)
-    t.owners;
-  Fmt.string ppf "]"

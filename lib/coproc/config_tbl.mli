@@ -5,14 +5,8 @@
 type t
 
 val create : name:string -> units:int -> t
-val units : t -> int
 val owned_by : t -> core:int -> int list
 val count_owned : t -> core:int -> int
-
-val owned_into : t -> core:int -> int array -> int
-(** Allocation-free {!owned_by}: writes the owned unit indices into the
-    buffer (increasing order) and returns how many were written. The
-    buffer must hold at least [units t] elements. *)
 
 val count_free : t -> int
 
@@ -25,5 +19,3 @@ val release_all : t -> core:int -> unit
 
 val consistent_with : t -> int array -> bool
 (** Per-core ownership counts match the expected `<VL>` column. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,22 +21,20 @@
     (attempted allocations that failed) feeds the Figure 13 metric. *)
 
 type t = {
-  name : string;
   capacity : int;  (* rows available for in-flight destinations *)
   mutable in_use : int;
   mutable failed_allocs : int;
   mutable peak : int;
 }
 
-let create ~name ~depth ~pinned =
+let create ~depth ~pinned =
   if depth <= 0 || pinned < 0 || pinned >= depth then
     invalid_arg "Freelist.create";
-  { name; capacity = depth - pinned; in_use = 0; failed_allocs = 0; peak = 0 }
+  { capacity = depth - pinned; in_use = 0; failed_allocs = 0; peak = 0 }
 
 let capacity t = t.capacity
 let in_use t = t.in_use
 let free t = t.capacity - t.in_use
-let name t = t.name
 
 (** Allocate one row; [false] means the renamer must stall this cycle. *)
 let alloc t =

@@ -7,11 +7,10 @@
 
 type t
 
-val create : name:string -> depth:int -> pinned:int -> t
+val create : depth:int -> pinned:int -> t
 val capacity : t -> int
 val in_use : t -> int
 val free : t -> int
-val name : t -> string
 
 val alloc : t -> bool
 (** [false] = rename stall this cycle (counted). *)

@@ -77,6 +77,24 @@ let granules_per_core_private t = t.exebus / t.cores
 
 let validate t =
   if t.cores <= 0 then invalid_arg "Config: cores";
+  (* A zero size would spin the simulator to [max_cycles] or fail deep
+     inside a component; name the field instead. *)
+  List.iter
+    (fun (field, v) -> if v <= 0 then invalid_arg ("Config: " ^ field))
+    [
+      ("pipes_per_exebu", t.pipes_per_exebu);
+      ("exebus", t.exebus);
+      ("compute_ports", t.compute_ports);
+      ("mem_ports", t.mem_ports);
+      ("frontend_width", t.frontend_width);
+      ("transmit_width", t.transmit_width);
+      ("rename_width", t.rename_width);
+      ("pool_capacity", t.pool_capacity);
+      ("window", t.window);
+      ("lsu_load_capacity", t.lsu_load_capacity);
+      ("lsu_store_capacity", t.lsu_store_capacity);
+      ("mob_capacity", t.mob_capacity);
+    ];
   if t.exebus mod t.cores <> 0 then
     invalid_arg "Config: exebus must divide evenly across cores for Private";
   if t.window > t.regblk_depth - t.arch_vregs then

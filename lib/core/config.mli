@@ -44,9 +44,12 @@ val lanes_per_core_private : t -> int
 val granules_per_core_private : t -> int
 
 val validate : t -> t
-(** Raises [Invalid_argument] on inconsistent parameters (e.g. a window
-    larger than the spatial rename capacity, which would make Private
-    rename-stall against the paper's baseline). *)
+(** Raises [Invalid_argument "Config: <field>"] on a non-positive core
+    count, ExeBU or pipe count, port count, width, pool, window, LSU
+    queue or MOB capacity, and [Invalid_argument] on inconsistent
+    parameters (e.g. a window larger than the spatial rename capacity,
+    which would make Private rename-stall against the paper's
+    baseline). *)
 
 val roofline : t -> Occamy_lanemgr.Roofline.cfg
 (** The lane manager's roofline parameters derived from this machine. *)

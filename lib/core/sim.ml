@@ -39,10 +39,16 @@
     unboxed [int]/[float] arrays, not heap-linked structures: the
     instruction pool and the issue window are ring buffers of parallel
     arrays indexed by monotonically increasing sequence numbers, window
-    occupancy is a packed bitmask ({!Occamy_util.Bitset}) swept by the
-    dispatch scan, register dependences are producer sequence numbers
-    (not entry pointers), and per-instruction operands are pre-decoded
-    once at construction. Steady-state stepping allocates nothing —
+    occupancy is a packed bitmask ({!Bits}) swept by the dispatch scan,
+    register dependences are producer sequence numbers (not entry
+    pointers), and per-instruction operands are pre-decoded once at
+    construction. The ExeBUs keep no per-unit slot state: every compute
+    books all of its core's units, so a compute may issue while its issue
+    domain has issued fewer computes this cycle than a unit has pipes
+    ([exebus_free]). The step's hot helpers stay in this compilation unit
+    because the dev profile builds with [-opaque], which turns every call
+    into another module into an unknown-arity [caml_applyN] that is never
+    inlined. Steady-state stepping allocates nothing —
     enforced by the [dod] zero-allocation test and the CI allocation
     gate — and every structure is bit-identical in behaviour to the
     boxed representation it replaced (golden metrics, the sim-vs-sim
@@ -63,15 +69,87 @@ module Rtbl = Occamy_coproc.Resource_tbl
 module Config_tbl = Occamy_coproc.Config_tbl
 module Freelist = Occamy_coproc.Freelist
 module Lsu = Occamy_coproc.Lsu
-module Exebu = Occamy_coproc.Exebu
 module Lane_mgr = Occamy_lanemgr.Lane_mgr
 module Rng = Occamy_util.Rng
-module Bitset = Occamy_util.Bitset
 module Buckets = Occamy_util.Stats.Buckets
 module Trace = Occamy_obs.Trace
 module Event = Occamy_obs.Event
 module Prof = Occamy_obs.Prof
 module Attrib = Occamy_obs.Attrib
+
+(* ------------------------------------------------------------------ *)
+(* Window bitmasks                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One bit per issue-window slot, packed 32 to an int; the dispatch
+   sweep skips empty regions a word at a time. The masks live in this
+   compilation unit so the step's many calls to them are direct and
+   inlined: under the dev profile's [-opaque] a call into another module
+   is an unknown-arity [caml_applyN]. Callers keep indices in
+   [0, capacity) (window slots are masked), so nothing is range-checked
+   beyond the array accesses, and no bit at or above the capacity is
+   ever set. Words hold 32 bits so that the de Bruijn trailing-zero
+   multiply stays inside OCaml's 63-bit native ints. *)
+module Bits = struct
+  type t = int array
+
+  let create capacity =
+    if capacity <= 0 then
+      invalid_arg "Sim.Bits.create: capacity must be positive";
+    Array.make ((capacity + 31) lsr 5) 0
+
+  let[@inline] mem w i = w.(i lsr 5) land (1 lsl (i land 31)) <> 0
+
+  let[@inline] add w i =
+    let k = i lsr 5 in
+    w.(k) <- w.(k) lor (1 lsl (i land 31))
+
+  let[@inline] remove w i =
+    let k = i lsr 5 in
+    w.(k) <- w.(k) land lnot (1 lsl (i land 31))
+
+  let clear w = Array.fill w 0 (Array.length w) 0
+
+  let debruijn =
+    [|
+      0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
+      23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
+    |]
+
+  (* Index of the lowest set bit of word [k], whose value [v] is nonzero:
+     isolate the bit, multiply, index the table. The product is below
+     2^59. *)
+  let[@inline] lowest k v =
+    (k lsl 5) + debruijn.(((v land -v) * 0x077CB531 land 0xFFFFFFFF) lsr 27)
+
+  let rec scan w k =
+    if k >= Array.length w then -1
+    else if w.(k) <> 0 then lowest k w.(k)
+    else scan w (k + 1)
+
+  (* The smallest member [>= i] (for [i >= 0]), or -1 when none. *)
+  let next_set_from w i =
+    let k = i lsr 5 in
+    if k >= Array.length w then -1
+    else
+      let v = w.(k) land lnot ((1 lsl (i land 31)) - 1) in
+      if v <> 0 then lowest k v else scan w (k + 1)
+
+  let rec scan2 a b k =
+    if k >= Array.length a then -1
+    else
+      let v = a.(k) lor b.(k) in
+      if v <> 0 then lowest k v else scan2 a b (k + 1)
+
+  (* [next_set_from] over the union of two masks of one capacity, word
+     by word, without materialising it. *)
+  let next_set_from_union a b i =
+    let k = i lsr 5 in
+    if k >= Array.length a then -1
+    else
+      let v = (a.(k) lor b.(k)) land lnot ((1 lsl (i land 31)) - 1) in
+      if v <> 0 then lowest k v else scan2 a b (k + 1)
+end
 
 (* ------------------------------------------------------------------ *)
 (* In-flight instruction representation                                *)
@@ -195,11 +273,11 @@ type core_state = {
          are all issued and complete; readiness is monotone, so later
          visits (class-blocked entries re-probe every cycle) skip the
          dependence derivation entirely. Reset on slot reuse. *)
-  w_scan_c : Bitset.t;
-  w_scan_m : Bitset.t;
+  w_scan_c : Bits.t;
+  w_scan_m : Bits.t;
       (* the subset of [w_unissued] the dispatch sweep visits, split by
          class ([_c] compute/dup, [_m] memory); the sweep reads their
-         union through [Bitset.next_set_from_union], and once a class's
+         union through [Bits.next_set_from_union], and once a class's
          issue possibility resolves to "no" for the rest of a core's
          dispatch pass, it reads only the other class's set and stops
          visiting entries that could not issue anyway. An entry whose
@@ -209,7 +287,7 @@ type core_state = {
          re-scanned every cycle. *)
   w_wfirst : int array;  (* head of each slot's parked-waiter list, -1 *)
   w_wnext : int array;   (* waiter list links, indexed by waiter slot *)
-  w_unissued : Bitset.t;
+  w_unissued : Bits.t;
   w_cap : int;
   w_mask : int;
   mutable w_head : int;
@@ -218,11 +296,6 @@ type core_state = {
   freelist : Freelist.t;       (* per-core or shared, per architecture *)
   lsu : Lsu.t;
   mutable vl : int;            (* granules currently held *)
-  owned_arr : int array;
-      (* cached Dispatcher.Cfg view of this core's ExeBUs (first
-         [owned_n] entries); refreshed only when the assignment changes,
-         so the per-cycle issue scan does not rebuild it *)
-  mutable owned_n : int;
   (* statistics *)
   mutable issued_compute : int;
   mutable issued_mem : int;
@@ -298,11 +371,9 @@ type t = {
   rtbl : Rtbl.t;
   exebu_cfg : Config_tbl.t;   (* Dispatcher.Cfg *)
   regblk_cfg : Config_tbl.t;  (* RegFile.Cfg *)
-  exebus : Exebu.t;
   lane_mgr : Lane_mgr.t option;  (* Occamy only *)
   rng : Rng.t;
   shares_ports : bool;  (* Arch.shares_issue_ports, hoisted *)
-  all_units_arr : int array;  (* every ExeBU id, for shared-port archs *)
   mob_scratch : int array;    (* LSU-retire handoff buffer *)
   inv_scratch : int array;    (* expected <VL> column for invariants *)
   busy_lanes : float array;
@@ -342,6 +413,7 @@ type t = {
   (* -------- observability (never feeds back into timing) ----------- *)
   trace : Trace.t;
   prof : Prof.t;  (* self-profiling stage scopes; Prof.disabled by default *)
+  mutable pr : bool;  (* [Prof.sampled prof], read once per step *)
   obs_stall_start : int array;  (* open stall episode start, -1 if none *)
   obs_req_cycle : int array;    (* cycle of the pending MSR <VL>, -1 *)
   (* -------- per-core effects of the last step ------------------------ *)
@@ -405,9 +477,8 @@ let make_core cfg arch ~shared_freelist id wl =
     match shared_freelist with
     | Some fl -> fl
     | None ->
-      Freelist.create
-        ~name:(Printf.sprintf "core%d" id)
-        ~depth:cfg.Config.regblk_depth ~pinned:cfg.Config.arch_vregs
+      Freelist.create ~depth:cfg.Config.regblk_depth
+        ~pinned:cfg.Config.arch_vregs
   in
   ignore arch;
   let code = wl.Workload.program.Program.code in
@@ -493,11 +564,11 @@ let make_core cfg arch ~shared_freelist id wl =
     lw_tail = -1;
     sw_head = -1;
     sw_tail = -1;
-    w_scan_c = Bitset.create w_cap;
-    w_scan_m = Bitset.create w_cap;
+    w_scan_c = Bits.create w_cap;
+    w_scan_m = Bits.create w_cap;
     w_wfirst = Array.make w_cap (-1);
     w_wnext = Array.make w_cap (-1);
-    w_unissued = Bitset.create w_cap;
+    w_unissued = Bits.create w_cap;
     w_cap;
     w_mask = w_cap - 1;
     w_head = 0;
@@ -508,8 +579,6 @@ let make_core cfg arch ~shared_freelist id wl =
       Lsu.create ~load_capacity:cfg.Config.lsu_load_capacity
         ~store_capacity:cfg.Config.lsu_store_capacity ();
     vl = 0;
-    owned_arr = Array.make cfg.Config.exebus 0;
-    owned_n = 0;
     issued_compute = 0;
     issued_mem = 0;
     rename_stalls = 0;
@@ -621,7 +690,7 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
       (* FTS: one full-width row space; every core's architectural state
          pins rows in it (§7.3). *)
       Some
-        (Freelist.create ~name:"shared" ~depth:cfg.regblk_depth
+        (Freelist.create ~depth:cfg.regblk_depth
            ~pinned:(cfg.arch_vregs * cfg.cores))
   in
   let cores =
@@ -713,11 +782,9 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     rtbl;
     exebu_cfg = Config_tbl.create ~name:"Dispatch.Cfg" ~units:cfg.exebus;
     regblk_cfg = Config_tbl.create ~name:"RegFile.Cfg" ~units:cfg.exebus;
-    exebus = Exebu.create ~units:cfg.exebus ~pipes_per_unit:cfg.pipes_per_exebu;
     lane_mgr;
     rng = Rng.create ~seed:cfg.seed;
     shares_ports = Arch.shares_issue_ports arch;
-    all_units_arr = Array.init cfg.exebus Fun.id;
     mob_scratch =
       Array.make (cfg.lsu_load_capacity + cfg.lsu_store_capacity) (-1);
     inv_scratch = Array.make cfg.cores 0;
@@ -737,6 +804,7 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     bucket_width = 1000;
     trace;
     prof;
+    pr = false;
     obs_stall_start = Array.make cfg.cores (-1);
     obs_req_cycle = Array.make cfg.cores (-1);
     d_issued = Array.make cfg.cores 0;
@@ -772,13 +840,6 @@ let[@inline] domain t core = if t.shares_ports then 0 else core
 
 let[@inline] cs_is_running c =
   match c.cs_state with Cs_running -> true | _ -> false
-
-(* Re-derive the cached ExeBU ownership array; must be called after every
-   Dispatcher.Cfg change for [c] (reconfiguration grants and
-   context-switch releases). [reassign] never touches other cores'
-   units, so only the reconfigured core needs refreshing. *)
-let refresh_owned_units t c =
-  c.owned_n <- Config_tbl.owned_into t.exebu_cfg ~core:c.id c.owned_arr
 
 (* ------------------------------------------------------------------ *)
 (* Periodic fast-forward recording hooks                               *)
@@ -959,7 +1020,6 @@ let resolve_vl_request t c l =
     if Rtbl.try_set_vl t.rtbl ~core:c.id l then begin
       Config_tbl.reassign t.exebu_cfg ~core:c.id ~count:l;
       Config_tbl.reassign t.regblk_cfg ~core:c.id ~count:l;
-      refresh_owned_units t c;
       Log.debug (fun m ->
           m "cycle %d: core%d reconfigured to %d granules" t.cycle c.id l);
       c.vl <- l;
@@ -1357,7 +1417,7 @@ let step_frontend t c =
           | Sysreg.OI -> c.xregs.(d) <- 0);
           c.fe_budget <- c.fe_budget - 1
         | Instr.Msr_oi oi ->
-          if Prof.sampled t.prof then begin
+          if t.pr then begin
             Prof.enter t.prof Prof.Replan;
             handle_oi_write t c oi;
             Prof.exit t.prof
@@ -1415,12 +1475,12 @@ let step_frontend t c =
 
 (* Add/remove a slot to/from its class's sweep set. *)
 let[@inline] scan_add c slot =
-  if c.w_kind.(slot) >= k_compute then Bitset.add c.w_scan_c slot
-  else Bitset.add c.w_scan_m slot
+  if c.w_kind.(slot) >= k_compute then Bits.add c.w_scan_c slot
+  else Bits.add c.w_scan_m slot
 
 let[@inline] scan_remove c slot =
-  if c.w_kind.(slot) >= k_compute then Bitset.remove c.w_scan_c slot
-  else Bitset.remove c.w_scan_m slot
+  if c.w_kind.(slot) >= k_compute then Bits.remove c.w_scan_c slot
+  else Bits.remove c.w_scan_m slot
 
 let rec rename_loop t c renamed =
   if
@@ -1472,7 +1532,7 @@ let rec rename_loop t c renamed =
         c.w_s3.(slot) <- -1;
         c.vmap.(c.p_dst.(ps)) <- c.w_tail
       end;
-      Bitset.add c.w_unissued slot;
+      Bits.add c.w_unissued slot;
       scan_add c slot;
       c.w_tail <- c.w_tail + 1;
       rename_loop t c (renamed + 1)
@@ -1491,7 +1551,7 @@ let rename t c =
    by construction (entries retire only once [done_at <= cycle]), so it
    is trivially ready — the dense arrays never need clearing. *)
 let[@inline] dep_issued c d =
-  d < c.w_head || not (Bitset.mem c.w_unissued (d land c.w_mask))
+  d < c.w_head || not (Bits.mem c.w_unissued (d land c.w_mask))
 
 (* Completion cycle of an *issued* producer; a retired one completed in
    the past, so 0 preserves [max]-over-producers exactly. *)
@@ -1558,7 +1618,7 @@ let[@inline] park_space c slot ~is_store =
     else c.lw_head <- slot;
     c.lw_tail <- slot
   end;
-  Bitset.remove c.w_scan_m slot
+  Bits.remove c.w_scan_m slot
 
 (* Wake up to [n] space-parked entries (oldest first) of one direction. *)
 let rec wake_space_loads c n =
@@ -1567,7 +1627,7 @@ let rec wake_space_loads c n =
     c.lw_head <- c.w_wnext.(w);
     if c.lw_head < 0 then c.lw_tail <- -1;
     c.w_wnext.(w) <- -1;
-    Bitset.add c.w_scan_m w;
+    Bits.add c.w_scan_m w;
     wake_space_loads c (n - 1)
   end
 
@@ -1577,7 +1637,7 @@ let rec wake_space_stores c n =
     c.sw_head <- c.w_wnext.(w);
     if c.sw_head < 0 then c.sw_tail <- -1;
     c.w_wnext.(w) <- -1;
-    Bitset.add c.w_scan_m w;
+    Bits.add c.w_scan_m w;
     wake_space_stores c (n - 1)
   end
 
@@ -1635,7 +1695,7 @@ let rec heap_release_due c now =
   end
 
 let record_compute_issue t c width =
-  if Prof.sampled t.prof then Prof.enter t.prof Prof.Exe_apply;
+  if t.pr then Prof.enter t.prof Prof.Exe_apply;
   t.work_cycle <- t.cycle;
   c.issued_compute <- c.issued_compute + 1;
   (match c.cur_phase with
@@ -1652,16 +1712,16 @@ let record_compute_issue t c width =
     t.busy_lanes.(0) +. (float_of_int num /. float_of_int den);
   Buckets.add_ratio c.lanes_buckets ~cycle:t.cycle ~num ~den;
   if t.pf_mode = 2 then pf_log_comp t c width;
-  if Prof.sampled t.prof then Prof.exit t.prof
+  if t.pr then Prof.exit t.prof
 
 let record_mem_issue t c =
-  if Prof.sampled t.prof then Prof.enter t.prof Prof.Exe_apply;
+  if t.pr then Prof.enter t.prof Prof.Exe_apply;
   t.work_cycle <- t.cycle;
   c.issued_mem <- c.issued_mem + 1;
   (match c.cur_phase with
   | Some pa -> pa.pa_mem <- pa.pa_mem + 1
   | None -> ());
-  if Prof.sampled t.prof then Prof.exit t.prof
+  if t.pr then Prof.exit t.prof
 
 exception Ports_exhausted
 
@@ -1675,34 +1735,49 @@ exception Ports_exhausted
    three resolve to false, which the budget-only test cannot see when
    e.g. a full LSU rejects every load without consuming budget. The
    entries selected for issue are exactly those of the naive re-probing
-   scan. The compute side needs no helper: a compute attempt probes and
-   books the ExeBUs in one [Exebu.try_issue_arr] call, so [sc_comp] is
-   only ever -1 (unresolved) or 0 (a probe failed). *)
+   scan. An empty ld/st budget or a full MOB shuts both directions, so
+   it closes both flags at once; only a full LSU queue is per direction.
+   The compute side needs no cache: a compute attempt is one
+   [exebus_free] test, so [sc_comp] is only ever -1 (unresolved) or 0
+   (a test failed). *)
 let[@inline] mem_possible t c ~dom ~is_store =
   let cached = if is_store then t.sc_store else t.sc_load in
   cached = 1
   || (cached < 0
       &&
-      let ok =
-        t.mem_budget.(dom) > 0
-        && Lsu.can_accept c.lsu ~is_store
-        && not (Mob.is_full t.mob)
-      in
-      (if is_store then t.sc_store <- Bool.to_int ok
-       else t.sc_load <- Bool.to_int ok);
-      ok)
+      if t.mem_budget.(dom) = 0 || Mob.is_full t.mob then begin
+        t.sc_load <- 0;
+        t.sc_store <- 0;
+        false
+      end
+      else begin
+        let ok = Lsu.can_accept c.lsu ~is_store in
+        (if is_store then t.sc_store <- Bool.to_int ok
+         else t.sc_load <- Bool.to_int ok);
+        ok
+      end)
 
-let attempt_issue t c ~dom ~units ~n slot =
+(* Can each of the ExeBUs a compute of [c] books take one more µop this
+   cycle? A compute µop books every ExeBU its core owns (all of them
+   under shared ports, Figure 6(b)), and ownership only changes after
+   dispatch, so each such unit has taken exactly one µop per compute its
+   issue domain issued this cycle: the per-unit slot probe is a count.
+   A core holding no ExeBU books none. *)
+let[@inline] exebus_free t c ~dom =
+  ((not t.shares_ports) && c.vl = 0)
+  || t.cfg.compute_ports - t.compute_budget.(dom) < t.cfg.pipes_per_exebu
+
+let attempt_issue t c ~dom slot =
   let kind = c.w_kind.(slot) in
   if kind >= k_compute then begin
     if
       t.sc_comp <> 0
       && t.compute_budget.(dom) > 0
-      && Exebu.try_issue_arr t.exebus ~unit_ids:units ~n
+      && exebus_free t c ~dom
     then begin
       t.compute_budget.(dom) <- t.compute_budget.(dom) - 1;
-      Bitset.remove c.w_unissued slot;
-      Bitset.remove c.w_scan_c slot;
+      Bits.remove c.w_unissued slot;
+      Bits.remove c.w_scan_c slot;
       c.w_done.(slot) <- t.cycle + c.w_lat.(slot);
       wake_waiters c slot;
       record_compute_issue t c c.w_width.(slot)
@@ -1747,8 +1822,8 @@ let attempt_issue t c ~dom ~units ~n slot =
           ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
       in
       Lsu.add_slot c.lsu ~done_at ~is_store ~mob:mslot;
-      Bitset.remove c.w_unissued slot;
-      Bitset.remove c.w_scan_m slot;
+      Bits.remove c.w_unissued slot;
+      Bits.remove c.w_scan_m slot;
       wake_waiters c slot;
       (* Senior stores: a store leaves the window at issue (its data is
          in the store queue); the LSU/MOB keep tracking it until the
@@ -1760,13 +1835,13 @@ let attempt_issue t c ~dom ~units ~n slot =
       end
   end
 
-let try_issue t c ~dom ~units ~n slot =
+let try_issue t c ~dom slot =
   if t.compute_budget.(dom) = 0 && t.mem_budget.(dom) = 0 then
     raise_notrace Ports_exhausted;
   (* {-1,0,1} flags: [lor] is 0 iff all three resolved to false. *)
   if t.sc_comp lor t.sc_load lor t.sc_store = 0 then
     raise_notrace Ports_exhausted;
-  if c.w_rdy.(slot) then attempt_issue t c ~dom ~units ~n slot
+  if c.w_rdy.(slot) then attempt_issue t c ~dom slot
   else begin
     let u = first_unissued c slot in
     if u >= 0 then park c slot u
@@ -1800,7 +1875,7 @@ let try_issue t c ~dom ~units ~n slot =
           kind < k_compute
           && not (Lsu.can_accept c.lsu ~is_store:(kind = k_store))
         then park_space c slot ~is_store:(kind = k_store)
-        else attempt_issue t c ~dom ~units ~n slot
+        else attempt_issue t c ~dom slot
       end
     end
   end
@@ -1820,24 +1895,22 @@ let try_issue t c ~dom ~units ~n slot =
    derivation, parking) merely happen on a later cycle with identical
    outcomes, because their producers' issue cycles and [w_done] times
    are unchanged by the skip. *)
-let rec issue_segment t c ~dom ~units ~n lo hi =
+let rec issue_segment t c ~dom lo hi =
   if lo < hi then begin
     let s =
-      if t.sc_comp = 0 then Bitset.next_set_from c.w_scan_m lo
+      if t.sc_comp = 0 then Bits.next_set_from c.w_scan_m lo
       else if t.sc_load = 0 && t.sc_store = 0 then
-        Bitset.next_set_from c.w_scan_c lo
-      else Bitset.next_set_from_union c.w_scan_c c.w_scan_m lo
+        Bits.next_set_from c.w_scan_c lo
+      else Bits.next_set_from_union c.w_scan_c c.w_scan_m lo
     in
     if s >= 0 && s < hi then begin
-      try_issue t c ~dom ~units ~n s;
-      issue_segment t c ~dom ~units ~n (s + 1) hi
+      try_issue t c ~dom s;
+      issue_segment t c ~dom (s + 1) hi
     end
   end
 
 let issue_core t c =
   let dom = domain t c.id in
-  let units = if t.shares_ports then t.all_units_arr else c.owned_arr in
-  let n = if t.shares_ports then t.cfg.exebus else c.owned_n in
   t.sc_comp <- -1;
   t.sc_load <- -1;
   t.sc_store <- -1;
@@ -1846,11 +1919,11 @@ let issue_core t c =
     if c.w_head < c.w_tail then begin
       let hs = c.w_head land c.w_mask in
       let ts = c.w_tail land c.w_mask in
-      if hs < ts then issue_segment t c ~dom ~units ~n hs ts
+      if hs < ts then issue_segment t c ~dom hs ts
       else begin
         (* Wrapped ring: the [hs, cap) segment holds the older entries. *)
-        issue_segment t c ~dom ~units ~n hs c.w_cap;
-        issue_segment t c ~dom ~units ~n 0 ts
+        issue_segment t c ~dom hs c.w_cap;
+        issue_segment t c ~dom 0 ts
       end
     end
   with Ports_exhausted -> ()
@@ -1862,7 +1935,7 @@ let issue_core t c =
 let rec retire_window t c =
   if c.w_head < c.w_tail then begin
     let slot = c.w_head land c.w_mask in
-    if (not (Bitset.mem c.w_unissued slot)) && c.w_done.(slot) <= t.cycle
+    if (not (Bits.mem c.w_unissued slot)) && c.w_done.(slot) <= t.cycle
     then begin
       c.w_head <- c.w_head + 1;
       t.work_cycle <- t.cycle;
@@ -1990,19 +2063,18 @@ let step_context_switch t c =
         ignore (Rtbl.try_set_vl t.rtbl ~core:c.id 0);
         Config_tbl.release_all t.exebu_cfg ~core:c.id;
         Config_tbl.release_all t.regblk_cfg ~core:c.id;
-        refresh_owned_units t c;
         c.vl <- 0);
       Rtbl.set_oi t.rtbl ~core:c.id Oi.zero;
       (match t.lane_mgr with
       | Some mgr ->
-        if Prof.sampled t.prof then Prof.enter t.prof Prof.Replan;
+        if t.pr then Prof.enter t.prof Prof.Replan;
         Lane_mgr.exit_phase mgr ~core:c.id;
         Array.iteri
           (fun core d -> Rtbl.set_decision t.rtbl ~core d)
           (Lane_mgr.decisions mgr);
         t.replans <- t.replans + 1;
         if tracing t then trace_replan t ~trigger:c.id ~cause:Event.Preempt mgr;
-        if Prof.sampled t.prof then Prof.exit t.prof
+        if t.pr then Prof.exit t.prof
       | None -> ());
       let resume_at = t.cycle + t.cfg.cs_away_cycles in
       set_cs_state t c (Cs_away { resume_at; saved_vl; saved_oi; saved_status })
@@ -2013,14 +2085,14 @@ let step_context_switch t c =
       Rtbl.set_oi t.rtbl ~core:c.id saved_oi;
       (match t.lane_mgr with
       | Some mgr when not (Oi.is_zero saved_oi) ->
-        if Prof.sampled t.prof then Prof.enter t.prof Prof.Replan;
+        if t.pr then Prof.enter t.prof Prof.Replan;
         Lane_mgr.enter_phase mgr ~core:c.id ~oi:saved_oi ~level:c.cur_level;
         Array.iteri
           (fun core d -> Rtbl.set_decision t.rtbl ~core d)
           (Lane_mgr.decisions mgr);
         t.replans <- t.replans + 1;
         if tracing t then trace_replan t ~trigger:c.id ~cause:Event.Resume mgr;
-        if Prof.sampled t.prof then Prof.exit t.prof
+        if t.pr then Prof.exit t.prof
       | _ -> ());
       if saved_vl = 0 then resume_task t c ~saved_status
       else set_cs_state t c (Cs_restoring { saved_vl; saved_status })
@@ -2036,7 +2108,6 @@ let step_context_switch t c =
       if Rtbl.try_set_vl t.rtbl ~core:c.id target then begin
         Config_tbl.reassign t.exebu_cfg ~core:c.id ~count:target;
         Config_tbl.reassign t.regblk_cfg ~core:c.id ~count:target;
-        refresh_owned_units t c;
         c.vl <- target;
         c.reconfigs <- c.reconfigs + 1;
         resume_task t c ~saved_status
@@ -2100,8 +2171,8 @@ let step t =
   t.cycle <- t.cycle + 1;
   begin_deltas t;
   Prof.begin_cycle t.prof;
-  let pr = Prof.sampled t.prof in
-  Exebu.begin_cycle t.exebus ~cycle:t.cycle;
+  t.pr <- Prof.sampled t.prof;
+  let pr = t.pr in
   (* Loops, not [Array.fill]: the budgets have one or a few domains,
      and the C call costs more than the stores. *)
   for d = 0 to Array.length t.compute_budget - 1 do
@@ -2219,21 +2290,20 @@ exception Horizon_now
    is an SVE transmit that cannot be accepted: the transmit fails before
    any budget is consumed, leaving pc and every counter untouched. The
    [vl > 0] conjunct keeps the <VL>=0 error on its exact naive cycle. *)
-let frontend_blocked t c =
+let frontend_blocked c =
   let code = c.wl.Workload.program.Program.code in
   c.pc < Array.length code
   && c.vl > 0
   && (match code.(c.pc) with
      | Instr.Vload _ | Instr.Vstore _ | Instr.Vop _ | Instr.Vdup _ -> true
      | _ -> false)
-  && (c.p_tail - c.p_head >= c.p_limit || t.cfg.transmit_width <= 0)
+  && c.p_tail - c.p_head >= c.p_limit
 
 (* Can rename move an instruction next cycle (an event)? Otherwise the
    pool is empty, the window full, or the freelist exhausted — the last
    a stall the idle step already counted. *)
 let rename_can_progress t c =
-  t.cfg.rename_width > 0
-  && c.p_head <> c.p_tail
+  c.p_head <> c.p_tail
   && c.w_tail - c.w_head < t.cfg.window
   && (c.p_kind.(c.p_head land c.p_mask) = k_store
      || Freelist.free c.freelist > 0)
@@ -2273,7 +2343,7 @@ let horizon t =
              bounded by the pipeline events scanned below. *)
           if pipeline_drained c then raise_notrace Horizon_now
         end
-        else if not (frontend_blocked t c) then raise_notrace Horizon_now
+        else if not (frontend_blocked c) then raise_notrace Horizon_now
       end
     | Cs_draining ->
       (* Transitions (and resolves any pending <VL>) once drained. *)
@@ -2299,12 +2369,12 @@ let horizon t =
     (* The window head retires the cycle after it completes. *)
     if c.w_head < c.w_tail then begin
       let hslot = c.w_head land c.w_mask in
-      if (not (Bitset.mem c.w_unissued hslot)) && c.w_done.(hslot) <= now
+      if (not (Bits.mem c.w_unissued hslot)) && c.w_done.(hslot) <= now
       then raise_notrace Horizon_now
     end;
     for q = c.w_head to c.w_tail - 1 do
       let s = q land c.w_mask in
-      if not (Bitset.mem c.w_unissued s) then begin
+      if not (Bits.mem c.w_unissued s) then begin
         (* Completes at [w_done]; already-complete non-head entries
            (senior stores) retire with the head, an event of its own. *)
         if c.w_done.(s) > now then hz_note t now c.w_done.(s)
@@ -2774,7 +2844,7 @@ let pf_hash t =
     h := mix !h (Freelist.free c.freelist);
     for q = c.w_head to c.w_tail - 1 do
       let s = q land c.w_mask in
-      if Bitset.mem c.w_unissued s then h := mix !h (-2 - c.w_kind.(s))
+      if Bits.mem c.w_unissued s then h := mix !h (-2 - c.w_kind.(s))
       else h := mix !h (Int.max (-1) (c.w_done.(s) - now))
     done
   done;
@@ -2989,11 +3059,11 @@ let emit_core t sn c =
     put sn (rel_seq c c.w_s1.(s));
     put sn (rel_seq c c.w_s2.(s));
     put sn (rel_seq c c.w_s3.(s));
-    let un = Bitset.mem c.w_unissued s in
+    let un = Bits.mem c.w_unissued s in
     put sn
       (Bool.to_int un
-      lor (Bool.to_int (Bitset.mem c.w_scan_c s) lsl 1)
-      lor (Bool.to_int (Bitset.mem c.w_scan_m s) lsl 2)
+      lor (Bool.to_int (Bits.mem c.w_scan_c s) lsl 1)
+      lor (Bool.to_int (Bits.mem c.w_scan_m s) lsl 2)
       lor (Bool.to_int c.w_rdy.(s) lsl 3));
     put sn (if un then 0 else c.w_done.(s) - now);
     put sn pb.hp_mark.(s);
@@ -3174,15 +3244,15 @@ let rotate_bools (a : bool array) (tmp : bool array) ~mask ~r =
   done
 
 let rotate_bits bs (tmp : int array) ~mask ~r =
-  let n = ref 0 and s = ref (Bitset.next_set_from bs 0) in
+  let n = ref 0 and s = ref (Bits.next_set_from bs 0) in
   while !s >= 0 do
     tmp.(!n) <- !s;
     incr n;
-    s := Bitset.next_set_from bs (!s + 1)
+    s := Bits.next_set_from bs (!s + 1)
   done;
-  Bitset.clear bs;
+  Bits.clear bs;
   for i = 0 to !n - 1 do
-    Bitset.add bs ((tmp.(i) + r) land mask)
+    Bits.add bs ((tmp.(i) + r) land mask)
   done
 
 let[@inline] rot_slot v ~mask ~r = if v < 0 then v else (v + r) land mask
@@ -3245,7 +3315,7 @@ let pf_shift t ~k =
     let head = c.w_head in
     for q = head to c.w_tail - 1 do
       let s = q land c.w_mask in
-      if not (Bitset.mem c.w_unissued s) then c.w_done.(s) <- c.w_done.(s) + span;
+      if not (Bits.mem c.w_unissued s) then c.w_done.(s) <- c.w_done.(s) + span;
       if c.w_kind.(s) < k_compute then
         c.w_base.(s) <- c.w_base.(s) + (k * pb.delta.(stream t c c.w_arr.(s)));
       if c.w_s1.(s) >= head then c.w_s1.(s) <- c.w_s1.(s) + dw;
@@ -3422,10 +3492,10 @@ let core_result c =
 let advance t =
   step t;
   if t.cfg.fast_forward then begin
-    (* The fast-forward work runs between steps; [Prof.sampled] keeps
-       this cycle's sampling decision until the next [begin_cycle], so
-       the scan is attributed to the same profiled cycle. *)
-    if Prof.sampled t.prof then begin
+    (* The fast-forward work runs between steps; [t.pr] holds this
+       cycle's sampling decision until the next step, so the scan is
+       attributed to the same profiled cycle. *)
+    if t.pr then begin
       Prof.enter t.prof Prof.Ff_scan;
       ff_after_step t;
       Prof.exit t.prof
@@ -3513,5 +3583,6 @@ let skipped_cycles t = t.ff_skipped
 let periodic_skipped_cycles t = t.pf_skipped
 let ff_jumps t = t.ff_jumps
 let periodic_jumps t = t.pf_jumps
+let issued_compute t i = t.cores.(i).issued_compute
 let prof t = t.prof
 let attrib t = t.attrib

@@ -114,6 +114,10 @@ val periodic_skipped_cycles : t -> int
 val periodic_jumps : t -> int
 (** The part of [ff_jumps] that were periodic jumps. *)
 
+val issued_compute : t -> int -> int
+(** [issued_compute t i]: compute instructions core [i] has issued so
+    far (exposed for tests: the per-cycle issue bound of the ExeBUs). *)
+
 val prof : t -> Occamy_obs.Prof.t
 (** The profiler passed at [create] ({!Occamy_obs.Prof.disabled} when
     none); read its stats after {!run}. *)
@@ -122,3 +126,29 @@ val attrib : t -> Occamy_obs.Attrib.t
 (** The cycle-accounting recorder passed at [create]
     ({!Occamy_obs.Attrib.disabled} when none); read its buckets,
     time-series windows and renderers after {!run}. *)
+
+(** The issue window's packed slot bitmasks, one bit per slot. They live
+    inside [Sim] so the step's calls to them are direct; exported only
+    for the [dod] test, which holds them to a sorted-list oracle.
+    Indices must lie in [\[0, capacity)]: nothing is range-checked
+    beyond the underlying array accesses. *)
+module Bits : sig
+  type t
+
+  val create : int -> t
+  (** An empty mask over [\[0, capacity)]. Raises [Invalid_argument] on a
+      non-positive capacity. *)
+
+  val mem : t -> int -> bool
+  val add : t -> int -> unit
+  val remove : t -> int -> unit
+  val clear : t -> unit
+
+  val next_set_from : t -> int -> int
+  (** [next_set_from t i] is the smallest member [>= i] (for [i >= 0]),
+      or [-1] when none. Allocation-free. *)
+
+  val next_set_from_union : t -> t -> int -> int
+  (** [next_set_from] over the union of two masks of one capacity,
+      computed word by word. *)
+end

@@ -13,7 +13,6 @@
     access of the simulator's zero-allocation hot loop. *)
 
 type t = {
-  name : string;
   bytes_per_cycle : float;
   st : float array;
       (* [| next_free; busy_cycles; bytes_moved |]: the cycle at which
@@ -21,9 +20,9 @@ type t = {
          and total traffic *)
 }
 
-let create ~name ~bytes_per_cycle =
+let create ~bytes_per_cycle =
   if bytes_per_cycle <= 0.0 then invalid_arg "Channel.create: bandwidth <= 0";
-  { name; bytes_per_cycle; st = [| 0.0; 0.0; 0.0 |] }
+  { bytes_per_cycle; st = [| 0.0; 0.0; 0.0 |] }
 
 let reset t =
   t.st.(0) <- 0.0;
@@ -64,9 +63,6 @@ let book t ~io =
   t.st.(2) <- t.st.(2) +. bytes;
   io.(0) <- free_at
 
-(** Would a request issued [now] start immediately (no queueing)? *)
-let[@inline] is_free t ~now = t.st.(0) <= now
-
 (** Copy the cycle at which the channel frees up into [dst.(i)]; a float
     array cell keeps it unboxed across the call. *)
 let next_free_into t (dst : float array) i = dst.(i) <- t.st.(0)
@@ -95,9 +91,7 @@ let repeat t ~since i ~times ~shift =
   t.st.(1) <- t.st.(1) +. (k *. (t.st.(1) -. since.(i + 1)));
   t.st.(2) <- t.st.(2) +. (k *. (t.st.(2) -. since.(i + 2)))
 
-let bytes_per_cycle t = t.bytes_per_cycle
 let bytes_moved t = t.st.(2)
-let name t = t.name
 
 (** Average bandwidth utilisation over [cycles]. *)
 let utilisation t ~cycles =

@@ -5,7 +5,7 @@
 
 type t
 
-val create : name:string -> bytes_per_cycle:float -> t
+val create : bytes_per_cycle:float -> t
 val reset : t -> unit
 
 val request : t -> now:float -> bytes:float -> float
@@ -17,9 +17,6 @@ val book : t -> io:float array -> unit
     byte count. Float array cells move unboxed across the call, so this
     is allocation-free even without cross-module inlining — the
     simulator's issue path uses it. Arithmetic identical to {!request}. *)
-
-val is_free : t -> now:float -> bool
-(** Would a request at [now] start without queueing? *)
 
 val next_free_into : t -> float array -> int -> unit
 (** [next_free_into t dst i] stores the cycle at which the channel frees
@@ -42,9 +39,7 @@ val repeat : t -> since:float array -> int -> times:int -> shift:int -> unit
     the channel moved by [shift] over the first copy ({!moved_by}) and
     every occupancy is dyadic (a power-of-two bandwidth). *)
 
-val bytes_per_cycle : t -> float
 val bytes_moved : t -> float
-val name : t -> string
 
 val utilisation : t -> cycles:float -> float
 (** Average occupancy over [cycles], capped at 1. *)

@@ -48,9 +48,9 @@ type t = {
 let create ?(cfg = default_config) () =
   {
     cfg;
-    vc = Channel.create ~name:"VecCache" ~bytes_per_cycle:cfg.vc_bytes_per_cycle;
-    l2 = Channel.create ~name:"L2" ~bytes_per_cycle:cfg.l2_bytes_per_cycle;
-    dram = Channel.create ~name:"DRAM" ~bytes_per_cycle:cfg.dram_bytes_per_cycle;
+    vc = Channel.create ~bytes_per_cycle:cfg.vc_bytes_per_cycle;
+    l2 = Channel.create ~bytes_per_cycle:cfg.l2_bytes_per_cycle;
+    dram = Channel.create ~bytes_per_cycle:cfg.dram_bytes_per_cycle;
     accesses = 0;
     by_level = Array.make 3 0;
     bytes_by_level = Array.make 3 0.0;
@@ -64,12 +64,6 @@ let reset t =
   t.accesses <- 0;
   t.by_level <- Array.make 3 0;
   t.bytes_by_level <- Array.make 3 0.0
-
-let latency_to t level =
-  match level with
-  | Level.Vec_cache -> t.cfg.vc_latency
-  | Level.L2 -> t.cfg.vc_latency + t.cfg.l2_latency
-  | Level.Dram -> t.cfg.vc_latency + t.cfg.l2_latency + t.cfg.dram_latency
 
 (** [access t ~now ~level ~bytes] books the transfer of [bytes] served at
     [level] and returns the completion cycle.
@@ -148,13 +142,6 @@ let repeat t ~since ~deepest ~times ~shift =
     if deepest >= 2 then Channel.repeat t.dram ~since 13 ~times ~shift;
     true
   end
-
-(** Peak bandwidth (bytes/cycle) of a level, for the roofline model. *)
-let bandwidth_of t level =
-  match level with
-  | Level.Vec_cache -> t.cfg.vc_bytes_per_cycle
-  | Level.L2 -> t.cfg.l2_bytes_per_cycle
-  | Level.Dram -> t.cfg.dram_bytes_per_cycle
 
 let accesses t = t.accesses
 let accesses_at t level = t.by_level.(Level.depth level)

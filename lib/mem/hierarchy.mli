@@ -53,8 +53,6 @@ val repeat :
     to re-booking the copies one by one. [times = 0] is the check
     alone. *)
 
-val latency_to : t -> Level.t -> int
-val bandwidth_of : t -> Level.t -> float
 val accesses : t -> int
 val accesses_at : t -> Level.t -> int
 

@@ -2,7 +2,6 @@ module Rtbl = Occamy_coproc.Resource_tbl
 module Config_tbl = Occamy_coproc.Config_tbl
 module Freelist = Occamy_coproc.Freelist
 module Lsu = Occamy_coproc.Lsu
-module Exebu = Occamy_coproc.Exebu
 module Ordering = Occamy_coproc.Ordering
 module Instr = Occamy_isa.Instr
 
@@ -66,7 +65,7 @@ let test_config_tbl_overcommit () =
      with Invalid_argument _ -> true)
 
 let test_freelist () =
-  let f = Freelist.create ~name:"f" ~depth:10 ~pinned:4 in
+  let f = Freelist.create ~depth:10 ~pinned:4 in
   Helpers.check_int "capacity" 6 (Freelist.capacity f);
   for _ = 1 to 6 do
     Helpers.check_bool "alloc" true (Freelist.alloc f)
@@ -83,7 +82,7 @@ let qcheck_freelist_balance =
   QCheck2.Test.make ~name:"freelist in_use equals allocs minus releases"
     QCheck2.Gen.(list_size (int_range 1 300) bool)
     (fun ops ->
-      let f = Freelist.create ~name:"q" ~depth:20 ~pinned:0 in
+      let f = Freelist.create ~depth:20 ~pinned:0 in
       let live = ref 0 in
       List.iter
         (fun do_alloc ->
@@ -112,29 +111,6 @@ let test_lsu () =
   Helpers.check_bool "not drained" false (Lsu.is_drained l);
   ignore (Lsu.retire l ~now:100);
   Helpers.check_bool "drained" true (Lsu.is_drained l)
-
-let test_exebu_slots () =
-  let e = Exebu.create ~units:4 ~pipes_per_unit:2 in
-  (* Only the first [n] ids count; the trailing 9 is out of range. *)
-  let try_issue ids =
-    let n = List.length ids in
-    Exebu.try_issue_arr e ~unit_ids:(Array.of_list (ids @ [ 9 ])) ~n
-  in
-  Exebu.begin_cycle e ~cycle:1;
-  Helpers.check_bool "first uop" true (try_issue [ 0; 1 ]);
-  Helpers.check_bool "second uop" true (try_issue [ 0; 1 ]);
-  Helpers.check_bool "pipes exhausted" false (try_issue [ 0 ]);
-  Helpers.check_bool "one full unit blocks the rest" false (try_issue [ 2; 0 ]);
-  Helpers.check_int "a failed probe books nothing" 0 (Exebu.uops_of_unit e 2);
-  Helpers.check_bool "other units free" true (try_issue [ 2; 3 ]);
-  Exebu.begin_cycle e ~cycle:1;
-  Helpers.check_bool "same cycle keeps slots" false (try_issue [ 0 ]);
-  Exebu.begin_cycle e ~cycle:2;
-  Helpers.check_bool "new cycle resets" true (try_issue [ 0 ]);
-  Helpers.check_int "uops counted" 7 (Exebu.uops_executed e);
-  Alcotest.check_raises "unit out of range"
-    (Invalid_argument "Exebu.try_issue_arr") (fun () ->
-      ignore (Exebu.try_issue_arr e ~unit_ids:[| 4 |] ~n:1))
 
 let test_ordering_matrix () =
   let open Instr in
@@ -168,7 +144,6 @@ let suites =
         Alcotest.test_case "config tbl overcommit" `Quick test_config_tbl_overcommit;
         Alcotest.test_case "freelist" `Quick test_freelist;
         Alcotest.test_case "lsu" `Quick test_lsu;
-        Alcotest.test_case "exebu slots" `Quick test_exebu_slots;
         Alcotest.test_case "ordering matrix (Table 2)" `Quick test_ordering_matrix;
       ] );
     Helpers.qsuite "coproc.qcheck" [ qcheck_rtbl_invariant; qcheck_freelist_balance ];

@@ -1,5 +1,5 @@
 (* Tests for the data-oriented simulator core's packed structures:
-   - Bitset vs a naive sorted-list oracle (property-tested)
+   - Sim's window bitmasks vs a naive sorted-list oracle (property-tested)
    - the limb-based Rng vs a reference Int64 SplitMix64 (bit-identical)
    - Freelist exhaustion/reuse
    - zero steady-state allocation over dense cycles (Gc.minor_words) *)
@@ -67,43 +67,51 @@ let test_rng_matches_reference () =
     seeds
 
 (* ------------------------------------------------------------------ *)
-(* Bitset vs sorted-list oracle. *)
+(* Sim's window bitmasks vs a sorted-list oracle. *)
+
+module Bits = Sim.Bits
 
 let oracle_next_from l i = match List.find_opt (fun x -> x >= i) l with
   | Some x -> x
   | None -> -1
 
+(* Members in increasing order, read through [next_set_from]. *)
+let members bs =
+  let rec go acc i =
+    let s = Bits.next_set_from bs i in
+    if s < 0 then List.rev acc else go (s :: acc) (s + 1)
+  in
+  go [] 0
+
 let check_same_view ~cap bs oracle =
-  Helpers.check_int "cardinal" (List.length oracle) (Bitset.cardinal bs);
-  Helpers.check_bool "is_empty" (oracle = []) (Bitset.is_empty bs);
-  Helpers.check_bool "to_list" true (Bitset.to_list bs = oracle);
+  Helpers.check_bool "members" true (members bs = oracle);
   for i = 0 to cap - 1 do
-    Helpers.check_bool "mem" (List.mem i oracle) (Bitset.mem bs i)
+    Helpers.check_bool "mem" (List.mem i oracle) (Bits.mem bs i)
   done;
-  for i = -1 to cap do
+  for i = 0 to cap do
     Helpers.check_int "next_set_from" (oracle_next_from oracle i)
-      (Bitset.next_set_from bs i)
+      (Bits.next_set_from bs i)
   done
 
 let test_bitset_oracle () =
   let rng = Rng.create ~seed:2024 in
   List.iter
     (fun cap ->
-      let bs = Bitset.create cap in
+      let bs = Bits.create cap in
       let oracle = ref [] in
       for _ = 1 to 400 do
         let i = Rng.int rng cap in
         (match Rng.int rng 3 with
         | 0 ->
-            Bitset.add bs i;
+            Bits.add bs i;
             if not (List.mem i !oracle) then
               oracle := List.sort compare (i :: !oracle)
         | 1 ->
-            Bitset.remove bs i;
+            Bits.remove bs i;
             oracle := List.filter (fun x -> x <> i) !oracle
         | _ ->
             if Rng.bool rng 0.05 then begin
-              Bitset.clear bs;
+              Bits.clear bs;
               oracle := []
             end);
         if Rng.bool rng 0.1 then check_same_view ~cap bs oracle.contents
@@ -116,54 +124,52 @@ let test_bitset_union () =
   let rng = Rng.create ~seed:77 in
   List.iter
     (fun cap ->
-      let a = Bitset.create cap and b = Bitset.create cap in
+      let a = Bits.create cap and b = Bits.create cap in
       let la = ref [] and lb = ref [] in
       for _ = 1 to 300 do
         let bs, l = if Rng.bool rng 0.5 then (a, la) else (b, lb) in
         let i = Rng.int rng cap in
         if Rng.bool rng 0.6 then begin
-          Bitset.add bs i;
+          Bits.add bs i;
           if not (List.mem i !l) then l := i :: !l
         end
         else begin
-          Bitset.remove bs i;
+          Bits.remove bs i;
           l := List.filter (fun x -> x <> i) !l
         end;
         let union = List.sort_uniq compare (!la @ !lb) in
-        for i = -1 to cap do
+        for i = 0 to cap do
           Helpers.check_int "next_set_from_union" (oracle_next_from union i)
-            (Bitset.next_set_from_union a b i)
+            (Bits.next_set_from_union a b i)
         done
       done)
-    [ 1; 31; 32; 33; 64; 100 ];
-  Alcotest.check_raises "capacities differ"
-    (Invalid_argument "Bitset.next_set_from_union: capacities differ")
-    (fun () ->
-      ignore (Bitset.next_set_from_union (Bitset.create 8) (Bitset.create 9) 0))
+    [ 1; 31; 32; 33; 64; 100 ]
 
 let test_bitset_edges () =
-  let bs = Bitset.create 65 in
-  Helpers.check_int "empty next" (-1) (Bitset.next_set_from bs 0);
-  Bitset.add bs 64;
-  Helpers.check_int "last bit" 64 (Bitset.next_set_from bs 0);
-  Helpers.check_int "from last" 64 (Bitset.next_set_from bs 64);
-  Helpers.check_int "past last" (-1) (Bitset.next_set_from bs 65);
-  Bitset.add bs 64;
-  Helpers.check_int "idempotent add" 1 (Bitset.cardinal bs);
-  Bitset.remove bs 3;
-  Helpers.check_int "idempotent remove" 1 (Bitset.cardinal bs);
-  Alcotest.check_raises "oob mem" (Invalid_argument "Bitset.mem") (fun () ->
-      ignore (Bitset.mem bs 65));
+  let bs = Bits.create 65 in
+  Helpers.check_int "empty next" (-1) (Bits.next_set_from bs 0);
+  Bits.add bs 64;
+  Helpers.check_int "last bit" 64 (Bits.next_set_from bs 0);
+  Helpers.check_int "from last" 64 (Bits.next_set_from bs 64);
+  Helpers.check_int "past last" (-1) (Bits.next_set_from bs 65);
+  Helpers.check_int "past the last word" (-1) (Bits.next_set_from bs 96);
+  Bits.add bs 64;
+  Helpers.check_bool "idempotent add" true (members bs = [ 64 ]);
+  Bits.remove bs 3;
+  Helpers.check_bool "idempotent remove" true (members bs = [ 64 ]);
+  Bits.add bs 31;
+  Bits.add bs 32;
+  Helpers.check_bool "word boundary" true (members bs = [ 31; 32; 64 ]);
   Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Bitset.create: capacity must be positive") (fun () ->
-      ignore (Bitset.create 0))
+    (Invalid_argument "Sim.Bits.create: capacity must be positive") (fun () ->
+      ignore (Bits.create 0))
 
 (* ------------------------------------------------------------------ *)
 (* Freelist exhaustion and reuse. *)
 
 let test_freelist_exhaustion_reuse () =
   let module F = Occamy_coproc.Freelist in
-  let f = F.create ~name:"t" ~depth:8 ~pinned:3 in
+  let f = F.create ~depth:8 ~pinned:3 in
   Helpers.check_int "capacity" 5 (F.capacity f);
   for i = 1 to 5 do
     Helpers.check_bool "alloc ok" true (F.alloc f);

@@ -22,9 +22,11 @@ module Suite = Occamy_workloads.Suite
 (* Run both loops on identical inputs; fail the test on any divergence
    in metrics, attribution time series or trace streams; hand back the
    fast-forwarding simulator so callers can also assert skip
-   statistics. [attrib_window] sets the attribution sampling window. *)
+   statistics. [attrib_window] sets the attribution sampling window;
+   [check] sees the fast-forwarding run's metrics and trace. *)
 let run_both ?(cfg = Config.default) ?(context_switches = [])
-    ?(attrib = false) ?attrib_window ~label ~arch wls =
+    ?(attrib = false) ?attrib_window ?(check = fun _ _ -> ()) ~label ~arch
+    wls =
   let run fast_forward =
     let trace = Trace.for_sim ~cores:cfg.Config.cores () in
     let attrib =
@@ -63,6 +65,7 @@ let run_both ?(cfg = Config.default) ?(context_switches = [])
     && Attrib.pending (Sim.attrib t_naive) = Attrib.pending (Sim.attrib t_ff)
     && Attrib.dropped_windows (Sim.attrib t_naive)
        = Attrib.dropped_windows (Sim.attrib t_ff));
+  check m_ff trace_ff;
   t_ff
 
 (* Share of the run's cycles that periodic jumps covered. *)
@@ -250,6 +253,113 @@ let test_fresh_fuzz_cases () =
           ignore (run_both ~label:(Printf.sprintf "fuzz-%d" cs) ~arch wls))
         Arch.all
   done
+
+(* ---------------- Co-running different programs -------------------- *)
+
+(* The fuzzer co-runs a program with itself; here two different fresh
+   programs share the FTS issue budget, the MOB and the memory channels
+   (seed base distinct from the fuzzer's and the cases above). *)
+let co_run_pairs = 20
+
+let test_co_run_different_programs () =
+  let compile cs =
+    let c = Diff.case_of_seed cs in
+    match
+      Codegen.compile_workload ~options:c.Diff.options ~name:"co-run"
+        ~kind:Workload.Mixed c.Diff.loops
+    with
+    | wl -> (c.Diff.loops, wl)
+    | exception e ->
+      Alcotest.failf "case %d does not compile: %s" cs (Printexc.to_string e)
+  in
+  for i = 0 to co_run_pairs - 1 do
+    let sa = Rng.case_seed ~seed:161803 (2 * i) in
+    let sb = Rng.case_seed ~seed:161803 ((2 * i) + 1) in
+    let la, a = compile sa and lb, b = compile sb in
+    let label = Printf.sprintf "co-run-%d+%d" sa sb in
+    Helpers.check_bool (label ^ ": different programs") true (la <> lb);
+    List.iter
+      (fun arch ->
+        let check m trace =
+          match Invariant.check_run ~cfg:Config.default ~arch ~trace m with
+          | Ok () -> ()
+          | Error msg ->
+            Alcotest.failf "%s/%s: invariant: %s" label (Arch.name arch) msg
+        in
+        ignore (run_both ~attrib:true ~check ~label ~arch [ a; b ]))
+      Arch.all
+  done
+
+(* ---------------- ExeBU slots beyond the default -------------------- *)
+
+(* Every compute books all of its core's ExeBUs (all of them under FTS),
+   so the dispatcher counts compute issues per issue domain instead of
+   probing each unit's slots. The default machine has as many pipes per
+   ExeBU as compute ports, so only other pipe counts exercise the count.
+   The digests of the motivating pair's counters were computed with the
+   per-unit probe. *)
+let exebu_pins =
+  [
+    (1, Arch.Private, "13747a01c07a762d91f81810cd516344");
+    (1, Arch.Fts, "54a4af3ae41c37cd7f681a82fb992d1b");
+    (1, Arch.Vls, "b06135cb65331c3ed2e4aeae8e3ebd95");
+    (1, Arch.Occamy, "638e833c27bcf66b6706b74d9b26ef19");
+    (4, Arch.Private, "77bb663846d40009bc5c8f0ca6774ee1");
+    (4, Arch.Fts, "e62b2c688bc87877499f8d2010b0852b");
+    (4, Arch.Vls, "6e8dd782c5c8fe3df6c18a52408827e2");
+    (4, Arch.Occamy, "a9943695420ba0bb121df69d6746d933");
+  ]
+
+let counters_digest m =
+  Digest.to_hex
+    (Digest.string
+       (Occamy_util.Json.obj_to_line
+          (Occamy_obs.Counters.to_json (Occamy_core.Metrics.counters m))))
+
+(* With one pipe per ExeBU, a core issues at most one compute per cycle;
+   under FTS every compute books every unit, so the cores together do. *)
+let check_one_compute_per_cycle ~arch wls =
+  let cfg =
+    { Config.default with Config.pipes_per_exebu = 1; fast_forward = false }
+  in
+  let sim = Sim.create ~cfg ~arch wls in
+  let n = cfg.Config.cores in
+  let before = Array.make n 0 in
+  while not (Sim.finished sim) do
+    Sim.advance sim;
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      let now = Sim.issued_compute sim i in
+      let d = now - before.(i) in
+      before.(i) <- now;
+      total := !total + d;
+      if d > 1 then
+        Alcotest.failf "%s: core%d issued %d computes in cycle %d"
+          (Arch.name arch) i d (Sim.cycle sim)
+    done;
+    if arch = Arch.Fts && !total > 1 then
+      Alcotest.failf "FTS: the cores issued %d computes in cycle %d" !total
+        (Sim.cycle sim)
+  done;
+  Helpers.check_bool
+    (Printf.sprintf "%s: computes issued" (Arch.name arch))
+    true
+    (Array.for_all (fun k -> k > 0) before)
+
+let test_exebu_count () =
+  let wls = Motivating.pair () in
+  List.iter
+    (fun (pipes, arch, want) ->
+      let cfg = { Config.default with Config.pipes_per_exebu = pipes } in
+      let label = Printf.sprintf "pipes-%d" pipes in
+      let check m _ =
+        Alcotest.(check string)
+          (Printf.sprintf "%s/%s: counters digest" label (Arch.name arch))
+          want (counters_digest m)
+      in
+      ignore (run_both ~cfg ~check ~label ~arch wls))
+    exebu_pins;
+  List.iter (fun arch -> check_one_compute_per_cycle ~arch wls) Arch.all
 
 (* ---------------- Periodic jumps ------------------------------------ *)
 
@@ -484,6 +594,11 @@ let suites =
         Alcotest.test_case
           (Printf.sprintf "%d fresh fuzz cases" fuzz_cases)
           `Quick test_fresh_fuzz_cases;
+        Alcotest.test_case
+          (Printf.sprintf "%d co-runs of different programs" co_run_pairs)
+          `Quick test_co_run_different_programs;
+        Alcotest.test_case "ExeBU count at 1 and 4 pipes" `Quick
+          test_exebu_count;
         Alcotest.test_case "preempted during a reduction" `Quick
           test_preempt_pending_reduction;
         Alcotest.test_case "preempted while denied a vector length" `Quick

@@ -5,7 +5,7 @@ module Hierarchy = Occamy_mem.Hierarchy
 module Mob = Occamy_mem.Mob
 
 let test_channel_bandwidth () =
-  let ch = Channel.create ~name:"c" ~bytes_per_cycle:64.0 in
+  let ch = Channel.create ~bytes_per_cycle:64.0 in
   let t1 = Channel.request ch ~now:0.0 ~bytes:128.0 in
   Helpers.check_float "first transfer 2 cycles" 2.0 t1;
   (* Second request queues behind the first. *)
@@ -17,7 +17,7 @@ let test_channel_bandwidth () =
   Helpers.check_float "bytes moved" 256.0 (Channel.bytes_moved ch)
 
 let test_channel_utilisation () =
-  let ch = Channel.create ~name:"c" ~bytes_per_cycle:32.0 in
+  let ch = Channel.create ~bytes_per_cycle:32.0 in
   ignore (Channel.request ch ~now:0.0 ~bytes:320.0);
   Helpers.check_float "10 busy cycles over 20" 0.5
     (Channel.utilisation ch ~cycles:20.0)
@@ -126,7 +126,7 @@ let qcheck_channel_monotone =
   QCheck2.Test.make ~name:"channel completions are monotone for queued requests"
     QCheck2.Gen.(list_size (int_range 1 30) (int_range 1 512))
     (fun sizes ->
-      let ch = Channel.create ~name:"q" ~bytes_per_cycle:16.0 in
+      let ch = Channel.create ~bytes_per_cycle:16.0 in
       let times =
         List.map
           (fun b -> Channel.request ch ~now:0.0 ~bytes:(float_of_int b))

@@ -189,6 +189,40 @@ let test_workload_count_mismatch_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Every zero size is rejected by [Sim.create] with the field's name,
+   before a cycle is stepped; unchecked, most of them spun to
+   [max_cycles] or failed deep inside a component. *)
+let test_bad_configs_rejected () =
+  let wls =
+    Occamy_workloads.Suite.compile_pair ~tc_scale:0.1
+      (List.hd Occamy_workloads.Suite.pairs)
+  in
+  let d = Config.default in
+  List.iter
+    (fun (field, cfg) ->
+      Alcotest.check_raises field
+        (Invalid_argument ("Config: " ^ field))
+        (fun () -> ignore (Sim.create ~cfg ~arch:Arch.Occamy wls)))
+    [
+      ("transmit_width", { d with Config.transmit_width = 0 });
+      ("rename_width", { d with Config.rename_width = 0 });
+      ("frontend_width", { d with Config.frontend_width = 0 });
+      ("mem_ports", { d with Config.mem_ports = 0 });
+      ("compute_ports", { d with Config.compute_ports = 0 });
+      ("pool_capacity", { d with Config.pool_capacity = 0 });
+      ("window", { d with Config.window = 0 });
+      ("lsu_load_capacity", { d with Config.lsu_load_capacity = 0 });
+      ("lsu_store_capacity", { d with Config.lsu_store_capacity = -1 });
+      ("mob_capacity", { d with Config.mob_capacity = 0 });
+      ("pipes_per_exebu", { d with Config.pipes_per_exebu = 0 });
+      ("exebus", { d with Config.exebus = 0 });
+    ];
+  let cfg = { d with Config.cores = 3 } in
+  Helpers.check_bool "3 cores, 2 workloads" true
+    (match Sim.create ~cfg ~arch:Arch.Occamy wls with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let suites =
   [
     ( "sim",
@@ -208,6 +242,7 @@ let suites =
         Alcotest.test_case "overhead small" `Quick test_overhead_small;
         Alcotest.test_case "four-core machine" `Quick test_four_core_machine;
         Alcotest.test_case "workload count" `Quick test_workload_count_mismatch_rejected;
+        Alcotest.test_case "bad configs rejected" `Quick test_bad_configs_rejected;
       ] );
   ]
 
