@@ -19,35 +19,13 @@
       their core's totals, and the counters registry agrees with the
       record it was populated from. *)
 
-val check_attrib :
-  cfg:Occamy_core.Config.t -> Occamy_core.Metrics.t -> (unit, string) result
-(** Top-down cycle-accounting conservation on [Metrics.attrib]: one row
-    per core, non-negative entries, every core's buckets summing to the
-    same simulated cycle count, and that count at least [total_cycles]
-    (the run may drain past the last finish). An empty array — a run
-    with attribution disabled — passes vacuously. Included in
-    {!check_metrics}. *)
-
 val check_metrics :
   cfg:Occamy_core.Config.t -> Occamy_core.Metrics.t -> (unit, string) result
-(** Range and consistency checks on the metrics record itself,
-    including {!check_attrib}. *)
-
-val check_counters : Occamy_core.Metrics.t -> (unit, string) result
-(** Re-derives a sample of counters from the record and compares against
-    {!Occamy_core.Metrics.counters} — guards the registry population
-    logic against drift. *)
-
-val check_trace :
-  cfg:Occamy_core.Config.t ->
-  arch:Occamy_core.Arch.t ->
-  Occamy_obs.Trace.t ->
-  (unit, string) result
-(** Per-track stream checks: monotone cycles, VL request/grant/deny
-    pairing, phase begin/end balance, replan lane conservation and
-    verdict vocabulary. Checks that need a complete stream (pairing,
-    balance) are skipped on tracks that dropped events. Disabled traces
-    pass vacuously. *)
+(** Range and consistency checks on the metrics record itself, including
+    top-down cycle-accounting conservation on [Metrics.attrib]: one row
+    per core, non-negative entries, every core's buckets summing to the
+    same simulated cycle count, and that count at least [total_cycles].
+    An empty array (attribution disabled) passes vacuously. *)
 
 val check_run :
   cfg:Occamy_core.Config.t ->
@@ -55,7 +33,11 @@ val check_run :
   trace:Occamy_obs.Trace.t ->
   Occamy_core.Metrics.t ->
   (unit, string) result
-(** All of the above; the first failure wins. *)
+(** All of the above, plus a re-derivation of a sample of counters from
+    the record and per-track trace checks (monotone cycles, VL
+    request/grant/deny pairing, phase balance, replan lane conservation;
+    tracks that dropped events skip the checks that need a complete
+    stream). The first failure wins. *)
 
 val check_equivalent :
   Occamy_core.Metrics.t -> Occamy_core.Metrics.t -> (unit, string) result

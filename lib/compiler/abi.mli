@@ -20,11 +20,9 @@ val xtmp : Occamy_isa.Reg.x
 val xouter : Occamy_isa.Reg.x
 val xred : Occamy_isa.Reg.x
 
-val addr_temps : int array
 val xaddr : int -> Occamy_isa.Reg.x
 val max_addr_temps : int
 
-val max_reduction_carries : int
 val fcarry : int -> Occamy_isa.Reg.f
 val ffold : Occamy_isa.Reg.f
 val first_temp_freg : int

@@ -55,7 +55,6 @@ val reduce_max : string -> expr -> stmt
 
 (** {2 Structure queries} *)
 
-val pp_expr : Format.formatter -> expr -> unit
 val pp : Format.formatter -> t -> unit
 
 val expr_iter : (expr -> unit) -> expr -> unit
@@ -68,16 +67,11 @@ val expr_iter : (expr -> unit) -> expr -> unit
 
 val stmt_expr : stmt -> expr
 
-val iter_exprs : (expr -> unit) -> t -> unit
-(** {!expr_iter} over every statement's expression, an operator node
-    shared between statements also visited once. *)
-
 val arrays_read : t -> string list
 val arrays_written : t -> string list
 val reduction_names : t -> string list
 val offsets_of_array : t -> string -> int list
 val min_offset : t -> int
-val max_offset : t -> int
 
 val size : t -> int
 (** Structural size (statements + expression nodes + trip-count bits +

@@ -1,11 +1,4 @@
 (** Scalar reference semantics for the loop IR — the ground truth the
     §6.4 correctness property tests the compiled code against. *)
 
-val eval_expr : mem:(string -> float array) -> i:int -> Loop_ir.expr -> float
-
-val run_loop : mem:(string -> float array) -> Loop_ir.t -> unit
-(** Execute one loop (all outer repetitions), mutating the arrays and
-    writing each reduction's final value into its one-element output
-    array. *)
-
 val run : mem:(string -> float array) -> Loop_ir.t list -> unit

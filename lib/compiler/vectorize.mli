@@ -30,7 +30,6 @@ type t = {
   vregs_used : int;
 }
 
-val vop_of_red : Occamy_isa.Vop.Red.t -> Occamy_isa.Vop.t
 val reduction_out_array : string -> string
 (** Name of a reduction's one-element output array. *)
 

@@ -41,6 +41,3 @@ let splits_vrf = function Private | Vls | Occamy -> true | Fts -> false
 (** Are the per-cycle vector issue ports per-core (spatial) or shared by
     all cores (temporal)? *)
 let shares_issue_ports = function Fts -> true | Private | Vls | Occamy -> false
-
-(** Can the lane partition change while workloads run? *)
-let is_elastic = function Occamy -> true | Private | Fts | Vls -> false

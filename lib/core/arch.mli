@@ -16,6 +16,3 @@ val splits_vrf : t -> bool
 
 val shares_issue_ports : t -> bool
 (** Are the per-cycle vector issue ports shared by all cores? (FTS.) *)
-
-val is_elastic : t -> bool
-(** Can the lane partition change while workloads run? (Occamy.) *)

@@ -94,7 +94,17 @@ let validate t =
       ("lsu_load_capacity", t.lsu_load_capacity);
       ("lsu_store_capacity", t.lsu_store_capacity);
       ("mob_capacity", t.mob_capacity);
+      ("regblk_depth", t.regblk_depth);
     ];
+  List.iter
+    (fun (field, v) -> if not (v > 0.0) then invalid_arg ("Config: " ^ field))
+    [
+      ("vc_bytes_per_cycle", t.mem.vc_bytes_per_cycle);
+      ("l2_bytes_per_cycle", t.mem.l2_bytes_per_cycle);
+      ("dram_bytes_per_cycle", t.mem.dram_bytes_per_cycle);
+    ];
+  if t.arch_vregs < 0 then invalid_arg "Config: arch_vregs";
+  if t.cs_away_cycles < 0 then invalid_arg "Config: cs_away_cycles";
   if t.exebus mod t.cores <> 0 then
     invalid_arg "Config: exebus must divide evenly across cores for Private";
   if t.window > t.regblk_depth - t.arch_vregs then

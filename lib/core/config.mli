@@ -46,7 +46,8 @@ val granules_per_core_private : t -> int
 val validate : t -> t
 (** Raises [Invalid_argument "Config: <field>"] on a non-positive core
     count, ExeBU or pipe count, port count, width, pool, window, LSU
-    queue or MOB capacity, and [Invalid_argument] on inconsistent
+    queue, MOB capacity, RegBlk depth or memory bandwidth, on a negative
+    [arch_vregs] or [cs_away_cycles], and [Invalid_argument] on inconsistent
     parameters (e.g. a window larger than the spatial rename capacity,
     which would make Private rename-stall against the paper's
     baseline). *)

@@ -64,8 +64,6 @@ let core_finish t c = t.cores.(c).finish
     Equation-5 analysis predicts. *)
 let total_mem_bytes t = Array.fold_left ( +. ) 0.0 t.mem_bytes
 
-let total_mem_accesses t = Array.fold_left ( + ) 0 t.mem_accesses
-
 (** Speedup of [t] relative to [baseline] on core [c] — the Figure 10
     metric (baseline time / this time, per core). *)
 let speedup_vs ~baseline t ~core =

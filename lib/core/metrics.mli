@@ -53,15 +53,12 @@ type t = {
           simulated cycle count; [[||]] when attribution was disabled *)
 }
 
-val core_finish : t -> int -> int
-
 val total_mem_bytes : t -> float
 (** Bytes served summed over every hierarchy level. Each access is booked
     at exactly one level, so the sum equals the total vector-memory
     traffic of the run — the quantity the differential checker compares
     against the static Equation-5 prediction. *)
 
-val total_mem_accesses : t -> int
 val speedup_vs : baseline:t -> t -> core:int -> float
 val rename_stall_fraction : t -> core:int -> float
 

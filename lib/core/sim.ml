@@ -108,8 +108,6 @@ module Bits = struct
     let k = i lsr 5 in
     w.(k) <- w.(k) land lnot (1 lsl (i land 31))
 
-  let clear w = Array.fill w 0 (Array.length w) 0
-
   let debruijn =
     [|
       0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13;
@@ -327,11 +325,9 @@ type snapshot = {
   mutable sn : int array;      (* canonical state, [sn_len] ints *)
   mutable sn_len : int;
   mutable sn_ref : int array;  (* per address stream: lowest base *)
-  mutable sn_hi : int array;   (* per address stream: highest end *)
   mutable sn_x : int array;    (* scalar registers, [num_x] per core *)
   mutable sn_chan : float array;  (* channel backlogs past the cycle *)
   mutable sn_stall : int array;   (* raw open rename-stall episode starts *)
-  mutable sn_head : int array;    (* raw [w_head; p_head] per core *)
 }
 
 type pbuf = {
@@ -349,8 +345,6 @@ type pbuf = {
   mutable narr : int;         (* array ids per core *)
   mutable delta : int array;  (* per address stream: shift per period *)
   mutable sdelta : int array; (* the same, from B's transmitted addresses *)
-  mutable ext_lo : int array; (* per address stream: extent over B *)
-  mutable ext_hi : int array;
   mutable tb_key : int array;     (* detection table: state key per slot *)
   mutable tb_cyc : int array;     (* and the back-edge cycle it was seen *)
   mutable cp_off : int array;     (* one core's compute issues in B: offset *)
@@ -358,8 +352,6 @@ type pbuf = {
   mutable hp_mark : int array;    (* per window slot scratch *)
   mutable park_mark : int array;
   mutable sort_idx : int array;   (* LSU canonical order scratch *)
-  mutable rot : int array;        (* ring rotation scratch *)
-  mutable rot_b : bool array;
 }
 
 type t = {
@@ -464,6 +456,12 @@ module Log = (val Logs.src_log src : Logs.LOG)
 exception Simulation_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Simulation_error s)) fmt
+
+(* An address stream is one core's accesses to one array id. Co-running
+   programs share no data, so each core's array ids are an address space
+   of its own: the MOB and the periodic engine key regions by stream,
+   which interleaves the cores' program-local ids. *)
+let[@inline] stream t c arr = (arr * Array.length t.cores) + c.id
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -605,11 +603,9 @@ let empty_snapshot () =
     sn = [||];
     sn_len = 0;
     sn_ref = [||];
-    sn_hi = [||];
     sn_x = [||];
     sn_chan = [||];
     sn_stall = [||];
-    sn_head = [||];
   }
 
 let empty_pbuf () =
@@ -628,8 +624,6 @@ let empty_pbuf () =
     narr = 0;
     delta = [||];
     sdelta = [||];
-    ext_lo = [||];
-    ext_hi = [||];
     tb_key = [||];
     tb_cyc = [||];
     cp_off = [||];
@@ -637,8 +631,6 @@ let empty_pbuf () =
     hp_mark = [||];
     park_mark = [||];
     sort_idx = [||];
-    rot = [||];
-    rot_b = [||];
   }
 
 (* Per-core counters a replayed period adds to (see [replay]). *)
@@ -1213,9 +1205,9 @@ let site_bound c kind aa ba ab bb =
   else max_int
 
 (* Period B's site against period A's at the same position: the same
-   site, the same outcome, and for an address the stream's shift and
-   extent (see [pf_bound]). *)
-let check_site t c kind a b len =
+   site, the same outcome, and for an address the stream's shift (see
+   [pf_bound]). *)
+let check_site t c kind a b =
   let pb = t.pb in
   let o = pb.site_pos and l = pb.sites in
   pb.site_pos <- o + 3;
@@ -1223,11 +1215,9 @@ let check_site t c kind a b len =
   else if kind = k_site_addr then begin
     if b <> l.buf.(o + 2) || b < 0 || b >= pb.narr then pb.site_k <- 0
     else begin
-      let st = (c.id * pb.narr) + b and e = a - l.buf.(o + 1) in
+      let st = stream t c b and e = a - l.buf.(o + 1) in
       if pb.sdelta.(st) = min_int then pb.sdelta.(st) <- e
-      else if pb.sdelta.(st) <> e then pb.site_k <- 0;
-      if a < pb.ext_lo.(st) then pb.ext_lo.(st) <- a;
-      if a + len > pb.ext_hi.(st) then pb.ext_hi.(st) <- a + len
+      else if pb.sdelta.(st) <> e then pb.site_k <- 0
     end
   end
   else
@@ -1235,11 +1225,8 @@ let check_site t c kind a b len =
       Int.min pb.site_k (site_bound c kind l.buf.(o + 1) l.buf.(o + 2) a b)
 
 (* A value-dependent site: logged in period A, checked in period B. *)
-let site t c kind a b len =
-  if t.pf_mode = 1 then pf_log_site t c kind a b
-  else check_site t c kind a b len
-
-let pf_site t c kind a b = site t c kind a b 0
+let site t c kind a b =
+  if t.pf_mode = 1 then pf_log_site t c kind a b else check_site t c kind a b
 
 let[@inline] elems_of c cnt =
   match cnt with
@@ -1290,11 +1277,10 @@ let transmit_sites t c instr =
   match instr with
   | Instr.Vload { arr; idx = Reg.X xi; cnt; _ }
   | Instr.Vstore { arr; idx = Reg.X xi; cnt; _ } -> (
-    site t c k_site_addr c.xregs.(xi) arr
-      c.p_elems.((c.p_tail - 1) land c.p_mask);
+    site t c k_site_addr c.xregs.(xi) arr;
     match cnt with
     | Some (Reg.X r) ->
-      pf_site t c k_site_elems c.xregs.(r) (Lane.elems_of_granules c.vl)
+      site t c k_site_elems c.xregs.(r) (Lane.elems_of_granules c.vl)
     | None -> ())
   | _ -> ()
 
@@ -1343,9 +1329,9 @@ let step_frontend t c =
           let a = c.xregs.(s) and b = eval_src c src in
           if t.pf_mode > 0 then begin
             match op, src with
-            | Instr.Mini, _ -> pf_site t c k_site_min a b
-            | Instr.Maxi, _ -> pf_site t c k_site_max a b
-            | Instr.Muli, Instr.Reg _ -> pf_site t c k_site_mul a b
+            | Instr.Mini, _ -> site t c k_site_min a b
+            | Instr.Maxi, _ -> site t c k_site_max a b
+            | Instr.Muli, Instr.Reg _ -> site t c k_site_mul a b
             | _ -> ()
           end;
           c.xregs.(d) <-
@@ -1394,7 +1380,7 @@ let step_frontend t c =
           c.fe_budget <- c.fe_budget - 1
         | Instr.Bc (cond, Reg.X r, src, _) ->
           let a = c.xregs.(r) and b = eval_src c src in
-          if t.pf_mode > 0 then pf_site t c k_site_br a b;
+          if t.pf_mode > 0 then site t c k_site_br a b;
           if cond_holds cond a b then begin
             c.fe_next <- targets.(c.pc);
             if c.fe_next <= c.pc && c.id < t.pf_edge then t.pf_edge <- c.id
@@ -1792,8 +1778,8 @@ let attempt_issue t c ~dom slot =
        by memory ordering. *)
     if mem_possible t c ~dom ~is_store then
       if
-        Mob.conflicts t.mob ~arr:c.w_arr.(slot) ~base:c.w_base.(slot)
-          ~len:c.w_elems.(slot) ~is_store
+        Mob.conflicts t.mob ~arr:(stream t c c.w_arr.(slot))
+          ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
       then begin
         if t.at_on then t.at_mob_blocked.(c.id) <- true
       end
@@ -1818,8 +1804,8 @@ let attempt_issue t c ~dom slot =
         if t.pf_mode = 2 then pf_log_mem t c ~arr ~bytes ~level ~done_at
       end;
       let mslot =
-        Mob.insert_slot t.mob ~arr:c.w_arr.(slot)
-          ~base:c.w_base.(slot) ~len:c.w_elems.(slot) ~is_store
+        Mob.insert_slot t.mob ~arr:(stream t c arr) ~base:c.w_base.(slot)
+          ~len:c.w_elems.(slot) ~is_store
       in
       Lsu.add_slot c.lsu ~done_at ~is_store ~mob:mslot;
       Bits.remove c.w_unissued slot;
@@ -2402,8 +2388,8 @@ let horizon t =
             Lsu.can_accept c.lsu ~is_store
             && (not (Mob.is_full t.mob))
             && not
-                 (Mob.conflicts t.mob ~arr:c.w_arr.(s) ~base:c.w_base.(s)
-                    ~len:c.w_elems.(s) ~is_store)
+                 (Mob.conflicts t.mob ~arr:(stream t c c.w_arr.(s))
+                    ~base:c.w_base.(s) ~len:c.w_elems.(s) ~is_store)
           then raise_notrace Horizon_now
           (* else blocked on LSU/MOB occupancy or an address
              conflict: that state only changes at a memory
@@ -2786,19 +2772,19 @@ let try_fast_forward t =
    tail, a MIN/MAX operand choice. It also stops k periods short of the
    next scheduled context switch or return and of [max_cycles], and
    requires every stream's transmitted addresses to move by the same
-   stride as its in-flight regions. The MOB tells arrays apart by id
-   alone, so two cores' streams of one id can conflict: they must move
-   together (a fixed offset, which S then preserves) or stay apart, and
-   k ends before their extents over period B, moved k periods on,
-   would meet.
+   stride as its in-flight regions. Nothing else can end a jump: the
+   MOB compares regions only within one stream (see [stream]), whose
+   regions all move by one stride and so keep every overlap.
 
    {b The jump} replays period B k times through [replay] — the first
    period re-executed and checked, periods 2..k in closed form — and
-   shifts the state by k periods ([pf_shift]): scalar registers, ring
-   heads and slots (rotating each ring's arrays), producer sequence numbers,
+   shifts the state by k periods ([pf_shift]): scalar registers,
    completion and ready times, in-flight addresses, and an open
-   rename-stall episode. A producer that had retired stays below the
-   window head, so its raw sequence number is left alone.
+   rename-stall episode. Ring heads, tails and producer sequence numbers
+   stay as they were at t3: the step reads a sequence number only
+   relative to its ring's head or as a slot, and sweeps slots in
+   sequence order from the head, so the rings behave as the naive
+   loop's would k periods on.
 
    Untouched by a jump: scalar float registers, per-ExeBU µop totals and
    [Lsu.total_issued], which neither the simulator nor its results
@@ -2888,7 +2874,7 @@ let pf_ensure t =
                   0 c.wl.Workload.program.Program.arrays)))
         1 t.cores
     in
-    let w_cap = t.cores.(0).w_cap and p_cap = t.cores.(0).p_mask + 1 in
+    let w_cap = t.cores.(0).w_cap in
     (* [emit_core]'s most ints per core: full pool, window, LSU and
        waiter lists *)
     let per_core =
@@ -2901,17 +2887,13 @@ let pf_ensure t =
       (fun sn ->
         sn.sn <- fit sn.sn (n * per_core) 0;
         sn.sn_ref <- fit sn.sn_ref ns max_int;
-        sn.sn_hi <- fit sn.sn_hi ns min_int;
         sn.sn_x <- exact sn.sn_x (n * Reg.num_x) 0;
         sn.sn_chan <- exact sn.sn_chan 3 0.0;
-        sn.sn_stall <- exact sn.sn_stall n (-1);
-        sn.sn_head <- exact sn.sn_head (2 * n) 0)
+        sn.sn_stall <- exact sn.sn_stall n (-1))
       pb.pb_s;
     pb.narr <- narr;
     pb.delta <- fit pb.delta ns 0;
     pb.sdelta <- fit pb.sdelta ns 0;
-    pb.ext_lo <- fit pb.ext_lo ns 0;
-    pb.ext_hi <- fit pb.ext_hi ns 0;
     pb.tb_key <- exact pb.tb_key pf_tbl 0;
     pb.tb_cyc <- exact pb.tb_cyc pf_tbl 0;
     (* entries of an earlier simulation are stale in this one *)
@@ -2922,8 +2904,6 @@ let pf_ensure t =
       fit pb.sort_idx
         (Int.max cfg.Config.lsu_load_capacity cfg.Config.lsu_store_capacity)
         0;
-    pb.rot <- fit pb.rot (Int.max w_cap p_cap) 0;
-    pb.rot_b <- fit pb.rot_b w_cap false;
     clear_logs pb;
     t.pb <- pb;
     t.pb_ready <- true
@@ -2949,25 +2929,19 @@ let put sn v =
   sn.sn.(i) <- v;
   sn.sn_len <- i + 1
 
-(* An address stream is one core's accesses to one array id. The MOB
-   compares regions by array id alone, so two cores' streams of the same
-   id interact only if their regions overlap; [pf_bound] keeps them
-   apart for the whole jump. *)
-let[@inline] stream t c arr = (c.id * t.pb.narr) + arr
+(* Stream [i]'s lowest in-flight base, which its addresses in the
+   snapshot are relative to. *)
+let note_ref sn i base = if base < sn.sn_ref.(i) then sn.sn_ref.(i) <- base
 
-let note_extent t sn c arr base len =
-  let i = stream t c arr in
-  if base < sn.sn_ref.(i) then sn.sn_ref.(i) <- base;
-  if base + len > sn.sn_hi.(i) then sn.sn_hi.(i) <- base + len
-
-(* LSU entries in canonical order: by (completion, array, relative base,
-   length), so the heap's array layout does not matter. *)
+(* LSU entries in canonical order: by (completion, stream, relative base,
+   length), so the heap's array layout does not matter. A MOB slot holds
+   its region's stream. *)
 let lsu_key t c ~is_store (refs : int array) j f =
   let m = Lsu.entry_mob c.lsu ~is_store j in
   match f with
   | 0 -> Lsu.entry_done c.lsu ~is_store j
   | 1 -> Mob.slot_arr t.mob m
-  | 2 -> Mob.slot_base t.mob m - refs.(stream t c (Mob.slot_arr t.mob m))
+  | 2 -> Mob.slot_base t.mob m - refs.(Mob.slot_arr t.mob m)
   | _ -> Mob.slot_len t.mob m
 
 let rec lsu_lt t c ~is_store refs a b f =
@@ -2997,7 +2971,7 @@ let emit_lsu t sn c ~is_store =
     let m = Lsu.entry_mob c.lsu ~is_store e in
     put sn (Lsu.entry_done c.lsu ~is_store e - t.cycle);
     put sn (Mob.slot_arr t.mob m);
-    put sn (Mob.slot_base t.mob m - refs.(stream t c (Mob.slot_arr t.mob m)));
+    put sn (Mob.slot_base t.mob m - refs.(Mob.slot_arr t.mob m));
     put sn (Mob.slot_len t.mob m)
   done
 
@@ -3095,8 +3069,8 @@ let emit_core t sn c =
    a <VL> request or a reduction). *)
 let pf_snapshot t sn =
   let narr = t.pb.narr in
+  let ns = narr * Array.length t.cores in
   Array.fill sn.sn_ref 0 (Array.length sn.sn_ref) max_int;
-  Array.fill sn.sn_hi 0 (Array.length sn.sn_hi) min_int;
   sn.sn_len <- 0;
   let ok = ref true in
   for i = 0 to Array.length t.cores - 1 do
@@ -3109,14 +3083,14 @@ let pf_snapshot t sn =
       let s = q land c.p_mask in
       if c.p_kind.(s) < k_compute then
         if c.p_arr.(s) < narr then
-          note_extent t sn c c.p_arr.(s) c.p_base.(s) c.p_elems.(s)
+          note_ref sn (stream t c c.p_arr.(s)) c.p_base.(s)
         else ok := false
     done;
     for q = c.w_head to c.w_tail - 1 do
       let s = q land c.w_mask in
       if c.w_kind.(s) < k_compute then
         if c.w_arr.(s) < narr then
-          note_extent t sn c c.w_arr.(s) c.w_base.(s) c.w_elems.(s)
+          note_ref sn (stream t c c.w_arr.(s)) c.w_base.(s)
         else ok := false
     done;
     for d = 0 to 1 do
@@ -3127,10 +3101,8 @@ let pf_snapshot t sn =
       in
       for j = 0 to n - 1 do
         let m = Lsu.entry_mob c.lsu ~is_store j in
-        if m < 0 || Mob.slot_arr t.mob m >= narr then ok := false
-        else
-          note_extent t sn c (Mob.slot_arr t.mob m) (Mob.slot_base t.mob m)
-            (Mob.slot_len t.mob m)
+        if m < 0 || Mob.slot_arr t.mob m >= ns then ok := false
+        else note_ref sn (Mob.slot_arr t.mob m) (Mob.slot_base t.mob m)
       done
     done
   done;
@@ -3139,9 +3111,7 @@ let pf_snapshot t sn =
       let c = t.cores.(i) in
       emit_core t sn c;
       Array.blit c.xregs 0 sn.sn_x (i * Reg.num_x) Reg.num_x;
-      sn.sn_stall.(i) <- t.obs_stall_start.(i);
-      sn.sn_head.(2 * i) <- c.w_head;
-      sn.sn_head.((2 * i) + 1) <- c.p_head
+      sn.sn_stall.(i) <- t.obs_stall_start.(i)
     done;
     chan_rel_into t Occamy_mem.Level.Vec_cache sn.sn_chan 0;
     chan_rel_into t Occamy_mem.Level.L2 sn.sn_chan 1;
@@ -3167,20 +3137,6 @@ let snap_equal a b ~p =
   done;
   !same
 
-(* Periods for which two cores' streams of one array id keep every
-   overlap test between them as it was in period B: forever if they
-   move together (their offset is fixed, like within one stream);
-   otherwise as long as their extents stay apart (0 if they overlap). *)
-let apart_below pb lo hi =
-  let gap = pb.ext_lo.(hi) - pb.ext_hi.(lo) in
-  let closing = pb.delta.(lo) - pb.delta.(hi) in
-  if gap < 0 then 0 else if closing <= 0 then max_int else gap / closing
-
-let apart pb si sj =
-  if pb.delta.(si) = pb.delta.(sj) then max_int
-  else if pb.ext_hi.(si) <= pb.ext_lo.(sj) then apart_below pb si sj
-  else apart_below pb sj si
-
 (* How many whole periods may follow period B (see "Where a jump
    stops"); fills [pb.delta] with each address stream's shift. *)
 let pf_bound t =
@@ -3191,31 +3147,15 @@ let pf_bound t =
     if sc.sn_x.(i) - sb.sn_x.(i) <> sb.sn_x.(i) - sa.sn_x.(i) then k := 0
   done;
   (* Per stream: the shift of its in-flight regions, which B's
-     transmitted addresses must share, and its extent over period B
-     (regions in flight at t2 or t3, or transmitted in B). *)
-  let narr = pb.narr in
+     transmitted addresses must share. *)
   k := Int.min !k pb.site_k;
   if pb.site_pos <> pb.sites.len then k := 0;
   for i = 0 to Array.length pb.delta - 1 do
     if sb.sn_ref.(i) = max_int then pb.delta.(i) <- pb.sdelta.(i)
     else begin
       pb.delta.(i) <- sc.sn_ref.(i) - sb.sn_ref.(i);
-      if pb.sdelta.(i) <> min_int && pb.sdelta.(i) <> pb.delta.(i) then
-        k := 0;
-      pb.ext_lo.(i) <- Int.min pb.ext_lo.(i) (Int.min sb.sn_ref.(i) sc.sn_ref.(i));
-      pb.ext_hi.(i) <- Int.max pb.ext_hi.(i) (Int.max sb.sn_hi.(i) sc.sn_hi.(i))
+      if pb.sdelta.(i) <> min_int && pb.sdelta.(i) <> pb.delta.(i) then k := 0
     end
-  done;
-  (* Two cores' streams of one array id must stay disjoint. *)
-  let n = Array.length t.cores in
-  for arr = 0 to narr - 1 do
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let si = (i * narr) + arr and sj = (j * narr) + arr in
-        if pb.ext_lo.(si) < pb.ext_hi.(si) && pb.ext_lo.(sj) < pb.ext_hi.(sj)
-        then k := Int.min !k (apart pb si sj)
-      done
-    done
   done;
   k := Int.min !k ((t.cfg.max_cycles - 1 - now) / p);
   for i = 0 to Array.length t.cores - 1 do
@@ -3230,75 +3170,6 @@ let pf_bound t =
   done;
   Int.max !k 0
 
-(* Ring rotation: the element at slot [s] moves to [(s + r) land mask]. *)
-let rotate_ints (a : int array) (tmp : int array) ~mask ~r =
-  Array.blit a 0 tmp 0 (mask + 1);
-  for s = 0 to mask do
-    a.((s + r) land mask) <- tmp.(s)
-  done
-
-let rotate_bools (a : bool array) (tmp : bool array) ~mask ~r =
-  Array.blit a 0 tmp 0 (mask + 1);
-  for s = 0 to mask do
-    a.((s + r) land mask) <- tmp.(s)
-  done
-
-let rotate_bits bs (tmp : int array) ~mask ~r =
-  let n = ref 0 and s = ref (Bits.next_set_from bs 0) in
-  while !s >= 0 do
-    tmp.(!n) <- !s;
-    incr n;
-    s := Bits.next_set_from bs (!s + 1)
-  done;
-  Bits.clear bs;
-  for i = 0 to !n - 1 do
-    Bits.add bs ((tmp.(i) + r) land mask)
-  done
-
-let[@inline] rot_slot v ~mask ~r = if v < 0 then v else (v + r) land mask
-
-let rotate_window pb c ~r =
-  let mask = c.w_mask and tmp = pb.rot in
-  for s = 0 to mask do
-    c.w_wfirst.(s) <- rot_slot c.w_wfirst.(s) ~mask ~r;
-    c.w_wnext.(s) <- rot_slot c.w_wnext.(s) ~mask ~r
-  done;
-  for h = 0 to c.hp_n - 1 do
-    c.hp_slot.(h) <- rot_slot c.hp_slot.(h) ~mask ~r
-  done;
-  c.lw_head <- rot_slot c.lw_head ~mask ~r;
-  c.lw_tail <- rot_slot c.lw_tail ~mask ~r;
-  c.sw_head <- rot_slot c.sw_head ~mask ~r;
-  c.sw_tail <- rot_slot c.sw_tail ~mask ~r;
-  rotate_ints c.w_kind tmp ~mask ~r;
-  rotate_ints c.w_width tmp ~mask ~r;
-  rotate_ints c.w_arr tmp ~mask ~r;
-  rotate_ints c.w_base tmp ~mask ~r;
-  rotate_ints c.w_elems tmp ~mask ~r;
-  rotate_ints c.w_lat tmp ~mask ~r;
-  rotate_ints c.w_s1 tmp ~mask ~r;
-  rotate_ints c.w_s2 tmp ~mask ~r;
-  rotate_ints c.w_s3 tmp ~mask ~r;
-  rotate_ints c.w_done tmp ~mask ~r;
-  rotate_ints c.w_wfirst tmp ~mask ~r;
-  rotate_ints c.w_wnext tmp ~mask ~r;
-  rotate_bools c.w_rdy pb.rot_b ~mask ~r;
-  rotate_bits c.w_unissued tmp ~mask ~r;
-  rotate_bits c.w_scan_c tmp ~mask ~r;
-  rotate_bits c.w_scan_m tmp ~mask ~r
-
-let rotate_pool pb c ~r =
-  let mask = c.p_mask and tmp = pb.rot in
-  rotate_ints c.p_kind tmp ~mask ~r;
-  rotate_ints c.p_dst tmp ~mask ~r;
-  rotate_ints c.p_arr tmp ~mask ~r;
-  rotate_ints c.p_base tmp ~mask ~r;
-  rotate_ints c.p_elems tmp ~mask ~r;
-  rotate_ints c.p_lat tmp ~mask ~r;
-  rotate_ints c.p_s1 tmp ~mask ~r;
-  rotate_ints c.p_s2 tmp ~mask ~r;
-  rotate_ints c.p_s3 tmp ~mask ~r
-
 (* Carry the state at t3 across [k] more periods. *)
 let pf_shift t ~k =
   let pb = t.pb in
@@ -3306,24 +3177,15 @@ let pf_shift t ~k =
   let span = k * t.pf_p in
   for i = 0 to Array.length t.cores - 1 do
     let c = t.cores.(i) in
-    let dw = k * (sc.sn_head.(2 * i) - sb.sn_head.(2 * i)) in
-    let dp = k * (sc.sn_head.((2 * i) + 1) - sb.sn_head.((2 * i) + 1)) in
     for r = 0 to Reg.num_x - 1 do
       let o = (i * Reg.num_x) + r in
       c.xregs.(r) <- c.xregs.(r) + (k * (sc.sn_x.(o) - sb.sn_x.(o)))
     done;
-    let head = c.w_head in
-    for q = head to c.w_tail - 1 do
+    for q = c.w_head to c.w_tail - 1 do
       let s = q land c.w_mask in
       if not (Bits.mem c.w_unissued s) then c.w_done.(s) <- c.w_done.(s) + span;
       if c.w_kind.(s) < k_compute then
-        c.w_base.(s) <- c.w_base.(s) + (k * pb.delta.(stream t c c.w_arr.(s)));
-      if c.w_s1.(s) >= head then c.w_s1.(s) <- c.w_s1.(s) + dw;
-      if c.w_s2.(s) >= head then c.w_s2.(s) <- c.w_s2.(s) + dw;
-      if c.w_s3.(s) >= head then c.w_s3.(s) <- c.w_s3.(s) + dw
-    done;
-    for v = 0 to Reg.num_v - 1 do
-      if c.vmap.(v) >= head then c.vmap.(v) <- c.vmap.(v) + dw
+        c.w_base.(s) <- c.w_base.(s) + (k * pb.delta.(stream t c c.w_arr.(s)))
     done;
     for h = 0 to c.hp_n - 1 do
       c.hp_rdy.(h) <- c.hp_rdy.(h) + span
@@ -3342,16 +3204,10 @@ let pf_shift t ~k =
       for j = 0 to n - 1 do
         let m = Lsu.entry_mob c.lsu ~is_store j in
         Mob.shift_base t.mob m
-          ~by:(k * pb.delta.(stream t c (Mob.slot_arr t.mob m)))
+          ~by:(k * pb.delta.(Mob.slot_arr t.mob m))
       done
     done;
     Lsu.shift_done c.lsu ~by:span;
-    if dw land c.w_mask <> 0 then rotate_window pb c ~r:(dw land c.w_mask);
-    c.w_head <- c.w_head + dw;
-    c.w_tail <- c.w_tail + dw;
-    if dp land c.p_mask <> 0 then rotate_pool pb c ~r:(dp land c.p_mask);
-    c.p_head <- c.p_head + dp;
-    c.p_tail <- c.p_tail + dp;
     let st = t.obs_stall_start.(i) in
     if st >= 0 && st <> sb.sn_stall.(i) then t.obs_stall_start.(i) <- st + span
   done;
@@ -3420,8 +3276,6 @@ let pf_on_step t =
         pb.site_pos <- 0;
         pb.site_k <- max_int;
         Array.fill pb.sdelta 0 (Array.length pb.sdelta) min_int;
-        Array.fill pb.ext_lo 0 (Array.length pb.ext_lo) max_int;
-        Array.fill pb.ext_hi 0 (Array.length pb.ext_hi) min_int;
         for i = 0 to n - 1 do
           read_counters t.cores.(i) t.pr_delta (i * n_cnt)
         done;

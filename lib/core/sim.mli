@@ -142,7 +142,6 @@ module Bits : sig
   val mem : t -> int -> bool
   val add : t -> int -> unit
   val remove : t -> int -> unit
-  val clear : t -> unit
 
   val next_set_from : t -> int -> int
   (** [next_set_from t i] is the smallest member [>= i] (for [i >= 0]),

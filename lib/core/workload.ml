@@ -45,8 +45,6 @@ let profile_of_array t arr =
   if arr >= 0 && arr < Array.length t.profiles then t.profiles.(arr)
   else Occamy_mem.Profile.cache_resident
 
-let phase_by_index t i = List.nth_opt t.phases i
-
 (** Map from OI-write ordinal to phase, expanding repeated prologues. *)
 let phase_of_oi_write t =
   let expanded =

@@ -22,12 +22,10 @@ type t = {
   profiles : Occamy_mem.Profile.t array;
 }
 
-val kind_name : kind -> string
 val name : t -> string
 val pp : Format.formatter -> t -> unit
 
 val profile_of_array : t -> int -> Occamy_mem.Profile.t
-val phase_by_index : t -> int -> phase option
 
 val phase_of_oi_write : t -> int -> phase option
 (** Map from OI-write ordinal to phase, expanding repeated prologues. *)

@@ -65,9 +65,6 @@ let classify = function
   | Msr _ | Msr_oi _ | Mrs _ -> Em_simd
   | Vload _ | Vstore _ | Vop _ | Vdup _ | Vred _ -> Sve
 
-let is_vector_memory = function Vload _ | Vstore _ -> true | _ -> false
-let is_vector_compute = function Vop _ | Vdup _ | Vred _ -> true | _ -> false
-
 (** FLOPs performed per active 32-bit element (0 for non-compute). *)
 let flops_per_elem = function
   | Vop { op; _ } -> Vop.flops_per_elem op

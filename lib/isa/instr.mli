@@ -45,8 +45,6 @@ type t =
 type cls = Scalar | Sve | Em_simd
 
 val classify : t -> cls
-val is_vector_memory : t -> bool
-val is_vector_compute : t -> bool
 
 val flops_per_elem : t -> int
 (** FLOPs per active element (0 for non-compute instructions). *)

@@ -325,5 +325,4 @@ let run ?(fuel = 200_000_000) t =
 
 let stats t = t.stats
 let vl t = t.vl
-let xreg t (Reg.X i) = t.xregs.(i)
 let freg t (Reg.F i) = t.fregs.(i)

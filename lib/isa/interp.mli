@@ -54,5 +54,4 @@ val run : ?fuel:int -> state -> stats
 
 val stats : state -> stats
 val vl : state -> int
-val xreg : state -> Reg.x -> int
 val freg : state -> Reg.f -> float

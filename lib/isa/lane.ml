@@ -4,7 +4,6 @@
     (one ExeBU / one RegBlk slice); the paper's figures count 32-bit
     floating-point lanes. One granule therefore carries four f32 lanes. *)
 
-let bits_per_granule = 128
 let bytes_per_granule = 16
 let f32_per_granule = 4
 
@@ -18,4 +17,3 @@ let granules_of_lanes lanes =
     invalid_arg "Lane.granules_of_lanes: not a multiple of 4";
   lanes / f32_per_granule
 
-let lanes_of_granules g = g * f32_per_granule

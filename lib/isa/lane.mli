@@ -2,7 +2,6 @@
     / one RegBlk slice); the paper's figures count 32-bit FP lanes, four
     per granule. *)
 
-val bits_per_granule : int
 val bytes_per_granule : int
 val f32_per_granule : int
 
@@ -11,5 +10,3 @@ val elems_of_granules : int -> int
 
 val granules_of_lanes : int -> int
 (** f32 lanes to granules; raises unless a multiple of 4. *)
-
-val lanes_of_granules : int -> int

@@ -30,13 +30,5 @@ let uniform x = make ~issue:x ~mem:x
 
 let equal a b = a.issue = b.issue && a.mem = b.mem
 
-(** Relative comparison of intensity pairs: true when both components
-    agree within [tol] of their magnitude (floored at 1.0, so tiny
-    clamped intensities compare absolutely). Used by the differential
-    checker to cross-validate a phase's static annotation against
-    traffic the simulator observed. *)
-let approx_equal ?(tol = 1e-9) a b =
-  let close x y = Float.abs (x -. y) <= tol *. Float.max 1.0 (Float.abs y) in
-  close a.issue b.issue && close a.mem b.mem
 let to_string t = Printf.sprintf "(%.3g,%.3g)" t.issue t.mem
 let pp ppf t = Fmt.string ppf (to_string t)

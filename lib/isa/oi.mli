@@ -20,11 +20,6 @@ val uniform : float -> t
 
 val equal : t -> t -> bool
 
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Component-wise relative comparison (tolerance floored at magnitude
-    1.0) — for cross-checking static annotations against observed
-    behaviour without demanding bit equality. *)
-
 val to_string : t -> string
 (** ["(issue,mem)"] with three significant digits — the rendering shared
     by [pp], the trace-event schema and the roofline printer. *)

@@ -85,8 +85,6 @@ module Builder = struct
     b.instrs <- i :: b.instrs;
     b.count <- b.count + 1
 
-  let emit_all b is = List.iter (emit b) is
-
   let fresh_label b prefix =
     b.fresh <- b.fresh + 1;
     Printf.sprintf ".%s_%d" prefix b.fresh

@@ -29,7 +29,6 @@ module Builder : sig
 
   val create : string -> builder
   val emit : builder -> Instr.t -> unit
-  val emit_all : builder -> Instr.t list -> unit
 
   val fresh_label : builder -> string -> Instr.label
   (** A unique label with the given prefix. *)

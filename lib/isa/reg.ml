@@ -27,14 +27,9 @@ let f i =
   if i < 0 || i >= num_f then invalid_arg "Reg.f: out of range";
   F i
 
-let x_index (X i) = i
 let v_index (V i) = i
-let f_index (F i) = i
 
 let pp_x ppf (X i) = Fmt.pf ppf "x%d" i
 let pp_v ppf (V i) = Fmt.pf ppf "z%d" i
 let pp_f ppf (F i) = Fmt.pf ppf "f%d" i
 
-let equal_x (X a) (X b) = a = b
-let equal_v (V a) (V b) = a = b
-let equal_f (F a) (F b) = a = b

@@ -17,14 +17,8 @@ val x : int -> x
 val v : int -> v
 val f : int -> f
 
-val x_index : x -> int
 val v_index : v -> int
-val f_index : f -> int
 
 val pp_x : Format.formatter -> x -> unit
 val pp_v : Format.formatter -> v -> unit
 val pp_f : Format.formatter -> f -> unit
-
-val equal_x : x -> x -> bool
-val equal_v : v -> v -> bool
-val equal_f : f -> f -> bool

@@ -23,14 +23,6 @@ let name = function
   | AL -> "<AL>"
   | ZCR -> "<ZCR>"
 
-let description = function
-  | OI -> "Operational Intensity of a Phase"
-  | DECISION -> "Suggested (i.e., Requested) Vector Length"
-  | VL -> "Configured (i.e., Current) Vector Length"
-  | STATUS -> "Success/Fail for Changing Vector Length"
-  | AL -> "Number of Free SIMD Lanes Available"
-  | ZCR -> "SVE Vector Length Control Register"
-
 (** Which registers are per-core vs shared by all cores: `<AL>` is the one
     dedicated register shared by all cores (§4.2.1: "(4*C+1) 32-bit
     registers"). *)

@@ -12,7 +12,6 @@ type t =
 
 val all : t list
 val name : t -> string
-val description : t -> string
 
 val is_shared : t -> bool
 (** `<AL>` is the single dedicated register shared by all cores. *)

@@ -69,7 +69,6 @@ let decision t ~core = t.decision.(core)
 let decisions t = Array.copy t.decision
 let replans t = t.replans
 let total t = t.total
-let current_level t ~core = t.level.(core)
 
 (** Roofline verdict per core at the current plan: which ceiling binds
     each active workload at its decided width (["-"] for cores with no

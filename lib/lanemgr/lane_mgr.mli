@@ -21,7 +21,6 @@ val decision : t -> core:int -> int
 val decisions : t -> int array
 val replans : t -> int
 val total : t -> int
-val current_level : t -> core:int -> Occamy_mem.Level.t
 
 val verdicts : t -> string array
 (** Per-core {!Roofline.bound_name} at the current plan ("-" when the

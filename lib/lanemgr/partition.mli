@@ -10,10 +10,6 @@ type workload = {
   level : Occamy_mem.Level.t;
 }
 
-val relative_gain_threshold : float
-(** Marginal gains below this fraction of the current attainable
-    performance count as "no further gain". *)
-
 val plan : Roofline.cfg -> total:int -> workload list -> (int * int) list
 (** [(key, granules)] for each *active* (non-zero OI) workload. Raises
     when the active workloads outnumber the ExeBUs. *)

@@ -7,7 +7,10 @@
     wait until the matching entries are deallocated.
 
     Regions are (array, base element, length) triples; completion
-    deallocates. The structure is per-machine (addresses are global).
+    deallocates. One MOB serves the whole machine, and regions conflict
+    only within one array id, so the caller chooses what an id covers:
+    the simulator gives each core's arrays ids of their own, because
+    co-running programs share no data.
 
     Data-oriented layout: entries live in preallocated parallel int
     arrays indexed by slot, allocated from a free-slot stack. Each array

@@ -1,6 +1,8 @@
 (** Memory Ordering Buffer (§4.1.2): tracks the regions of in-flight
     vector memory accesses so younger overlapping accesses can be held
-    back (Table 2's ordering rows involving SVE ld/st). *)
+    back (Table 2's ordering rows involving SVE ld/st). Regions conflict
+    only within one array id; the caller decides what an id covers (the
+    simulator keys each core's arrays apart). *)
 
 type t
 

@@ -198,7 +198,6 @@ let counts t =
     Array.init t.n_cores (fun c ->
         Array.init num_buckets (fun i -> t.cell.((c * num_buckets) + i)))
 
-let windows_pushed t = t.head
 let dropped_windows t = max 0 (t.head - t.capacity)
 
 let samples t =

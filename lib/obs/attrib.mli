@@ -100,7 +100,6 @@ val samples : t -> (int * int array) list
 val pending : t -> (int * int array) option
 (** The current partially-filled window, if it has any cycles. *)
 
-val windows_pushed : t -> int
 val dropped_windows : t -> int
 
 val summary_table : ?title:string -> t -> Occamy_util.Table.t

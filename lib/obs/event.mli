@@ -5,8 +5,6 @@
 
 type replan_cause = Enter_phase | Exit_phase | Preempt | Resume
 
-val replan_cause_name : replan_cause -> string
-
 type t =
   | Phase_begin of {
       core : int;

@@ -142,40 +142,6 @@ let of_attrib a =
     ]
   end
 
-let of_histogram ~name ~help h =
-  let name = sanitize name in
-  let q p =
-    {
-      s_labels = [ ("quantile", p) ];
-      s_value = float_of_int (Histogram.percentile h (100.0 *. float_of_string p));
-    }
-  in
-  [
-    {
-      fam_name = name;
-      fam_type = `Summary;
-      fam_help = help;
-      fam_samples =
-        [
-          q "0.5";
-          q "0.9";
-          q "0.99";
-          { s_labels = [ ("__suffix__", "_sum") ]; s_value = Histogram.sum h };
-          {
-            s_labels = [ ("__suffix__", "_count") ];
-            s_value = float_of_int (Histogram.count h);
-          };
-        ];
-    };
-    {
-      fam_name = name ^ "_max";
-      fam_type = `Gauge;
-      fam_help = help ^ " (exact maximum)";
-      fam_samples =
-        [ { s_labels = []; s_value = float_of_int (Histogram.max_value h) } ];
-    };
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,6 @@
 (** OpenMetrics / Prometheus text-format export of simulation results:
-    attribution shares ({!Attrib}), the flat {!Counters} registry, and
-    {!Histogram} percentiles, rendered as a scrapeable exposition
+    attribution shares ({!Attrib}) and the flat {!Counters} registry,
+    rendered as a scrapeable exposition
     ending in [# EOF]. Families render in the order given and samples
     in the order listed, so exports built from sorted sources (e.g.
     {!Counters.to_list}) are deterministic across runs. *)
@@ -36,10 +36,6 @@ val of_attrib : Attrib.t -> family list
 (** [occamy_attrib_cycles] (counter, labels [core]/[bucket]) and
     [occamy_attrib_share] (gauge, percent of the core's cycles), plus
     [occamy_attrib_window_cycles]. Empty for a disabled recorder. *)
-
-val of_histogram : name:string -> help:string -> Histogram.t -> family list
-(** A summary family: [name{quantile="0.5|0.9|0.99"}], [name_sum] and
-    [name_count], plus a [name_max] gauge. *)
 
 val validate : string -> (unit, string) result
 (** Cheap structural parser for tests and CI smoke: every line must be

@@ -88,12 +88,6 @@ module Buckets = struct
     t.sums.(idx) <- t.sums.(idx) +. v;
     t.counts.(idx) <- t.counts.(idx) + 1
 
-  (** [add_run t ~cycle ~len v] accumulates [len] copies of sample [v],
-      one per cycle for cycles [cycle .. cycle+len-1], splitting the run
-      across bucket boundaries. Bit-identical to [len] successive [add]
-      calls as long as the per-bucket partial sums are exactly
-      representable — true for the simulator's integer-valued samples
-      (vector lengths, lane counts), whose sums stay far below 2^53. *)
   (** Integer-argument entry points for the simulator's per-cycle
       sampling sites: an int crosses a non-inlined module boundary
       without boxing, where a float argument allocates per call. The
@@ -127,21 +121,6 @@ module Buckets = struct
     t.sums.(idx) <- t.sums.(idx) +. (float_of_int num /. float_of_int den);
     t.counts.(idx) <- t.counts.(idx) + count
 
-  let rec add_run_from t pos left v =
-    if left > 0 then begin
-      let idx = pos / t.width in
-      ensure t idx;
-      let bucket_end = (idx + 1) * t.width in
-      let m = Int.min left (bucket_end - pos) in
-      t.sums.(idx) <- t.sums.(idx) +. (float_of_int m *. v);
-      t.counts.(idx) <- t.counts.(idx) + m;
-      add_run_from t (pos + m) (left - m) v
-    end
-
-  let add_run t ~cycle ~len v =
-    if len < 0 then invalid_arg "Buckets.add_run: negative length";
-    add_run_from t cycle len v
-
   let rec add_run_int_from t pos left v =
     if left > 0 then begin
       let idx = pos / t.width in
@@ -153,10 +132,14 @@ module Buckets = struct
       add_run_int_from t (pos + m) (left - m) v
     end
 
-  (** [add_run_int t ~cycle ~len v] =
-      [add_run t ~cycle ~len (float_of_int v)]. *)
+  (** [add_run_int t ~cycle ~len v] accumulates [len] copies of sample
+      [v], one per cycle for cycles [cycle .. cycle+len-1], splitting
+      the run across bucket boundaries. Bit-identical to [len]
+      successive [add_int] calls: the per-bucket partial sums of the
+      simulator's integer samples (vector lengths, lane counts) stay far
+      below 2^53, so every one is exact. *)
   let add_run_int t ~cycle ~len v =
-    if len < 0 then invalid_arg "Buckets.add_run: negative length";
+    if len < 0 then invalid_arg "Buckets.add_run_int: negative length";
     add_run_int_from t cycle len v
 
   (** Per-bucket sums divided by the bucket width — the "per cycle" rate

@@ -18,7 +18,6 @@ module Acc : sig
   val add : t -> float -> unit
   val count : t -> int
   val mean : t -> float
-  val variance : t -> float
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
@@ -33,13 +32,6 @@ module Buckets : sig
 
   val add : t -> cycle:int -> float -> unit
   (** Accumulate one sample into the bucket containing [cycle]. *)
-
-  val add_run : t -> cycle:int -> len:int -> float -> unit
-  (** [add_run t ~cycle ~len v] accumulates [len] per-cycle copies of
-      [v] for cycles [cycle .. cycle+len-1] in one batch, splitting the
-      run across bucket boundaries. For integer-valued samples (as the
-      simulator records) this is bit-identical to [len] calls to
-      [add]. The fast-forward skip path relies on that equality. *)
 
   val add_int : t -> cycle:int -> int -> unit
   (** [add t ~cycle (float_of_int v)] with the conversion on the callee
@@ -58,8 +50,12 @@ module Buckets : sig
       power-of-two [den]. The simulator's periodic jumps rely on it. *)
 
   val add_run_int : t -> cycle:int -> len:int -> int -> unit
-  (** [add_run t ~cycle ~len (float_of_int v)], conversion on the callee
-      side (see {!add_int}). *)
+  (** [add_run_int t ~cycle ~len v] accumulates [len] per-cycle copies
+      of [v] for cycles [cycle .. cycle+len-1] in one batch, splitting
+      the run across bucket boundaries, with the conversion on the
+      callee side (see {!add_int}). Integer samples keep it
+      bit-identical to [len] calls to {!add_int}; the fast-forward skip
+      path relies on that equality. *)
 
   val rates : t -> float array
   (** Per-bucket sums divided by the bucket width: per-cycle rates. *)

@@ -29,8 +29,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: wrong number of cells";
   t.rows <- cells :: t.rows
 
-let add_rowf t fmts = add_row t fmts
-
 (* Cell formatting helpers. *)
 let fcell ?(digits = 2) v = Printf.sprintf "%.*f" digits v
 let icell v = string_of_int v

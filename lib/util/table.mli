@@ -14,9 +14,6 @@ val add_row : t -> string list -> unit
 (** Rows render in insertion order; the cell count must match the
     header. *)
 
-val add_rowf : t -> string list -> unit
-(** Alias of {!add_row}. *)
-
 val fcell : ?digits:int -> float -> string
 (** Fixed-point cell, default two digits. *)
 

@@ -11,15 +11,9 @@ type spec = {
   k_tc : int;
 }
 
-val level_of_oi : float -> Occamy_mem.Level.t
-val tc_of_level : Occamy_mem.Level.t -> int
-
 val spec :
   ?taps:int -> ?level:Occamy_mem.Level.t -> ?tc:int -> oi:float -> string ->
   spec
-
-val choose_shape : oi:float -> taps:int -> int * int
-(** The (flops, copies) pair minimising the error against the target. *)
 
 val loop_of_spec : spec -> Occamy_compiler.Loop_ir.t
 val analysed_oi : spec -> Occamy_isa.Oi.t

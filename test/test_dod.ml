@@ -101,19 +101,14 @@ let test_bitset_oracle () =
       let oracle = ref [] in
       for _ = 1 to 400 do
         let i = Rng.int rng cap in
-        (match Rng.int rng 3 with
+        (match Rng.int rng 2 with
         | 0 ->
             Bits.add bs i;
             if not (List.mem i !oracle) then
               oracle := List.sort compare (i :: !oracle)
-        | 1 ->
-            Bits.remove bs i;
-            oracle := List.filter (fun x -> x <> i) !oracle
         | _ ->
-            if Rng.bool rng 0.05 then begin
-              Bits.clear bs;
-              oracle := []
-            end);
+            Bits.remove bs i;
+            oracle := List.filter (fun x -> x <> i) !oracle);
         if Rng.bool rng 0.1 then check_same_view ~cap bs oracle.contents
       done;
       check_same_view ~cap bs !oracle)

@@ -465,23 +465,6 @@ let test_periodic_mixed_profile () =
       Helpers.check_int (label ^ ": no periodic jump") 0 (Sim.periodic_jumps t))
     Arch.all
 
-let test_periodic_shared_array_ids () =
-  (* Both programs number their arrays from 0, and the MOB tells arrays
-     apart by id alone, so the two cores' streams of one id are one
-     address space. While their regions stay apart they cannot
-     conflict and the cores' loops may be periodic together; a jump
-     must end before the streams meet (4+14 on Private and VLS, 11+5 on
-     Occamy, exercise exactly that). *)
-  List.iter
-    (fun (label, archs) ->
-      let wls = Suite.compile_pair (Option.get (Suite.find_pair label)) in
-      List.iter
-        (fun arch ->
-          let label = Printf.sprintf "periodic-streams-%s/%s" label (Arch.name arch) in
-          check_periodic label (run_both ~label ~arch wls))
-        archs)
-    [ ("4+14", [ Arch.Private; Arch.Vls ]); ("11+5", [ Arch.Occamy ]) ]
-
 let test_periodic_then_mixed () =
   (* WL1 alone, its first phase's arrays pure and its second phase's
      mixed: the second phase draws every access's level from the RNG, so
@@ -574,8 +557,6 @@ let suites =
           test_periodic_mixed_profile;
         Alcotest.test_case "mixed profile after a stretch" `Quick
           test_periodic_then_mixed;
-        Alcotest.test_case "two cores' streams of one array id" `Quick
-          test_periodic_shared_array_ids;
         Alcotest.test_case "co-running loops of joint period 260" `Quick
           test_periodic_co_run;
         Alcotest.test_case "an edge-failed verification, then a solo stretch"

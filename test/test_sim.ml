@@ -216,6 +216,15 @@ let test_bad_configs_rejected () =
       ("mob_capacity", { d with Config.mob_capacity = 0 });
       ("pipes_per_exebu", { d with Config.pipes_per_exebu = 0 });
       ("exebus", { d with Config.exebus = 0 });
+      ("regblk_depth", { d with Config.regblk_depth = 0 });
+      ("arch_vregs", { d with Config.arch_vregs = -1 });
+      ("cs_away_cycles", { d with Config.cs_away_cycles = -1 });
+      ( "vc_bytes_per_cycle",
+        { d with Config.mem = { d.mem with vc_bytes_per_cycle = 0.0 } } );
+      ( "l2_bytes_per_cycle",
+        { d with Config.mem = { d.mem with l2_bytes_per_cycle = -64.0 } } );
+      ( "dram_bytes_per_cycle",
+        { d with Config.mem = { d.mem with dram_bytes_per_cycle = Float.nan } } );
     ];
   let cfg = { d with Config.cores = 3 } in
   Helpers.check_bool "3 cores, 2 workloads" true
