@@ -1,12 +1,14 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§7), plus two self-checking sections — `perf`
-   (fast-forward never slower than the naive loop) and `scaling` (`-j N`
-   never slower than `-j 1`) — that exit non-zero when their gate fails.
+   paper's evaluation (§7), plus three self-checking sections — `perf`
+   (fast-forward never slower than the naive loop), `scaling` (`-j N`
+   never slower than `-j 1`) and `ff-audit` (fast-forward bit-identical
+   to the naive loop under OS preemption) — that exit non-zero when
+   their gate fails.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig10   -- one section (any of: table4
         table3 fig2 table5 fig14 fig10 fig16 fig12 ablations perf
-        scaling)
+        scaling ff-audit)
 
    Host-time numbers are printed, never recorded: a speed claim is
    measured with the performance ledger (bench/ledger/, BENCHMARK.json),
@@ -26,7 +28,7 @@ module E = Occamy_experiments
 
 let known_sections =
   [ "table4"; "table3"; "fig2"; "table5"; "fig14"; "fig10"; "fig16"; "fig12";
-    "ablations"; "perf"; "scaling" ]
+    "ablations"; "perf"; "scaling"; "ff-audit" ]
 
 let usage () =
   Printf.eprintf
@@ -482,6 +484,78 @@ let sweep_audit () =
     (List.concat per_pair);
   Digest.to_hex (Digest.string (Buffer.contents digests))
 
+(* The same audit under the OS preemption of §5, where idle jumps skip
+   most cycles: for each seed every core of each of the 100 sweep
+   simulations is preempted four times, at cycles drawn uniformly from
+   [1 000, 41 000), and stays away [cs_away_cycles] = 200 000 cycles.
+   The first naive vs fast-forward divergence (seeds, then sweep order)
+   exits 1 with its pair, arch, seed and schedule. *)
+let ff_audit_seeds = [ 0; 1; 2 ]
+
+let preempt_schedule ~seed k ~cores =
+  let module Rng = Occamy_util.Rng in
+  let rng = Rng.create ~seed:(Rng.mix3 ~seed ~stream:0 k) in
+  List.concat
+    (List.init cores (fun core ->
+         List.map
+           (fun cycle -> (core, cycle))
+           (List.sort compare
+              (List.init 4 (fun _ -> Rng.range rng 1_000 40_999)))))
+
+let run_ff_audit () =
+  let module Suite = Occamy_workloads.Suite in
+  let cfg fast_forward =
+    {
+      Config.default with
+      Config.cs_away_cycles = 200_000;
+      max_cycles = 5_000_000;
+      fast_forward;
+    }
+  in
+  let cores = Config.default.Config.cores in
+  let per_pair =
+    Domain_pool.map ~jobs ?oversubscribe
+      (fun (i, pair) ->
+        let wls = Suite.compile_pair pair in
+        List.concat_map
+          (fun seed ->
+            List.mapi
+              (fun a arch ->
+                let context_switches =
+                  preempt_schedule ~seed ((4 * i) + a) ~cores
+                in
+                let run ff =
+                  Occamy_core.Sim.simulate ~cfg:(cfg ff) ~context_switches
+                    ~arch wls
+                in
+                let naive = run false in
+                ( (seed, pair, arch, context_switches),
+                  Occamy_check.Invariant.check_equivalent naive (run true) ))
+              Arch.all)
+          ff_audit_seeds)
+      (List.mapi (fun i pair -> (i, pair)) Suite.pairs)
+  in
+  let all = List.concat per_pair in
+  let key ((seed, _, _, _), _) = seed in
+  List.iter
+    (fun ((seed, pair, arch, schedule), equal) ->
+      match equal with
+      | Ok () -> ()
+      | Error msg ->
+        Printf.eprintf
+          "bench: ff-audit: pair %s arch %s seed %d schedule %s: \
+           fast-forward diverged from the naive loop: %s\n%!"
+          pair.Suite.label (Arch.name arch) seed
+          (String.concat ","
+             (List.map (fun (c, y) -> Printf.sprintf "%d@%d" c y) schedule))
+          msg;
+        exit 1)
+    (List.stable_sort (fun a b -> compare (key a) (key b)) all);
+  Printf.printf
+    "ff-audit: %d preempted simulations (seeds %s), naive = fast-forward\n%!"
+    (List.length all)
+    (String.concat "," (List.map string_of_int ff_audit_seeds))
+
 let run_golden_update () =
   ensure_dir "test";
   ensure_dir (Filename.concat "test" "golden");
@@ -588,4 +662,5 @@ let () =
   timed "ablations" run_ablations;
   timed "perf" run_perf;
   timed "scaling" run_scaling;
+  timed "ff-audit" run_ff_audit;
   print_endline "\nAll requested sections completed."

@@ -33,7 +33,7 @@ let () =
       [ axpy ]
   in
   Fmt.pr "compiled to %d instructions over %d arrays@."
-    (Occamy_isa.Program.length wl.Workload.program)
+    (Array.length wl.Workload.program.Occamy_isa.Program.code)
     (Array.length wl.Workload.program.Occamy_isa.Program.arrays);
 
   (* 4. Execute functionally and verify a few values. *)

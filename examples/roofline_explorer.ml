@@ -66,8 +66,8 @@ let () =
   let mgr = Lane_mgr.create ~total:8 ~cores:2 () in
   let show msg =
     Fmt.pr "%-46s decisions: core0=%d lanes, core1=%d lanes@." msg
-      (4 * Lane_mgr.decision mgr ~core:0)
-      (4 * Lane_mgr.decision mgr ~core:1)
+      (4 * (Lane_mgr.decisions mgr).(0))
+      (4 * (Lane_mgr.decisions mgr).(1))
   in
   Fmt.pr "Eager-lazy partitioning timeline (Figure 8):@.";
   Lane_mgr.enter_phase mgr ~core:1 ~oi:(Oi.uniform 2.0) ~level:Level.Vec_cache;

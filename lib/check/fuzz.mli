@@ -36,8 +36,6 @@ val injections :
     parameter. Each is applied to the loops fed to the compiler while
     the reference runs the originals (see {!Diff.run}). *)
 
-val inject_of_name : string -> (Occamy_compiler.Loop_ir.t -> Occamy_compiler.Loop_ir.t) option
-
 val run_case :
   ?gen_cfg:Gen.cfg ->
   ?inject_name:string ->

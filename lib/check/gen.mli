@@ -25,13 +25,6 @@ type cfg = {
   allow_outer_reps : bool;  (** emit outer_reps > 1 *)
 }
 
-val default_cfg : cfg
-
-val loop :
-  ?cfg:cfg -> ?reads:string list -> Rng.t -> name:string -> Occamy_compiler.Loop_ir.t
-(** One random validated loop. [reads] extends the default read-array
-    pool (e.g. with arrays written by earlier phases). *)
-
 val workload : ?cfg:cfg -> Rng.t -> Occamy_compiler.Loop_ir.t list
 (** A random multi-phase workload; later phases may read what earlier
     phases wrote. Every loop is validated. *)

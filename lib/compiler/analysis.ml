@@ -67,12 +67,6 @@ let analyse (l : Loop_ir.t) =
 
 let oi_of l = (analyse l).oi
 
-(** Does the loop exhibit data reuse (issue and memory intensities
-    diverge)? *)
-let has_reuse l =
-  let r = analyse l in
-  r.issue_bytes <> r.footprint_bytes
-
 let pp_result ppf r =
   Fmt.pf ppf
     "flops=%d comp=%d loads=%d stores=%d issue_bytes=%d footprint=%d oi=%a"

@@ -14,9 +14,8 @@ type result = {
   oi : Occamy_isa.Oi.t;
 }
 
-val elem_bytes : int
-
 val analyse : Loop_ir.t -> result
 val oi_of : Loop_ir.t -> Occamy_isa.Oi.t
-val has_reuse : Loop_ir.t -> bool
 val pp_result : Format.formatter -> result -> unit
+(** One line of the result; the examples (quickstart, compiler_demo)
+    print it. *)

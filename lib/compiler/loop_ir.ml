@@ -51,9 +51,7 @@ let neg a = Op (Occamy_isa.Vop.Neg, [ a ])
 let max_ a b = Op (Occamy_isa.Vop.Max, [ a; b ])
 let min_ a b = Op (Occamy_isa.Vop.Min, [ a; b ])
 let store base e = Store ({ base; offset = 0 }, e)
-let store_at base offset e = Store ({ base; offset }, e)
 let reduce_sum name e = Reduce (Occamy_isa.Vop.Red.Sum, name, e)
-let reduce_max name e = Reduce (Occamy_isa.Vop.Red.Maxr, name, e)
 
 let rec pp_expr ppf = function
   | Load { base; offset } ->

@@ -49,9 +49,7 @@ val neg : expr -> expr
 val max_ : expr -> expr -> expr
 val min_ : expr -> expr -> expr
 val store : string -> expr -> stmt
-val store_at : string -> int -> expr -> stmt
 val reduce_sum : string -> expr -> stmt
-val reduce_max : string -> expr -> stmt
 
 (** {2 Structure queries} *)
 

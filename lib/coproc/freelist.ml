@@ -17,53 +17,29 @@
       and every core's architectural state pins rows in it. This is the
       register pressure that produces Figure 13's rename-stall cycles.
 
-    Rows are fungible, so a counting model suffices; the stall accounting
-    (attempted allocations that failed) feeds the Figure 13 metric. *)
+    Rows are fungible, so a counting model suffices. A failed {!alloc} is
+    a rename stall; the simulator counts those cycles itself. *)
 
 type t = {
   capacity : int;  (* rows available for in-flight destinations *)
   mutable in_use : int;
-  mutable failed_allocs : int;
-  mutable peak : int;
 }
 
 let create ~depth ~pinned =
   if depth <= 0 || pinned < 0 || pinned >= depth then
     invalid_arg "Freelist.create";
-  { capacity = depth - pinned; in_use = 0; failed_allocs = 0; peak = 0 }
+  { capacity = depth - pinned; in_use = 0 }
 
-let capacity t = t.capacity
-let in_use t = t.in_use
 let free t = t.capacity - t.in_use
 
 (** Allocate one row; [false] means the renamer must stall this cycle. *)
 let alloc t =
-  if t.in_use >= t.capacity then begin
-    t.failed_allocs <- t.failed_allocs + 1;
-    false
-  end
+  if t.in_use >= t.capacity then false
   else begin
     t.in_use <- t.in_use + 1;
-    if t.in_use > t.peak then t.peak <- t.in_use;
     true
   end
 
 let release t =
   if t.in_use <= 0 then invalid_arg "Freelist.release: nothing allocated";
   t.in_use <- t.in_use - 1
-
-(** Drop all in-flight rows (used on pipeline drain + reconfiguration:
-    the freed RegBlks' contents are not preserved, §4.2.2). *)
-let release_all t = t.in_use <- 0
-
-(** Batch form of the stall accounting: [count] allocation attempts that
-    would all have failed (the freelist is exhausted and nothing releases
-    in between), recorded without [count] calls to {!alloc}. Lets the
-    fast-forward path keep the Figure 13 counters exact across skipped
-    cycles. *)
-let record_failures t ~count =
-  if count < 0 then invalid_arg "Freelist.record_failures: negative count";
-  t.failed_allocs <- t.failed_allocs + count
-
-let failed_allocs t = t.failed_allocs
-let peak_in_use t = t.peak

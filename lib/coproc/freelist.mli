@@ -8,20 +8,12 @@
 type t
 
 val create : depth:int -> pinned:int -> t
-val capacity : t -> int
-val in_use : t -> int
+
 val free : t -> int
+(** Rows not allocated. *)
 
 val alloc : t -> bool
-(** [false] = rename stall this cycle (counted). *)
+(** [false] = rename stall this cycle. *)
 
 val release : t -> unit
-val release_all : t -> unit
-
-val record_failures : t -> count:int -> unit
-(** Record [count] failed allocation attempts in one batch — the
-    fast-forward path's equivalent of [count] failing {!alloc} calls
-    across skipped stall cycles. *)
-
-val failed_allocs : t -> int
-val peak_in_use : t -> int
+(** Return one allocated row; raises [Invalid_argument] when none is. *)

@@ -25,12 +25,11 @@ type t = {
   s_done : int array;
   s_mob : int array;
   mutable s_n : int;
-  mutable total_issued : int;
   mutable peak_loads : int;
   mutable peak_stores : int;
 }
 
-let create ?(load_capacity = 48) ?(store_capacity = 24) () =
+let create ~load_capacity ~store_capacity =
   if load_capacity <= 0 || store_capacity <= 0 then
     invalid_arg "Lsu.create: capacities must be positive";
   {
@@ -42,7 +41,6 @@ let create ?(load_capacity = 48) ?(store_capacity = 24) () =
     s_done = Array.make store_capacity 0;
     s_mob = Array.make store_capacity (-1);
     s_n = 0;
-    total_issued = 0;
     peak_loads = 0;
     peak_stores = 0;
   }
@@ -80,11 +78,11 @@ let rec sift_down (done_a : int array) (mob_a : int array) n i =
     end
   end
 
-(** [add_slot] is the simulator's allocation-free entry point; [mob] is a
-    MOB slot handle or [-1] for none. *)
+(** Queue an operation completing at [done_at]; [mob] is a MOB slot
+    handle or [-1] for none. Allocation-free. *)
 let add_slot t ~done_at ~is_store ~mob =
   if is_store then begin
-    if t.s_n = t.store_capacity then invalid_arg "Lsu.add: queue full";
+    if t.s_n = t.store_capacity then invalid_arg "Lsu.add_slot: queue full";
     let i = t.s_n in
     t.s_n <- i + 1;
     t.s_done.(i) <- done_at;
@@ -93,19 +91,14 @@ let add_slot t ~done_at ~is_store ~mob =
     if t.s_n > t.peak_stores then t.peak_stores <- t.s_n
   end
   else begin
-    if t.l_n = t.load_capacity then invalid_arg "Lsu.add: queue full";
+    if t.l_n = t.load_capacity then invalid_arg "Lsu.add_slot: queue full";
     let i = t.l_n in
     t.l_n <- i + 1;
     t.l_done.(i) <- done_at;
     t.l_mob.(i) <- mob;
     sift_up t.l_done t.l_mob i;
     if t.l_n > t.peak_loads then t.peak_loads <- t.l_n
-  end;
-  t.total_issued <- t.total_issued + 1
-
-let add t ~done_at ~is_store ~mob_id =
-  add_slot t ~done_at ~is_store
-    ~mob:(match mob_id with Some id -> id | None -> -1)
+  end
 
 (* Pop one direction's due completions into [buf] starting at [k];
    returns the new [k]. The heap order makes this a root test per
@@ -147,12 +140,6 @@ let rec pop_stores t ~now buf k =
 let retire_into t ~now ~into =
   pop_stores t ~now into (pop_loads t ~now into 0)
 
-(** List-returning convenience wrapper around {!retire_into}. *)
-let retire t ~now =
-  let buf = Array.make (t.load_capacity + t.store_capacity) (-1) in
-  let n = retire_into t ~now ~into:buf in
-  Array.to_list (Array.sub buf 0 n)
-
 (** Earliest cycle at which any in-flight operation completes; [max_int]
     when drained. Read off the heap roots in O(1); bounds the
     fast-forward event horizon. *)
@@ -183,7 +170,6 @@ let shift_done t ~by =
 let outstanding t = t.l_n + t.s_n
 let outstanding_loads t = t.l_n
 let outstanding_stores t = t.s_n
-let total_issued t = t.total_issued
 
 (** High-water occupancy marks: how much memory-level parallelism the
     core actually extracted vs the capacity it was given. *)

@@ -4,22 +4,21 @@
 
 type t
 
-val create : ?load_capacity:int -> ?store_capacity:int -> unit -> t
+val create : load_capacity:int -> store_capacity:int -> t
+(** Raises [Invalid_argument] on a non-positive capacity. *)
+
 val can_accept : t -> is_store:bool -> bool
-val add : t -> done_at:int -> is_store:bool -> mob_id:int option -> unit
 
 val add_slot : t -> done_at:int -> is_store:bool -> mob:int -> unit
-(** Allocation-free {!add}; [mob] is a MOB slot handle or [-1] for none.
-    The simulator's hot-path entry point. *)
-
-val retire : t -> now:int -> int list
-(** Remove completed entries; returns their MOB ids to deallocate. *)
+(** Queue an operation completing at cycle [done_at]; [mob] is a MOB
+    slot handle or [-1] for none. Allocation-free. Raises
+    [Invalid_argument] when the direction's queue is full. *)
 
 val retire_into : t -> now:int -> into:int array -> int
-(** Allocation-free {!retire}: writes the MOB handles of completed
-    entries into [into] (sized at least load+store capacity) and returns
-    how many were written. Completions without a handle are retired and
-    counted but not reported. *)
+(** Remove the entries completed by [now], write their MOB handles into
+    [into] (sized at least load+store capacity) and return how many were
+    written. Completions without a handle are retired but not reported.
+    Allocation-free. *)
 
 val next_done_at : t -> int
 (** Earliest completion cycle among in-flight operations; [max_int] when
@@ -39,7 +38,6 @@ val shift_done : t -> by:int -> unit
 val outstanding : t -> int
 val outstanding_loads : t -> int
 val outstanding_stores : t -> int
-val total_issued : t -> int
 
 val peak_loads : t -> int
 (** High-water load-queue occupancy — the memory-level parallelism the

@@ -41,8 +41,6 @@ let status t ~core = check_core t core; t.status.(core)
 let decision t ~core = check_core t core; t.decision.(core)
 let oi t ~core = check_core t core; t.oi.(core)
 let al t = t.al
-let total t = t.total
-let cores t = t.cores
 
 let set_decision t ~core d =
   check_core t core;
@@ -86,12 +84,3 @@ let invariant_holds t =
   &&
   let s = sum_nonneg t.vl 0 0 in
   s >= 0 && t.al + s = t.total
-
-let pp ppf t =
-  Fmt.pf ppf "ResourceTbl{AL=%d;" t.al;
-  Array.iteri
-    (fun c v ->
-      Fmt.pf ppf " core%d:<VL>=%d,<decision>=%d,<status>=%d,<OI>=%a;" c v
-        t.decision.(c) t.status.(c) Occamy_isa.Oi.pp t.oi.(c))
-    t.vl;
-  Fmt.pf ppf "}"

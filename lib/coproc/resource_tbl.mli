@@ -15,8 +15,6 @@ val status : t -> core:int -> int
 val decision : t -> core:int -> int
 val oi : t -> core:int -> Occamy_isa.Oi.t
 val al : t -> int
-val total : t -> int
-val cores : t -> int
 
 val set_decision : t -> core:int -> int -> unit
 val set_oi : t -> core:int -> Occamy_isa.Oi.t -> unit
@@ -29,4 +27,3 @@ val try_set_vl : t -> core:int -> int -> bool
     Sets `<status>` accordingly. *)
 
 val invariant_holds : t -> bool
-val pp : Format.formatter -> t -> unit

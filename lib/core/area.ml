@@ -90,12 +90,6 @@ let component_mm2 arch ~cores component =
 let total_mm2 arch ~cores =
   List.fold_left (fun acc c -> acc +. component_mm2 arch ~cores c) 0.0 components
 
-let breakdown arch ~cores =
-  List.map (fun c -> (c, component_mm2 arch ~cores c)) components
-
-let fraction arch ~cores component =
-  component_mm2 arch ~cores component /. total_mm2 arch ~cores
-
 (** The §7.6 comparison: relative area of 4-core FTS over a 4-core spatial
     design. *)
 let fts_four_core_overhead () =

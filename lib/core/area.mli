@@ -21,8 +21,6 @@ val component_name : component -> string
 
 val component_mm2 : Arch.t -> cores:int -> component -> float
 val total_mm2 : Arch.t -> cores:int -> float
-val breakdown : Arch.t -> cores:int -> (component * float) list
-val fraction : Arch.t -> cores:int -> component -> float
 
 val fts_four_core_overhead : unit -> float
 (** Relative area of 4-core FTS over a 4-core spatial design (~0.335). *)

@@ -72,7 +72,6 @@ let default =
 let four_core = { default with cores = 4; exebus = 16 }
 
 let total_lanes t = t.exebus * Occamy_isa.Lane.f32_per_granule
-let lanes_per_core_private t = total_lanes t / t.cores
 let granules_per_core_private t = t.exebus / t.cores
 
 let validate t =

@@ -40,7 +40,6 @@ val four_core : t
 (** The §7.6 machine: 4 cores, 64 lanes. *)
 
 val total_lanes : t -> int
-val lanes_per_core_private : t -> int
 val granules_per_core_private : t -> int
 
 val validate : t -> t

@@ -68,13 +68,6 @@ val overhead : t -> frontend_width:int -> core:int -> float * float
     front-end slot per `<decision>` read (the reads are speculative,
     §4.1.1); reconfiguration counts drain + retry cycles. *)
 
-val populate_counters : Occamy_obs.Counters.t -> t -> unit
-(** Register every scalar quantity of [t] under dotted names — run-level
-    gauges under ["sim."], per-core counters under ["core<i>."],
-    memory traffic under ["mem.<level>."], per-phase stats under
-    ["core<i>.phase.<name>."] — so callers read results by name instead
-    of pattern-matching these records. *)
-
 val counters : t -> Occamy_obs.Counters.t
 (** Fresh registry populated from [t] via {!populate_counters}. *)
 

@@ -14,14 +14,17 @@
       [mem_ports] SIMD ld/st instructions per cycle — per core under
       spatial sharing, shared by all cores under FTS;
     - a bandwidth-limited VecCache/L2/DRAM hierarchy with a MOB;
-    - the ResourceTbl/ConfigTbl/LaneMgr elastic reconfiguration machinery:
-      `MSR <VL>` succeeds only when lanes are available *and* the core's
-      SIMD pipeline has drained (§4.2.2); `MSR <OI>` triggers eager
-      replanning on Occamy (§5).
+    - the ResourceTbl/LaneMgr elastic reconfiguration machinery: `MSR
+      <VL>` succeeds only when lanes are available *and* the core's SIMD
+      pipeline has drained (§4.2.2); `MSR <OI>` triggers eager
+      replanning on Occamy (§5). A core's ExeBUs and RegBlks are its
+      ResourceTbl `<VL>` column; §4.2.1's ConfigTbls would only repeat
+      it, so they are not modelled.
 
-    Scalar-visible register *values* are tracked exactly (loop control
-    must be faithful); vector data is not — the functional interpreter
-    ({!Occamy_isa.Interp}) covers value semantics.
+    Integer register *values* are tracked exactly (loop control must be
+    faithful); FP and vector data are not, since no branch, address or
+    count reads them — the functional interpreter ({!Occamy_isa.Interp})
+    covers value semantics.
 
     {b Fast-forward.} With [Config.fast_forward] (the default) the run
     loop skips cycles it can prove repeat earlier ones: idle stretches up
@@ -66,7 +69,6 @@ module Hierarchy = Occamy_mem.Hierarchy
 module Mob = Occamy_mem.Mob
 module Channel = Occamy_mem.Channel
 module Rtbl = Occamy_coproc.Resource_tbl
-module Config_tbl = Occamy_coproc.Config_tbl
 module Freelist = Occamy_coproc.Freelist
 module Lsu = Occamy_coproc.Lsu
 module Lane_mgr = Occamy_lanemgr.Lane_mgr
@@ -191,7 +193,6 @@ type core_state = {
   (* front-end *)
   mutable pc : int;
   xregs : int array;
-  fregs : float array;
   mutable halted : bool;
   mutable finish : int;
   mutable pending_vl : int;  (* blocked MSR <VL> awaiting drain; -1 none *)
@@ -361,13 +362,10 @@ type t = {
   hierarchy : Hierarchy.t;
   mob : Mob.t;
   rtbl : Rtbl.t;
-  exebu_cfg : Config_tbl.t;   (* Dispatcher.Cfg *)
-  regblk_cfg : Config_tbl.t;  (* RegFile.Cfg *)
   lane_mgr : Lane_mgr.t option;  (* Occamy only *)
   rng : Rng.t;
   shares_ports : bool;  (* Arch.shares_issue_ports, hoisted *)
   mob_scratch : int array;    (* LSU-retire handoff buffer *)
-  inv_scratch : int array;    (* expected <VL> column for invariants *)
   busy_lanes : float array;
       (* [| busy_lane_cycles |]: a mutable float field in this mixed
          record would box on every write; a float array cell does not *)
@@ -470,7 +468,7 @@ let[@inline] stream t c arr = (arr * Array.length t.cores) + c.id
 let rec next_pow2_from acc n = if acc >= n then acc else next_pow2_from (acc * 2) n
 let next_pow2 n = next_pow2_from 1 n
 
-let make_core cfg arch ~shared_freelist id wl =
+let make_core cfg ~shared_freelist id wl =
   let freelist =
     match shared_freelist with
     | Some fl -> fl
@@ -478,7 +476,6 @@ let make_core cfg arch ~shared_freelist id wl =
       Freelist.create ~depth:cfg.Config.regblk_depth
         ~pinned:cfg.Config.arch_vregs
   in
-  ignore arch;
   let code = wl.Workload.program.Program.code in
   let np = Array.length code in
   let dec_lat = Array.make np 0 in
@@ -504,6 +501,10 @@ let make_core cfg arch ~shared_freelist id wl =
           invalid_arg
             (Printf.sprintf "Sim: core%d Vop at pc=%d has more than 3 sources"
                id pc))
+      | Instr.Fvop (op, _, srcs) when List.length srcs <> Vop.arity op ->
+        invalid_arg
+          (Printf.sprintf "Sim: core%d %s.s at pc=%d has %d sources, needs %d"
+             id (Vop.name op) pc (List.length srcs) (Vop.arity op))
       | _ -> ())
     code;
   let p_cap = next_pow2 cfg.Config.pool_capacity in
@@ -514,7 +515,6 @@ let make_core cfg arch ~shared_freelist id wl =
     phase_lookup = Workload.phase_of_oi_write wl;
     pc = 0;
     xregs = Array.make Reg.num_x 0;
-    fregs = Array.make Reg.num_f 0.0;
     halted = false;
     finish = 0;
     pending_vl = -1;
@@ -575,7 +575,7 @@ let make_core cfg arch ~shared_freelist id wl =
     freelist;
     lsu =
       Lsu.create ~load_capacity:cfg.Config.lsu_load_capacity
-        ~store_capacity:cfg.Config.lsu_store_capacity ();
+        ~store_capacity:cfg.Config.lsu_store_capacity;
     vl = 0;
     issued_compute = 0;
     issued_mem = 0;
@@ -687,7 +687,7 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
   in
   let cores =
     Array.of_list
-      (List.mapi (fun i wl -> make_core cfg arch ~shared_freelist i wl) workloads)
+      (List.mapi (fun i wl -> make_core cfg ~shared_freelist i wl) workloads)
   in
   let rtbl = Rtbl.create ~total:cfg.exebus ~cores:cfg.cores in
   let lane_mgr =
@@ -753,14 +753,36 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
      meaningful for the static architectures. *)
   (match decisions with
   | Some d ->
+    let bad fmt =
+      Printf.ksprintf (fun s -> invalid_arg ("Sim.create: " ^ s)) fmt
+    in
     if arch = Arch.Occamy then
-      invalid_arg "Sim.create: cannot force decisions on an elastic machine";
+      bad "cannot force decisions on an elastic machine";
+    if Array.length d <> cfg.cores then
+      bad "decisions has %d entries for %d cores" (Array.length d) cfg.cores;
+    Array.iteri
+      (fun c vl ->
+        if vl < 0 || vl > cfg.exebus then
+          bad "decisions.(%d) = %d is outside 0..%d" c vl cfg.exebus)
+      d;
+    let sum = Array.fold_left ( + ) 0 d in
+    if sum > cfg.exebus then
+      bad "decisions sum to %d, above the %d ExeBUs" sum cfg.exebus;
     Array.iteri (fun c vl -> Rtbl.set_decision rtbl ~core:c vl) d
   | None -> ());
   List.iter
     (fun (core, cycle) ->
-      if core < 0 || core >= cfg.cores || cycle <= 0 then
-        invalid_arg "Sim.create: bad context switch";
+      if core < 0 || core >= cfg.cores then
+        invalid_arg
+          (Printf.sprintf
+             "Sim.create: bad context switch: core %d is outside 0..%d" core
+             (cfg.cores - 1));
+      if cycle <= 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Sim.create: bad context switch: cycle %d for core %d is not \
+              positive"
+             cycle core);
       cores.(core).cs_schedule <-
         List.sort compare (cycle :: cores.(core).cs_schedule))
     context_switches;
@@ -769,17 +791,14 @@ let create ?(cfg = Config.default) ?(trace = Trace.disabled)
     cfg;
     arch;
     cores;
-    hierarchy = Hierarchy.create ~cfg:cfg.mem ();
-    mob = Mob.create ~capacity:cfg.mob_capacity ();
+    hierarchy = Hierarchy.create ~cfg:cfg.mem;
+    mob = Mob.create ~capacity:cfg.mob_capacity;
     rtbl;
-    exebu_cfg = Config_tbl.create ~name:"Dispatch.Cfg" ~units:cfg.exebus;
-    regblk_cfg = Config_tbl.create ~name:"RegFile.Cfg" ~units:cfg.exebus;
     lane_mgr;
     rng = Rng.create ~seed:cfg.seed;
     shares_ports = Arch.shares_issue_ports arch;
     mob_scratch =
       Array.make (cfg.lsu_load_capacity + cfg.lsu_store_capacity) (-1);
-    inv_scratch = Array.make cfg.cores 0;
     busy_lanes = [| 0.0 |];
     hz_ev = max_int;
     sc_comp = -1;
@@ -1010,8 +1029,6 @@ let resolve_vl_request t c l =
         (Event.Vl_grant { core = c.id; granted = c.vl; al = t.cfg.exebus })
   | Arch.Private | Arch.Vls | Arch.Occamy ->
     if Rtbl.try_set_vl t.rtbl ~core:c.id l then begin
-      Config_tbl.reassign t.exebu_cfg ~core:c.id ~count:l;
-      Config_tbl.reassign t.regblk_cfg ~core:c.id ~count:l;
       Log.debug (fun m ->
           m "cycle %d: core%d reconfigured to %d granules" t.cycle c.id l);
       c.vl <- l;
@@ -1342,38 +1359,13 @@ let step_frontend t c =
             | Instr.Mini -> Int.min a b
             | Instr.Maxi -> Int.max a b);
           c.fe_budget <- c.fe_budget - 1
-        | Instr.Fli (Reg.F d, v) ->
-          c.fregs.(d) <- v;
+        | Instr.Fli _ | Instr.Fop _ | Instr.Fvop _ | Instr.Flw _ | Instr.Fsw _ ->
+          (* Scalar FP executes in the scalar core's own FP unit and its
+             loads and stores go through the core's private L1 (Table 4).
+             No branch reads an F register, so their values cannot change
+             timing and are not kept; a multi-version scalar loop only
+             runs for tiny trip counts, so a fixed 1-slot cost suffices. *)
           c.fe_budget <- c.fe_budget - 1
-        | Instr.Fop (op, Reg.F d, Reg.F a, Reg.F b) ->
-          let x = c.fregs.(a) and y = c.fregs.(b) in
-          c.fregs.(d) <-
-            (match op with
-            | Instr.Fadd -> x +. y
-            | Instr.Fsub -> x -. y
-            | Instr.Fmul -> x *. y
-            | Instr.Fdiv -> x /. y);
-          c.fe_budget <- c.fe_budget - 1
-        | Instr.Fvop (op, Reg.F d, srcs) ->
-          (* Scalar FP executes in the scalar core's own FP unit; the data
-             values do not affect timing-relevant control flow.
-             Arity-specialised to avoid boxing the operands per
-             executed instruction. *)
-          c.fregs.(d) <-
-            (match srcs with
-            | [ Reg.F a ] -> Vop.apply1 op c.fregs.(a)
-            | [ Reg.F a; Reg.F b ] -> Vop.apply2 op c.fregs.(a) c.fregs.(b)
-            | [ Reg.F a; Reg.F b; Reg.F cc ] ->
-              Vop.apply3 op c.fregs.(a) c.fregs.(b) c.fregs.(cc)
-            | _ -> error "core%d: %s.s arity mismatch" c.id (Vop.name op));
-          c.fe_budget <- c.fe_budget - 1
-        | Instr.Flw { fdst = Reg.F d; _ } ->
-          (* Scalar loads go through the core's private L1 (Table 4); a
-             multi-version scalar loop only runs for tiny trip counts, so
-             a fixed 1-slot cost suffices. *)
-          c.fregs.(d) <- 0.0;
-          c.fe_budget <- c.fe_budget - 1
-        | Instr.Fsw _ -> c.fe_budget <- c.fe_budget - 1
         | Instr.B _ ->
           c.fe_next <- targets.(c.pc);
           if c.fe_next <= c.pc && c.id < t.pf_edge then t.pf_edge <- c.id;
@@ -1423,10 +1415,9 @@ let step_frontend t c =
           c.fe_cont <- false
         | Instr.Msr (sr, _) ->
           error "core%d: MSR %s not writable" c.id (Sysreg.name sr)
-        | Instr.Vred { dst = Reg.F d; _ } ->
+        | Instr.Vred _ ->
           (* Reduction result is data the timing model does not carry;
-             block for the drain (its real cost) and yield zero. *)
-          c.fregs.(d) <- 0.0;
+             block for the drain (its real cost). *)
           c.pending_red <- true;
           pf_edge_seen t;
           c.fe_budget <- c.fe_budget - 1;
@@ -1991,14 +1982,7 @@ let check_invariants t =
   | Arch.Fts -> ()
   | _ ->
     if not (Rtbl.invariant_holds t.rtbl) then
-      error "resource table invariant violated at cycle %d" t.cycle;
-    for i = 0 to Array.length t.cores - 1 do
-      t.inv_scratch.(i) <- t.cores.(i).vl
-    done;
-    if not (Config_tbl.consistent_with t.exebu_cfg t.inv_scratch) then
-      error "Dispatch.Cfg inconsistent with <VL> at cycle %d" t.cycle;
-    if not (Config_tbl.consistent_with t.regblk_cfg t.inv_scratch) then
-      error "RegFile.Cfg inconsistent with <VL> at cycle %d" t.cycle
+      error "resource table invariant violated at cycle %d" t.cycle
 
 (* ------------------------------------------------------------------ *)
 (* OS context switches (§5)                                            *)
@@ -2047,8 +2031,6 @@ let step_context_switch t c =
       | Arch.Fts -> c.vl <- 0
       | _ ->
         ignore (Rtbl.try_set_vl t.rtbl ~core:c.id 0);
-        Config_tbl.release_all t.exebu_cfg ~core:c.id;
-        Config_tbl.release_all t.regblk_cfg ~core:c.id;
         c.vl <- 0);
       Rtbl.set_oi t.rtbl ~core:c.id Oi.zero;
       (match t.lane_mgr with
@@ -2092,8 +2074,6 @@ let step_context_switch t c =
       resume_task t c ~saved_status
     | _ ->
       if Rtbl.try_set_vl t.rtbl ~core:c.id target then begin
-        Config_tbl.reassign t.exebu_cfg ~core:c.id ~count:target;
-        Config_tbl.reassign t.regblk_cfg ~core:c.id ~count:target;
         c.vl <- target;
         c.reconfigs <- c.reconfigs + 1;
         resume_task t c ~saved_status
@@ -2423,8 +2403,8 @@ let horizon t =
    - Periods 2..k add exactly period 1's effects again, one period
      later each, so they are booked in closed form ([repeat_periods]):
      the RNG skips their draws ([Rng.skip]: SplitMix64's state is
-     additive), the hierarchy adds [k - 1] times period 1's counter and
-     channel deltas and moves each booked channel's free time [(k - 1)
+     additive), the hierarchy adds [k - 1] times period 1's per-level
+     counter deltas and moves each booked channel's free time [(k - 1)
      * p] cycles ([Hierarchy.repeat]), [busy_lanes] gains [k - 1] times
      period 1's sum, and each core's lane buckets gain per bucket the
      count and lane sum of the issues landing in it. This is
@@ -2478,7 +2458,6 @@ let add_counters c (d : int array) o k =
   c.blocked_vl_cycles <- c.blocked_vl_cycles + (k * d.(o + 3));
   c.monitor_instrs <- c.monitor_instrs + (k * d.(o + 4));
   c.monitor_stall_cycles <- c.monitor_stall_cycles + (k * d.(o + 5));
-  Freelist.record_failures c.freelist ~count:(k * d.(o + 2));
   match c.cur_phase with
   | Some pa ->
     pa.pa_compute <- pa.pa_compute + (k * d.(o + 6));
@@ -2786,10 +2765,8 @@ let try_fast_forward t =
    sequence order from the head, so the rings behave as the naive
    loop's would k periods on.
 
-   Untouched by a jump: scalar float registers, per-ExeBU µop totals and
-   [Lsu.total_issued], which neither the simulator nor its results
-   read. Everything else the naive loop would change inside the jumped
-   periods, it changes: the test_fastforward suite and every fuzz case
+   Everything the naive loop would change inside the jumped periods, a
+   jump changes: the test_fastforward suite and every fuzz case
    hold both loops to bit-identical metrics, counters, attribution and
    trace streams. A replayed booking that does not land where period B's
    did raises [Simulation_error] instead of continuing on a diverged
@@ -3432,7 +3409,6 @@ let simulate ?cfg ?trace ?prof ?attrib ?decisions ?context_switches ~arch
   run t
 
 let cycle t = t.cycle
-let config t = t.cfg
 let skipped_cycles t = t.ff_skipped
 let periodic_skipped_cycles t = t.pf_skipped
 let ff_jumps t = t.ff_jumps

@@ -7,13 +7,13 @@
     rename against per-core or shared physical-register freelists,
     out-of-order issue windows; per-data-path (or, under FTS, shared)
     compute and ld/st ports; a bandwidth-limited VecCache/L2/DRAM
-    hierarchy with a MOB; and the ResourceTbl/ConfigTbl/LaneMgr elastic
+    hierarchy with a MOB; and the ResourceTbl/LaneMgr elastic
     reconfiguration machinery — `MSR <VL>` succeeds only when lanes are
     available *and* the core's SIMD pipeline has drained (§4.2.2).
 
-    Scalar register values are tracked exactly (control flow must be
-    faithful); vector data is not — {!Occamy_isa.Interp} covers value
-    semantics for the same programs. Runs are deterministic given
+    Integer register values are tracked exactly (control flow must be
+    faithful); FP and vector data are not — {!Occamy_isa.Interp} covers
+    value semantics for the same programs. Runs are deterministic given
     [Config.seed]. *)
 
 type t
@@ -28,8 +28,12 @@ val create :
   ?decisions:int array -> ?context_switches:(int * int) list ->
   arch:Arch.t -> Workload.t list -> t
 (** One workload per configured core. [decisions] forces a static
-    partition (lane sweeps, Figure 14(a)); it is rejected on the elastic
-    machine. [context_switches] schedules [(core, cycle)] OS preemptions:
+    partition (lane sweeps, Figure 14(a)): one entry per core, each in
+    [0..exebus], summing to at most [exebus]; it is rejected on the
+    elastic machine. A context switch needs a core in range and a
+    positive cycle. A scalar FP instruction whose source count differs
+    from its operation's arity is rejected here too. All of these raise
+    [Invalid_argument]. [context_switches] schedules [(core, cycle)] OS preemptions:
     at [cycle] the core's workload is descheduled (pipelines drained, the
     EM-SIMD registers saved, lanes released) and later restored, its
     `<OI>` rewritten to retrigger lane partitioning — the OS interaction
@@ -81,19 +85,21 @@ val simulate :
 (** [create] + [run]. *)
 
 val step : t -> unit
-(** Advance one cycle (exposed for tests). *)
+(** Advance one cycle. Only tests call it: test_dod and test_attrib drive
+    a simulation cycle by cycle with it as their harness. *)
 
 val advance : t -> unit
-(** One iteration of {!run}'s loop (exposed for tests): a {!step}, then
-    with [fast_forward] a fast-forward attempt, which may jump over idle
-    cycles or whole verified periods. *)
+(** One iteration of {!run}'s loop: a {!step}, then with [fast_forward] a
+    fast-forward attempt, which may jump over idle cycles or whole
+    verified periods. Only tests call it: test_dod and test_fastforward
+    drive {!run}'s loop with it as their harness, with {!finished}. *)
 
 val finished : t -> bool
 (** Every workload is done, or the run reached [max_cycles]; {!run}
-    advances until this holds. *)
+    advances until this holds. The loop condition of the test harness
+    that drives {!advance}. *)
 
 val cycle : t -> int
-val config : t -> Config.t
 
 val skipped_cycles : t -> int
 (** Cycles advanced by event-horizon fast-forwarding instead of being
@@ -116,16 +122,19 @@ val periodic_jumps : t -> int
 
 val issued_compute : t -> int -> int
 (** [issued_compute t i]: compute instructions core [i] has issued so
-    far (exposed for tests: the per-cycle issue bound of the ExeBUs). *)
+    far. Only test_fastforward reads it, as the oracle of its per-cycle
+    ExeBU issue bound. *)
 
 val prof : t -> Occamy_obs.Prof.t
 (** The profiler passed at [create] ({!Occamy_obs.Prof.disabled} when
-    none); read its stats after {!run}. *)
+    none). Only tests read it (test_prof, test_dod), to check the stage
+    split of a simulation they drove. *)
 
 val attrib : t -> Occamy_obs.Attrib.t
 (** The cycle-accounting recorder passed at [create]
-    ({!Occamy_obs.Attrib.disabled} when none); read its buckets,
-    time-series windows and renderers after {!run}. *)
+    ({!Occamy_obs.Attrib.disabled} when none). Only test_fastforward
+    reads it, to hold the naive and fast-forward loops' time-series
+    windows to each other. *)
 
 (** The issue window's packed slot bitmasks, one bit per slot. They live
     inside [Sim] so the step's calls to them are direct; exported only

@@ -31,16 +31,6 @@ type t = {
           [program.arrays]) *)
 }
 
-let kind_name = function
-  | Memory_intensive -> "memory"
-  | Compute_intensive -> "compute"
-  | Mixed -> "mixed"
-
-let name t = t.wl_name
-let pp ppf t =
-  Fmt.pf ppf "%s [%s] (%d phases)" t.wl_name (kind_name t.kind)
-    (List.length t.phases)
-
 let profile_of_array t arr =
   if arr >= 0 && arr < Array.length t.profiles then t.profiles.(arr)
   else Occamy_mem.Profile.cache_resident

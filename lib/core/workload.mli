@@ -22,9 +22,6 @@ type t = {
   profiles : Occamy_mem.Profile.t array;
 }
 
-val name : t -> string
-val pp : Format.formatter -> t -> unit
-
 val profile_of_array : t -> int -> Occamy_mem.Profile.t
 
 val phase_of_oi_write : t -> int -> phase option

@@ -59,8 +59,8 @@ let occamy_overhead ?(cfg = Config.default) t =
   in
   (fst sums /. float_of_int cores, snd sums /. float_of_int cores)
 
-(** Run every pair of the suite on [jobs] domains (default:
-    {!Occamy_util.Domain_pool.recommended_jobs}; [1] runs sequentially
+(** Run every pair of the suite on [jobs] domains (default: the
+    recommended count of {!Occamy_util.Domain_pool.jobs_from_env}; [1] runs sequentially
     on the calling domain). Results are in suite order and bit-identical
     whatever [jobs] is — every simulation seeds its own {!Occamy_util.Rng.t}.
     [progress] is called with each label as its pair starts; under

@@ -65,12 +65,6 @@ let classify = function
   | Msr _ | Msr_oi _ | Mrs _ -> Em_simd
   | Vload _ | Vstore _ | Vop _ | Vdup _ | Vred _ -> Sve
 
-(** FLOPs performed per active 32-bit element (0 for non-compute). *)
-let flops_per_elem = function
-  | Vop { op; _ } -> Vop.flops_per_elem op
-  | Vdup _ | Vred _ -> 0
-  | _ -> 0
-
 let pp_cond ppf c =
   Fmt.string ppf
     (match c with
@@ -135,5 +129,3 @@ let pp ?(arrays = fun i -> Printf.sprintf "a%d" i) ppf t =
   | Vdup (d, s) -> Fmt.pf ppf "dup %a, %a" Reg.pp_v d Reg.pp_f s
   | Vred { op; dst; src } ->
     Fmt.pf ppf "%a %a, %a" Vop.Red.pp op Reg.pp_f dst Reg.pp_v src
-
-let to_string ?arrays t = Fmt.str "%a" (pp ?arrays) t

@@ -46,10 +46,5 @@ type cls = Scalar | Sve | Em_simd
 
 val classify : t -> cls
 
-val flops_per_elem : t -> int
-(** FLOPs per active element (0 for non-compute instructions). *)
-
 val pp : ?arrays:(int -> string) -> Format.formatter -> t -> unit
 (** SVE-flavoured assembly; [arrays] names memory operands. *)
-
-val to_string : ?arrays:(int -> string) -> t -> string

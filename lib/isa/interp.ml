@@ -323,6 +323,5 @@ let run ?(fuel = 200_000_000) t =
   if not t.halted then fault "out of fuel after %d instructions" fuel;
   t.stats
 
-let stats t = t.stats
 let vl t = t.vl
 let freg t (Reg.F i) = t.fregs.(i)

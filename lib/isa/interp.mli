@@ -48,10 +48,13 @@ val set_memory : state -> int -> float array -> unit
 
 val memory : state -> int -> float array
 
-val step : state -> unit
 val run : ?fuel:int -> state -> stats
 (** Run to [Halt]; [fuel] bounds executed instructions. *)
 
-val stats : state -> stats
 val vl : state -> int
+(** The configured `<VL>`. *)
+
 val freg : state -> Reg.f -> float
+(** A scalar FP register. Only test_interp reads it and {!vl}: they are
+    its windows on a finished run's state (a settled vector length, a
+    reduction's carried sum). *)

@@ -7,6 +7,3 @@ val f32_per_granule : int
 
 val elems_of_granules : int -> int
 (** Granules to f32 elements. *)
-
-val granules_of_lanes : int -> int
-(** f32 lanes to granules; raises unless a multiple of 4. *)

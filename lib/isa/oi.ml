@@ -28,7 +28,5 @@ let is_zero t = t.issue = 0.0 && t.mem = 0.0
 (** Uniform intensity (no data reuse): [issue = mem]. *)
 let uniform x = make ~issue:x ~mem:x
 
-let equal a b = a.issue = b.issue && a.mem = b.mem
-
 let to_string t = Printf.sprintf "(%.3g,%.3g)" t.issue t.mem
 let pp ppf t = Fmt.string ppf (to_string t)

@@ -16,9 +16,8 @@ val zero : t
 val is_zero : t -> bool
 
 val uniform : float -> t
-(** No data reuse: [issue = mem]. *)
-
-val equal : t -> t -> bool
+(** No data reuse: [issue = mem]. The examples (roofline_explorer) and
+    the lane-manager and ordering tests build intensities with it. *)
 
 val to_string : t -> string
 (** ["(issue,mem)"] with three significant digits — the rendering shared

@@ -20,23 +20,9 @@ type t = {
   labels : (string * int) list;  (* retained for disassembly *)
 }
 
-let length t = Array.length t.code
-
 let array_name t id =
   if id < 0 || id >= Array.length t.arrays then Printf.sprintf "a%d" id
   else t.arrays.(id).arr_name
-
-(** Count of instructions per class, useful for quick sanity checks. *)
-let class_counts t =
-  let scalar = ref 0 and sve = ref 0 and em = ref 0 in
-  Array.iter
-    (fun i ->
-      match Instr.classify i with
-      | Instr.Scalar -> incr scalar
-      | Instr.Sve -> incr sve
-      | Instr.Em_simd -> incr em)
-    t.code;
-  (!scalar, !sve, !em)
 
 let pp ppf t =
   let arrays id = array_name t id in
@@ -55,8 +41,6 @@ let pp ppf t =
       List.iter (fun l -> Fmt.pf ppf "%s:@." l) (label_at i);
       Fmt.pf ppf "  %a@." (Instr.pp ~arrays) instr)
     t.code
-
-let to_string t = Fmt.str "%a" pp t
 
 (** Imperative program builder with forward-label support. *)
 module Builder = struct

@@ -12,16 +12,10 @@ type t = {
   labels : (string * int) list;
 }
 
-val length : t -> int
 val array_name : t -> int -> string
-
-val class_counts : t -> int * int * int
-(** (scalar, SVE, EM-SIMD) static instruction counts. *)
 
 val pp : Format.formatter -> t -> unit
 (** Disassembly with labels and array declarations. *)
-
-val to_string : t -> string
 
 (** Imperative builder with forward-label support. *)
 module Builder : sig

@@ -22,15 +22,3 @@ let name = function
   | STATUS -> "<status>"
   | AL -> "<AL>"
   | ZCR -> "<ZCR>"
-
-(** Which registers are per-core vs shared by all cores: `<AL>` is the one
-    dedicated register shared by all cores (§4.2.1: "(4*C+1) 32-bit
-    registers"). *)
-let is_shared = function AL -> true | OI | DECISION | VL | STATUS | ZCR -> false
-
-let writable_by_software = function
-  | OI | VL -> true
-  | DECISION | STATUS | AL | ZCR -> false
-
-let equal (a : t) (b : t) = a = b
-let pp ppf t = Fmt.string ppf (name t)

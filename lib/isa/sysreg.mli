@@ -11,13 +11,6 @@ type t =
   | ZCR       (** SVE vector-length control register, mirrors <VL> *)
 
 val all : t list
+(** Every register. Only test_isa iterates it, to check Table 1. *)
+
 val name : t -> string
-
-val is_shared : t -> bool
-(** `<AL>` is the single dedicated register shared by all cores. *)
-
-val writable_by_software : t -> bool
-(** Only `<OI>` and `<VL>` accept MSR writes from the program. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

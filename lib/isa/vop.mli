@@ -4,6 +4,7 @@
 type t = Add | Sub | Mul | Div | Fma | Max | Min | Abs | Neg | Sqrt
 
 val all : t list
+(** Every operation. Only tests iterate it (test_isa's metadata checks). *)
 
 val arity : t -> int
 (** Operand count; [Fma] takes three: [dst <- s1 + s2*s3]. *)

@@ -62,13 +62,8 @@ let exit_phase t ~core =
   t.oi.(core) <- Occamy_isa.Oi.zero;
   replan t
 
-(** Value of `<decision>` for [core]; 0 means "no lanes suggested" (the
-    core has no active phase). *)
-let decision t ~core = t.decision.(core)
-
 let decisions t = Array.copy t.decision
 let replans t = t.replans
-let total t = t.total
 
 (** Roofline verdict per core at the current plan: which ceiling binds
     each active workload at its decided width (["-"] for cores with no

@@ -15,12 +15,8 @@ val enter_phase :
 val exit_phase : t -> core:int -> unit
 (** Eager trigger: the phase ended (`<OI>` written 0). *)
 
-val decision : t -> core:int -> int
-(** 0 when the core has no active phase. *)
-
 val decisions : t -> int array
 val replans : t -> int
-val total : t -> int
 
 val verdicts : t -> string array
 (** Per-core {!Roofline.bound_name} at the current plan ("-" when the

@@ -14,5 +14,7 @@ val plan : Roofline.cfg -> total:int -> workload list -> (int * int) list
 (** [(key, granules)] for each *active* (non-zero OI) workload. Raises
     when the active workloads outnumber the ExeBUs. *)
 
-val granted : (int * int) list -> int
 val satisfies_constraints : total:int -> (int * int) list -> bool
+(** The plan's constraints as a predicate: at least one granule per
+    active workload, at most [total] in all. Only test_lanemgr calls it,
+    as the oracle of its plan property test. *)

@@ -21,6 +21,9 @@ val default_cfg : cfg
 
 val fp_peak : cfg -> vl:int -> float
 val simd_issue_bw : cfg -> vl:int -> float
+(** The compute and SIMD-issue ceilings at a vector length. Only
+    test_lanemgr reads them, as the bounds {!attainable} must stay
+    under. *)
 
 val attainable :
   cfg -> vl:int -> oi:Occamy_isa.Oi.t -> level:Occamy_mem.Level.t -> float

@@ -36,37 +36,27 @@ type t = {
   vc : Channel.t;
   l2 : Channel.t;
   dram : Channel.t;
-  mutable accesses : int;
-  mutable by_level : int array;  (* indexed by Level.depth *)
-  mutable bytes_by_level : float array;  (* bytes *served at* each level *)
+  by_level : int array;  (* accesses served at each level, by Level.depth *)
+  bytes_by_level : float array;  (* bytes *served at* each level *)
   xfer : float array;
       (* [| time; bytes |] scratch threading the request time through the
          per-level {!Channel.book} calls without boxing a float at any
          call boundary (the simulator's issue path is allocation-free) *)
 }
 
-let create ?(cfg = default_config) () =
+let create ~cfg =
   {
     cfg;
     vc = Channel.create ~bytes_per_cycle:cfg.vc_bytes_per_cycle;
     l2 = Channel.create ~bytes_per_cycle:cfg.l2_bytes_per_cycle;
     dram = Channel.create ~bytes_per_cycle:cfg.dram_bytes_per_cycle;
-    accesses = 0;
     by_level = Array.make 3 0;
     bytes_by_level = Array.make 3 0.0;
     xfer = [| 0.0; 0.0 |];
   }
 
-let reset t =
-  Channel.reset t.vc;
-  Channel.reset t.l2;
-  Channel.reset t.dram;
-  t.accesses <- 0;
-  t.by_level <- Array.make 3 0;
-  t.bytes_by_level <- Array.make 3 0.0
-
-(** [access t ~now ~level ~bytes] books the transfer of [bytes] served at
-    [level] and returns the completion cycle.
+(** [book t ~prefetched ~now ~level ~bytes] books the transfer of
+    [bytes] served at [level] and returns the completion cycle.
 
     [prefetched] models a unit-stride stream prefetcher: the line was
     requested ahead of time, so the access still *occupies the bandwidth*
@@ -76,7 +66,6 @@ let reset t =
     bandwidth-bound rather than latency-bound, the premise of the paper's
     roofline-based lane manager (§5.1). *)
 let book t ~prefetched ~now ~level ~bytes =
-  t.accesses <- t.accesses + 1;
   t.by_level.(Level.depth level) <- t.by_level.(Level.depth level) + 1;
   t.bytes_by_level.(Level.depth level) <-
     t.bytes_by_level.(Level.depth level) +. float_of_int bytes;
@@ -103,53 +92,47 @@ let book t ~prefetched ~now ~level ~bytes =
     + (if prefetched then t.cfg.vc_latency
        else t.cfg.vc_latency + t.cfg.l2_latency + t.cfg.dram_latency)
 
-let access ?(prefetched = false) t ~now ~level ~bytes =
-  book t ~prefetched ~now ~level ~bytes
-
-(* The image [state_into] saves: accesses, per-level accesses and
-   bytes, then each channel's three cells. Counts are exact as doubles
-   far past any simulation's length. *)
-let state_len = 16
+(* The image [state_into] saves: per-level accesses and bytes, then
+   each channel's free time. Counts are exact as doubles far past any
+   simulation's length. *)
+let state_len = 9
 
 let state_into t (dst : float array) =
-  dst.(0) <- float_of_int t.accesses;
   for d = 0 to 2 do
-    dst.(1 + d) <- float_of_int t.by_level.(d);
-    dst.(4 + d) <- t.bytes_by_level.(d)
+    dst.(d) <- float_of_int t.by_level.(d);
+    dst.(3 + d) <- t.bytes_by_level.(d)
   done;
-  Channel.state_into t.vc dst 7;
-  Channel.state_into t.l2 dst 10;
-  Channel.state_into t.dram dst 13
+  Channel.next_free_into t.vc dst 6;
+  Channel.next_free_into t.l2 dst 7;
+  Channel.next_free_into t.dram dst 8
 
 (* Channels down to depth [deepest] were booked since [since]. *)
 let shifted t ~since ~deepest ~shift =
-  (deepest < 0 || Channel.moved_by t.vc ~since 7 ~shift)
-  && (deepest < 1 || Channel.moved_by t.l2 ~since 10 ~shift)
-  && (deepest < 2 || Channel.moved_by t.dram ~since 13 ~shift)
+  (deepest < 0 || Channel.moved_by t.vc ~since 6 ~shift)
+  && (deepest < 1 || Channel.moved_by t.l2 ~since 7 ~shift)
+  && (deepest < 2 || Channel.moved_by t.dram ~since 8 ~shift)
 
 let repeat t ~since ~deepest ~times ~shift =
   shifted t ~since ~deepest ~shift
   && begin
-    t.accesses <- t.accesses + (times * (t.accesses - int_of_float since.(0)));
     for d = 0 to 2 do
       let n = t.by_level.(d) in
-      t.by_level.(d) <- n + (times * (n - int_of_float since.(1 + d)));
+      t.by_level.(d) <- n + (times * (n - int_of_float since.(d)));
       let b = t.bytes_by_level.(d) in
-      t.bytes_by_level.(d) <- b +. (float_of_int times *. (b -. since.(4 + d)))
+      t.bytes_by_level.(d) <- b +. (float_of_int times *. (b -. since.(3 + d)))
     done;
-    if deepest >= 0 then Channel.repeat t.vc ~since 7 ~times ~shift;
-    if deepest >= 1 then Channel.repeat t.l2 ~since 10 ~times ~shift;
-    if deepest >= 2 then Channel.repeat t.dram ~since 13 ~times ~shift;
+    if deepest >= 0 then Channel.repeat t.vc ~times ~shift;
+    if deepest >= 1 then Channel.repeat t.l2 ~times ~shift;
+    if deepest >= 2 then Channel.repeat t.dram ~times ~shift;
     true
   end
 
-let accesses t = t.accesses
 let accesses_at t level = t.by_level.(Level.depth level)
 
 (** Bytes transferred by accesses *served at* [level] (each also crossed
     every closer level's channel on the way). *)
 let bytes_at t level = t.bytes_by_level.(Level.depth level)
-let config t = t.cfg
+
 let channel t level =
   match level with
   | Level.Vec_cache -> t.vc

@@ -39,7 +39,7 @@ type t = {
   mutable arr_stores : int array;
 }
 
-let create ?(capacity = 64) () =
+let create ~capacity =
   if capacity <= 0 then invalid_arg "Mob.create: capacity must be positive";
   {
     capacity;
@@ -135,12 +135,3 @@ let conflicts t ~arr ~base ~len ~is_store =
   && arr < Array.length t.heads
   && (is_store || t.arr_stores.(arr) > 0)
   && chain_scan t ~base ~len ~is_store t.heads.(arr)
-
-let clear t =
-  Array.fill t.arrs 0 t.capacity (-1);
-  Array.fill t.heads 0 (Array.length t.heads) (-1);
-  Array.fill t.arr_stores 0 (Array.length t.arr_stores) 0;
-  t.free_n <- t.capacity;
-  for i = 0 to t.capacity - 1 do
-    t.free.(i) <- i
-  done

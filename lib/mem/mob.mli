@@ -6,8 +6,13 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : capacity:int -> t
+(** Raises [Invalid_argument] on a non-positive capacity. *)
+
 val size : t -> int
+(** In-flight entries. Only test_mem reads it: its MOB list model and
+    capacity cases compare it with the live slots they track. *)
+
 val is_full : t -> bool
 
 val insert_slot : t -> arr:int -> base:int -> len:int -> is_store:bool -> int
@@ -32,5 +37,3 @@ val shift_base : t -> int -> by:int -> unit
 val conflicts : t -> arr:int -> base:int -> len:int -> is_store:bool -> bool
 (** Reads conflict with in-flight stores; writes with everything. Walks
     only the in-flight entries of [arr]. *)
-
-val clear : t -> unit

@@ -31,11 +31,6 @@ let streaming = { vc = 0.0; l2 = 0.0; dram = 1.0 }
 (** An L2-sized working set. *)
 let l2_resident = { vc = 0.0; l2 = 1.0; dram = 0.0 }
 
-let dominant t =
-  if t.dram >= t.l2 && t.dram >= t.vc then Level.Dram
-  else if t.l2 >= t.vc then Level.L2
-  else Level.Vec_cache
-
 (** Sample the service level of one access. Draws the RNG's integer bits
     and scales locally so the uniform float never crosses the module
     boundary (a float return boxes at any non-inlined call — this runs on
@@ -55,5 +50,3 @@ let classify t rng =
     is always below [vc = 1] and never below [0]. The draw itself still
     advances the generator. *)
 let deterministic t = t.vc >= 1.0 || (t.vc <= 0.0 && (t.l2 >= 1.0 || t.l2 <= 0.0))
-
-let pp ppf t = Fmt.pf ppf "{vc=%.2f; l2=%.2f; dram=%.2f}" t.vc t.l2 t.dram

@@ -6,7 +6,9 @@
 type t = { vc : float; l2 : float; dram : float }
 
 val make : vc:float -> l2:float -> dram:float -> t
-(** Fractions must be non-negative and sum to 1. *)
+(** Fractions must be non-negative and sum to 1. Only tests build mixed
+    profiles (test_mem, test_fastforward's impure-profile cases); the
+    workloads use the named ones below. *)
 
 val cache_resident : t
 (** Everything hits in the vector cache. *)
@@ -17,9 +19,6 @@ val streaming : t
 val l2_resident : t
 (** An L2-sized working set. *)
 
-val dominant : t -> Level.t
 val classify : t -> Occamy_util.Rng.t -> Level.t
 val deterministic : t -> bool
 (** [classify] returns one level whatever the draw (a pure profile). *)
-
-val pp : Format.formatter -> t -> unit

@@ -41,11 +41,6 @@ let index = function
   | Scalar -> 10
   | Idle -> 11
 
-let of_index i =
-  match List.nth_opt all i with
-  | Some b -> b
-  | None -> invalid_arg "Attrib.of_index"
-
 let name = function
   | Issuing -> "issuing"
   | Lane_starved -> "lane_starved"
@@ -104,18 +99,20 @@ let disabled =
     win_end = 0;
   }
 
-let create ?(window = 1024) ?(capacity = 512) ~cores () =
+(* Completed windows the time-series ring holds. *)
+let ring_windows = 512
+
+let create ?(window = 1024) ~cores () =
   if cores <= 0 then invalid_arg "Attrib.create: cores must be positive";
   if window <= 0 then invalid_arg "Attrib.create: window must be positive";
-  if capacity <= 0 then invalid_arg "Attrib.create: capacity must be positive";
   {
     on = true;
     n_cores = cores;
     cell = Array.make (cores * num_buckets) 0;
     win_size = window;
     win = Array.make num_buckets 0;
-    ring = Array.make (capacity * num_buckets) 0;
-    capacity;
+    ring = Array.make (ring_windows * num_buckets) 0;
+    capacity = ring_windows;
     head = 0;
     win_end = window;
   }
@@ -182,11 +179,6 @@ let core_total t ~core =
     !s
   end
 
-let total t =
-  let s = ref 0 in
-  Array.iter (fun v -> s := !s + v) t.cell;
-  !s
-
 let share t ~core b =
   let tot = core_total t ~core in
   if tot = 0 then 0.0
@@ -250,7 +242,8 @@ let summary_table ?(title = "Cycle accounting") t =
   done;
   tbl
 
-let render_timeseries ?(width = 72) ?(height = 12) t =
+let render_timeseries t =
+  let width = 72 and height = 12 in
   if not t.on then "attribution disabled\n"
   else begin
     let cols =
@@ -339,7 +332,7 @@ let render_timeseries ?(width = 72) ?(height = 12) t =
     end
   end
 
-let json_fields ?(prefix = "") t =
+let json_fields t =
   if not t.on then []
   else begin
     let per_core c =
@@ -348,7 +341,7 @@ let json_fields ?(prefix = "") t =
         (fun b ->
           let v = count t ~core:c b in
           let key s =
-            Printf.sprintf "%score%d.attrib.%s%s" prefix c (name b) s
+            Printf.sprintf "core%d.attrib.%s%s" c (name b) s
           in
           [
             (key "", Json.Num (float_of_int v));
@@ -359,7 +352,7 @@ let json_fields ?(prefix = "") t =
           ])
         all
     in
-    (prefix ^ "attrib.window", Json.Num (float_of_int t.win_size))
-    :: (prefix ^ "attrib.windows", Json.Num (float_of_int t.head))
+    ("attrib.window", Json.Num (float_of_int t.win_size))
+    :: ("attrib.windows", Json.Num (float_of_int t.head))
     :: List.concat (List.init t.n_cores per_core)
   end

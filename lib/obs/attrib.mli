@@ -40,11 +40,7 @@ val num_buckets : int
 val index : bucket -> int
 (** Position of the bucket in [all]; a bijection with [0 .. num_buckets-1]. *)
 
-val of_index : int -> bucket
 val name : bucket -> string
-
-val letter : bucket -> char
-(** One-character glyph used by {!render_timeseries}. *)
 
 val of_level : Occamy_mem.Level.t -> bucket
 (** The LSU-bound bucket for a memory level: [Vec_cache -> Lsu_vc],
@@ -55,14 +51,14 @@ type t
 val disabled : t
 (** Never records anything; [enabled] is [false]. *)
 
-val create : ?window:int -> ?capacity:int -> cores:int -> unit -> t
+val create : ?window:int -> cores:int -> unit -> t
 (** A recorder for [cores] cores. [window] (default 1024 cycles) is the
     time-series sampling window: per-bucket deltas are aggregated over
-    all cores for [window] cycles, then pushed into a ring of
-    [capacity] (default 512) windows; when the ring wraps, the oldest
-    windows are dropped (see {!dropped_windows}) while the cumulative
-    per-core counts remain exact. Raises [Invalid_argument] on
-    non-positive [cores], [window] or [capacity]. *)
+    all cores for [window] cycles, then pushed into a ring of 512
+    windows; when the ring wraps, the oldest windows are dropped (see
+    {!dropped_windows}) while the cumulative per-core counts remain
+    exact. Raises [Invalid_argument] on non-positive [cores] or
+    [window]. *)
 
 val enabled : t -> bool
 val cores : t -> int
@@ -83,9 +79,6 @@ val add_run_all : t -> start_cycle:int -> len:int -> buckets:int array -> unit
 val count : t -> core:int -> bucket -> int
 val core_total : t -> core:int -> int
 
-val total : t -> int
-(** Sum over all cores and buckets. *)
-
 val share : t -> core:int -> bucket -> float
 (** Percentage of the core's attributed cycles, 0 when none. *)
 
@@ -101,18 +94,21 @@ val pending : t -> (int * int array) option
 (** The current partially-filled window, if it has any cycles. *)
 
 val dropped_windows : t -> int
+(** Time-series windows the ring has overwritten. Only test_fastforward
+    reads it, to hold the naive and fast-forward loops to the same
+    count. *)
 
 val summary_table : ?title:string -> t -> Occamy_util.Table.t
 (** Per-core breakdown: one row per (core, bucket) with cycles and
     share, buckets sorted by descending cycles, zero buckets omitted. *)
 
-val render_timeseries : ?width:int -> ?height:int -> t -> string
+val render_timeseries : t -> string
 (** ASCII stacked-area chart of the window ring (plus the pending
-    window): time on the x-axis, bucket shares stacked on the y-axis
-    using each bucket's {!letter}, with a legend. Adjacent windows are
-    merged when there are more than [width] (default 72) columns. *)
+    window), 12 rows high: time on the x-axis, bucket shares stacked on
+    the y-axis using a one-letter glyph per bucket, with a legend.
+    Adjacent windows are merged when there are more than 72 columns. *)
 
-val json_fields : ?prefix:string -> t -> (string * Occamy_util.Json.value) list
+val json_fields : t -> (string * Occamy_util.Json.value) list
 (** Flat fields [core<i>.attrib.<bucket>] (cycles) and
     [core<i>.attrib.<bucket>.share] plus [attrib.window] /
     [attrib.windows], for bench JSONL lines and JSON exports. *)

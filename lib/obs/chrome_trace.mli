@@ -11,7 +11,9 @@ val to_json : ?attrib:Attrib.t -> Trace.t -> string
     as a stacked area chart above the span lanes. *)
 
 val to_csv : Trace.t -> string
-(** [track,cycle,event,core,args] rows, args as [k=v|k=v]. *)
+(** [track,cycle,event,core,args] rows, args as [k=v|k=v]. Outside this
+    module only test_obs reads {!to_json} and [to_csv]: the documents the
+    writers below save, checked in memory. *)
 
 val write_json : ?attrib:Attrib.t -> path:string -> Trace.t -> unit
 val write_csv : path:string -> Trace.t -> unit

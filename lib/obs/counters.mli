@@ -6,28 +6,16 @@ type t
 
 val create : unit -> t
 
-val incr : ?by:int -> t -> string -> unit
-(** Add [by] (default 1) to a counter, creating it at 0 first. *)
-
 val set : t -> string -> float -> unit
 (** Set a gauge, creating it if needed. *)
 
 val get : t -> string -> float option
 val get_exn : t -> string -> float
-val mem : t -> string -> bool
-val length : t -> int
 
 val to_list : t -> (string * float) list
 (** Sorted by name. *)
-
-val names : t -> string list
-val with_prefix : t -> prefix:string -> (string * float) list
-val pp : Format.formatter -> t -> unit
 
 val to_json : t -> (string * Occamy_util.Json.value) list
 (** Flat JSON object fields, sorted by name — the stable iteration
     order that keeps JSON and OpenMetrics exports deterministic across
     runs ({!to_list} order). *)
-
-val to_csv : t -> string
-(** ["name,value"] header plus one row per counter. *)

@@ -6,19 +6,15 @@
 
    so every bucket in octave [e] spans [2^(e - sub_bits)] values and the
    quantization error relative to the bucket's lower bound is at most
-   [1/m]. The layout is dense (an int array), recording is a handful of
-   integer ops, and merging is element-wise addition. *)
+   [1/m]. The layout is dense (an int array) and recording is a handful
+   of integer ops. *)
+
+let sub_bits = 5
+let m = 1 lsl sub_bits  (* sub-buckets per octave *)
 
 type t = {
-  sub_bits : int;
-  m : int;  (* 2^sub_bits sub-buckets per octave *)
-  max_value : int;
   counts : int array;
   mutable n : int;
-  mutable overflow : int;
-  sum : float array;
-      (* [| sum |]: a mutable float field in this mixed record would box
-         on every [add]; a float array cell does not *)
   mutable min_v : int;  (* max_int when empty *)
   mutable max_v : int;  (* -1 when empty *)
 }
@@ -35,91 +31,43 @@ let msb v =
   if !x lsr 1 > 0 then incr e;
   !e
 
-let bucket_of t v =
-  if v < t.m then v
+let bucket_of v =
+  if v < m then v
   else
     let e = msb v in
-    let shift = e - t.sub_bits in
-    t.m + (shift * t.m) + ((v lsr shift) - t.m)
+    let shift = e - sub_bits in
+    m + (shift * m) + ((v lsr shift) - m)
 
 (* Inverse of [bucket_of]: inclusive value range of bucket [i]. *)
-let bounds_of t i =
-  if i < t.m then (i, i)
+let bounds_of i =
+  if i < m then (i, i)
   else
-    let d = i - t.m in
-    let shift = d / t.m in
-    let off = d mod t.m in
-    let lo = (t.m + off) lsl shift in
+    let d = i - m in
+    let shift = d / m in
+    let off = d mod m in
+    let lo = (m + off) lsl shift in
     (lo, lo + (1 lsl shift) - 1)
 
-let num_buckets t =
-  (* Highest bucket index is [bucket_of max_value]; sizes stay small
-     (sub_bits 5 over the full int range is ~1.9k buckets). *)
-  bucket_of t t.max_value + 1
+(* The highest bucket is [max_int]'s: ~1.9k buckets. *)
+let create () =
+  { counts = Array.make (bucket_of max_int + 1) 0; n = 0; min_v = max_int;
+    max_v = -1 }
 
-let create ?(sub_bits = 5) ?(max_value = max_int) () =
-  if sub_bits < 1 || sub_bits > 16 then
-    invalid_arg "Histogram.create: sub_bits must be in 1..16";
-  if max_value <= 0 then
-    invalid_arg "Histogram.create: max_value must be positive";
-  let proto =
-    {
-      sub_bits;
-      m = 1 lsl sub_bits;
-      max_value;
-      counts = [||];
-      n = 0;
-      overflow = 0;
-      sum = [| 0.0 |];
-      min_v = max_int;
-      max_v = -1;
-    }
-  in
-  { proto with counts = Array.make (num_buckets proto) 0 }
+let add t v =
+  if v < 0 then invalid_arg "Histogram.add: negative value";
+  let b = bucket_of v in
+  t.counts.(b) <- t.counts.(b) + 1;
+  t.n <- t.n + 1;
+  if v < t.min_v then t.min_v <- v;
+  if v > t.max_v then t.max_v <- v
 
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.n <- 0;
-  t.overflow <- 0;
-  t.sum.(0) <- 0.0;
-  t.min_v <- max_int;
-  t.max_v <- -1
-
-let add_n t v ~count =
-  if count < 0 then invalid_arg "Histogram.add_n: negative count";
-  if count > 0 then begin
-    if v < 0 then invalid_arg "Histogram.add: negative value";
-    let v =
-      if v > t.max_value then begin
-        t.overflow <- t.overflow + count;
-        t.max_value
-      end
-      else v
-    in
-    let b = bucket_of t v in
-    t.counts.(b) <- t.counts.(b) + count;
-    t.n <- t.n + count;
-    t.sum.(0) <- t.sum.(0) +. (float_of_int v *. float_of_int count);
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
-  end
-
-let add t v = add_n t v ~count:1
-
-let count t = t.n
-let zeros t = t.counts.(0)
-let overflow t = t.overflow
-let sum t = t.sum.(0)
-let mean t = if t.n = 0 then 0.0 else t.sum.(0) /. float_of_int t.n
-let min_value t = if t.n = 0 then 0 else t.min_v
 let max_value t = if t.n = 0 then 0 else t.max_v
 let is_empty t = t.n = 0
-let sub_bits t = t.sub_bits
 
 let percentile t p =
   if Float.is_nan p then invalid_arg "Histogram.percentile: NaN";
   if t.n = 0 then 0
-  else if p <= 0.0 then min_value t
+  else if p <= 0.0 then t.min_v
   else if p >= 100.0 then max_value t
   else begin
     let rank =
@@ -133,7 +81,7 @@ let percentile t p =
     while !continue_ && !i < Array.length t.counts do
       acc := !acc + t.counts.(!i);
       if !acc >= rank then begin
-        let _, hi = bounds_of t !i in
+        let _, hi = bounds_of !i in
         (* Never report beyond the tracked extremes. *)
         res := min hi t.max_v;
         continue_ := false
@@ -142,20 +90,3 @@ let percentile t p =
     done;
     !res
   end
-
-let buckets t =
-  let out = ref [] in
-  for i = Array.length t.counts - 1 downto 0 do
-    if t.counts.(i) > 0 then begin
-      let lo, hi = bounds_of t i in
-      out := (lo, hi, t.counts.(i)) :: !out
-    end
-  done;
-  !out
-
-let pp ppf t =
-  if t.n = 0 then Format.fprintf ppf "empty"
-  else
-    Format.fprintf ppf "n=%d mean=%.0f p50=%d p90=%d p99=%d max=%d" t.n
-      (mean t) (percentile t 50.0) (percentile t 90.0) (percentile t 99.0)
-      (max_value t)

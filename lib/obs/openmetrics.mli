@@ -17,11 +17,6 @@ type family = {
   fam_samples : sample list;
 }
 
-val sanitize : string -> string
-(** Map a dotted counter name to a valid metric name: every character
-    outside [[a-zA-Z0-9_:]] becomes ['_'], and a leading digit gets a
-    ['_'] prefix. *)
-
 val render : family list -> string
 (** The full exposition: [# HELP] / [# TYPE] lines per family, one line
     per sample, terminated by [# EOF]. Counter sample lines get the

@@ -109,7 +109,6 @@ let create ?(sample_every = 32) () =
     invalid_arg "Prof.create: sample_every must be a power of two";
   make ~on:true ~every:sample_every
 
-let enabled t = t.on
 let sampled t = t.is_sampled
 let sample_every t = t.every
 let sampled_cycles t = t.n_sampled

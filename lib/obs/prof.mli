@@ -51,8 +51,6 @@ val create : ?sample_every:int -> unit -> t
     cycles that get clock-stamped. [1] profiles every cycle (for tests
     and short runs). *)
 
-val enabled : t -> bool
-
 val sampled : t -> bool
 (** Whether the cycle currently being stepped was chosen for
     profiling. Stable from one {!begin_cycle} to the next, so guards at
@@ -87,7 +85,9 @@ type stage_stat = {
 }
 
 val stats : t -> stage_stat list
-(** Stages with non-zero time or calls, largest share first. *)
+(** Stages with non-zero time or calls, largest share first. Outside
+    this module only test_prof reads it and {!total_sampled_ns}, as the
+    two sides of its check that stage times partition the total. *)
 
 val shares : t -> (stage * float) list
 (** Per-stage percentage of the total sampled time; sums to 100 (empty

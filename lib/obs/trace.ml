@@ -132,25 +132,24 @@ let iter t f =
 (* ------------------------------------------------------------------ *)
 
 (** Simulator layout: tracks [core0 .. core(N-1)] then ["LaneMgr"]. *)
-let for_sim ?capacity ~cores () =
+let for_sim ~cores () =
   if cores <= 0 then invalid_arg "Trace.for_sim: cores must be positive";
-  create ?capacity
+  create
     ~tracks:(List.init cores (Printf.sprintf "core%d") @ [ "LaneMgr" ])
     ()
 
-(** Index of the lane-manager track in a {!for_sim} trace. *)
-let lanemgr_track t = Array.length t.tracks - 1
-
 (** Sweep layout: one track per worker domain. *)
-let for_sweep ?capacity ~workers () =
+let for_sweep ~workers () =
   if workers <= 0 then invalid_arg "Trace.for_sweep: workers must be positive";
-  create ?capacity ~tracks:(List.init workers (Printf.sprintf "worker%d")) ()
+  create ~tracks:(List.init workers (Printf.sprintf "worker%d")) ()
 
 (** Adapter for {!Occamy_util.Domain_pool}'s [?observer]: records
     {!Event.Task_begin}/{!Event.Task_end} spans onto the worker's own
     track (single-writer, hence race-free), stamped in wall-clock
-    microseconds since [t0] (sweep tasks have no cycle clock). *)
-let sweep_observer ?(t0 = Unix.gettimeofday ()) t ~label_of =
+    microseconds since the observer was made (sweep tasks have no cycle
+    clock). *)
+let sweep_observer t ~label_of =
+  let t0 = Unix.gettimeofday () in
   let stamp () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
   fun ~worker ~index ~phase ->
     if enabled t && worker < num_tracks t then

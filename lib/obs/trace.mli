@@ -11,7 +11,8 @@ val create : ?capacity:int -> tracks:string list -> unit -> t
     doubles on demand up to [capacity], which still bounds its memory;
     only a ring at [capacity] drops its oldest events. Raises
     [Invalid_argument] on a non-positive capacity or an empty track
-    list. *)
+    list. Outside this module only test_obs calls it, to build small
+    traces; simulations and sweeps use {!for_sim} and {!for_sweep}. *)
 
 val disabled : t
 (** The shared disabled trace: {!enabled} is [false], {!record} is a
@@ -37,17 +38,15 @@ val iter : t -> (track:int -> cycle:int -> Event.t -> unit) -> unit
 (** Visit every retained event in place, track by track, each track
     oldest first (the order of {!events}). *)
 
-val for_sim : ?capacity:int -> cores:int -> unit -> t
+val for_sim : cores:int -> unit -> t
 (** Simulator layout: tracks [core0..core(N-1)] plus a final ["LaneMgr"]
-    track ({!lanemgr_track}). *)
+    track, each of the default capacity. *)
 
-val lanemgr_track : t -> int
-
-val for_sweep : ?capacity:int -> workers:int -> unit -> t
-(** One track per {!Occamy_util.Domain_pool} worker domain. *)
+val for_sweep : workers:int -> unit -> t
+(** One track per {!Occamy_util.Domain_pool} worker domain, each of the
+    default capacity. *)
 
 val sweep_observer :
-  ?t0:float ->
   t ->
   label_of:(int -> string) ->
   worker:int ->
@@ -56,5 +55,5 @@ val sweep_observer :
   unit
 (** Observer for [Domain_pool.map ?observer] recording task spans
     ({!Event.Task_begin}/{!Event.Task_end}) on the running worker's
-    track, stamped in wall-clock microseconds since [t0] (default:
-    now). *)
+    track, stamped in wall-clock microseconds since the observer was
+    made. *)

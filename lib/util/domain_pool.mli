@@ -54,19 +54,16 @@
       another domain's [map] holds the pool) runs sequentially on its
       calling domain instead of deadlocking. *)
 
-val recommended_jobs : ?cap:int -> unit -> int
-(** [Domain.recommended_domain_count ()] capped at [cap] (default 16)
-    and floored at 1: the default worker count for the harness.
-    [recommended_domain_count] already reflects the host's usable
-    cores, so [cap] only matters on machines with more than [cap]
-    cores — raise it (e.g. via the CLI's [--max-jobs]) to let wide
-    hosts use more of themselves, or lower it to leave cores free. *)
-
 val jobs_from_env :
   ?var:string -> ?cap:int -> ?on_warning:(string -> unit) -> unit -> int
 (** Worker count from the environment variable [var] (default
-    ["OCCAMY_JOBS"]); falls back to [recommended_jobs ?cap ()] when the
-    variable is unset or empty. A set-but-invalid value (non-numeric or
+    ["OCCAMY_JOBS"]); falls back to the recommended count when the
+    variable is unset or empty: [Domain.recommended_domain_count ()]
+    capped at [cap] (default 16) and floored at 1. [recommended_domain_count]
+    already reflects the host's usable cores, so [cap] only matters on
+    machines with more than [cap] cores — raise it (e.g. via the CLI's
+    [--max-jobs]) to let wide hosts use more of themselves, or lower it
+    to leave cores free. A set-but-invalid value (non-numeric or
     < 1) also falls back, but loudly: [on_warning] receives a message
     naming the variable and the bad value (default: print it to
     stderr). *)
@@ -102,17 +99,9 @@ val map :
   'a list ->
   'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on
-    {!effective_workers} domains. [jobs] defaults to
-    {!recommended_jobs}. Raises [Invalid_argument] when [jobs < 1]. *)
-
-val map_array :
-  ?jobs:int ->
-  ?oversubscribe:bool ->
-  ?observer:observer ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-(** Array counterpart of {!map}. *)
+    {!effective_workers} domains. [jobs] defaults to the recommended
+    count of {!jobs_from_env} at the default cap. Raises
+    [Invalid_argument] when [jobs < 1]. *)
 
 (** {2 Cumulative diagnostics}
 
@@ -141,4 +130,5 @@ val totals : unit -> totals
 
 val pool_size : unit -> int
 (** Domains currently alive in the shared pool (spawned workers + the
-    caller); [1] before any parallel [map] ran. *)
+    caller); [1] before any parallel [map] ran. Only test_domain_pool
+    reads it, as the oracle of the pool's grow-never-shrink contract. *)

@@ -11,9 +11,6 @@ type value =
   | Num of float
   | Str of string
 
-val escape : string -> string
-(** JSON string escaping (quotes, backslashes, control characters). *)
-
 val value_to_string : value -> string
 (** Numbers print with round-trip precision ([%.17g], integers without a
     fractional part), so write-then-parse is exact. *)

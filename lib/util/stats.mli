@@ -1,27 +1,12 @@
 (** Statistics helpers for the metrics layer: geometric means (the paper's
-    averages, §7.1), streaming accumulators, and fixed-width cycle
-    buckets for the per-1000-cycle timelines of Figures 2 and 14. *)
+    averages, §7.1) and fixed-width cycle buckets for the per-1000-cycle
+    timelines of Figures 2 and 14. *)
 
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
 val geomean : float list -> float
 (** Geometric mean over the positive entries; 0 when none. *)
-
-val min_max : float list -> float * float
-
-(** Streaming mean/variance/extrema (Welford's algorithm). *)
-module Acc : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-end
 
 (** Fixed-width histogram over cycles. *)
 module Buckets : sig
@@ -30,18 +15,16 @@ module Buckets : sig
   val create : width:int -> t
   (** [width] cycles per bucket; must be positive. *)
 
-  val add : t -> cycle:int -> float -> unit
-  (** Accumulate one sample into the bucket containing [cycle]. *)
-
   val add_int : t -> cycle:int -> int -> unit
-  (** [add t ~cycle (float_of_int v)] with the conversion on the callee
-      side: an int argument crosses a non-inlined module boundary
-      without boxing, where a float argument allocates per call. For the
-      simulator's allocation-free sampling sites. *)
+  (** Accumulate one sample [v] into the bucket containing [cycle], with
+      the conversion to float on the callee side: an int argument
+      crosses a non-inlined module boundary without boxing, where a
+      float argument allocates per call. For the simulator's
+      allocation-free sampling sites. *)
 
   val add_ratio : t -> cycle:int -> num:int -> den:int -> unit
-  (** [add t ~cycle (float_of_int num /. float_of_int den)], conversions
-      on the callee side (see {!add_int}). *)
+  (** One sample [float_of_int num /. float_of_int den], conversions on
+      the callee side (see {!add_int}). *)
 
   val add_ratios : t -> cycle:int -> count:int -> num:int -> den:int -> unit
   (** [count] calls to {!add_ratio} into the bucket of [cycle] whose
@@ -59,9 +42,6 @@ module Buckets : sig
 
   val rates : t -> float array
   (** Per-bucket sums divided by the bucket width: per-cycle rates. *)
-
-  val averages : t -> float array
-  (** Per-bucket sample averages, trimmed to the last non-empty bucket. *)
 
   val width : t -> int
 end

@@ -33,7 +33,7 @@ let add_row t cells =
 let fcell ?(digits = 2) v = Printf.sprintf "%.*f" digits v
 let icell v = string_of_int v
 let pcell ?(digits = 1) v = Printf.sprintf "%.*f%%" digits (100.0 *. v)
-let xcell ?(digits = 2) v = Printf.sprintf "%.*fx" digits v
+let xcell v = Printf.sprintf "%.2fx" v
 
 let render t =
   let rows = List.rev t.rows in

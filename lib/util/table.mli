@@ -22,8 +22,11 @@ val icell : int -> string
 val pcell : ?digits:int -> float -> string
 (** Percentage cell: [0.42] renders as ["42.0%"]. *)
 
-val xcell : ?digits:int -> float -> string
+val xcell : float -> string
 (** Speedup cell: [1.39] renders as ["1.39x"]. *)
 
 val render : t -> string
+(** The table as text. Outside this module only tests read it
+    (test_util, test_experiments), to check what {!print} writes. *)
+
 val print : t -> unit

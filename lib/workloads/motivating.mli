@@ -4,16 +4,14 @@
 
 val rh3d_phase1 : tc:int -> Occamy_compiler.Loop_ir.t
 val rho_eos_phase2 : tc:int -> Occamy_compiler.Loop_ir.t
+(** WL#0's two loops. Outside this module only test_workloads reads them,
+    as inputs to the Equation-5 analysis it checks. *)
+
 val wsm5_loop : tc:int -> Occamy_compiler.Loop_ir.t
 
 val wl0 :
   ?options:Occamy_compiler.Codegen.options -> ?tc:int -> unit ->
   Occamy_core.Workload.t
 (** WL#0, for Core0. *)
-
-val wl1 :
-  ?options:Occamy_compiler.Codegen.options -> ?tc:int -> unit ->
-  Occamy_core.Workload.t
-(** WL#1, for Core1. *)
 
 val pair : ?tc0:int -> ?tc1:int -> unit -> Occamy_core.Workload.t list

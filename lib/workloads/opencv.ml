@@ -160,13 +160,6 @@ let blend =
   loop ~name:"blend" ~trip_count:mem_tc ~level:Level.L2
     [ store "bldst" (fma a (b -: a) (param "blw" 0.3) *: param "blg" 1.0) ]
 
-let kernels =
-  [
-    fit_line_2d; fit_line_3d; add_weight; compare_k; rgb2xyz; rgb2gray;
-    rgb2ycrcb; rgb2hsv; calc_dist_3d; acc_prod; dot_prod; norm_l1; norm_l2;
-    blend;
-  ]
-
 (* --- the 12 OpenCV workloads of Table 3 ----------------------------- *)
 
 let table : (int * Loop_ir.t list) list =

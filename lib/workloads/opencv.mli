@@ -2,11 +2,8 @@
     conversions, blending, norms, line-fit moment sums) and the 12 OpenCV
     workloads of Table 3. *)
 
-val kernels : Occamy_compiler.Loop_ir.t list
-val table : (int * Occamy_compiler.Loop_ir.t list) list
 val ids : int list
 val loops_of : int -> Occamy_compiler.Loop_ir.t list
-val kind_of : Occamy_compiler.Loop_ir.t list -> Occamy_core.Workload.kind
 
 val workload :
   ?options:Occamy_compiler.Codegen.options -> ?tc_scale:float -> int ->

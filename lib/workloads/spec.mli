@@ -2,10 +2,8 @@
     paper's per-phase operational intensities ([rho_eos2] at 0.25 carries
     the Case-4 data reuse). *)
 
-val table : (int * Synth.spec list) list
 val ids : int list
 val specs_of : int -> Synth.spec list
-val kind_of : Synth.spec list -> Occamy_core.Workload.kind
 
 val workload :
   ?options:Occamy_compiler.Codegen.options -> ?tc_scale:float -> int ->

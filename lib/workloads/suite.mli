@@ -22,8 +22,9 @@ val compile :
   Occamy_core.Workload.t
 
 val compile_count : unit -> int
-(** Process-wide number of {!compile} calls — a test hook for the
-    compile-once guarantee of the experiment runners. *)
+(** Process-wide number of {!compile} calls. Only test_parallel reads it
+    and {!reset_compile_count}, as the oracle of the experiment runners'
+    compile-once guarantee. *)
 
 val reset_compile_count : unit -> unit
 

@@ -15,9 +15,13 @@ let test_two_core_totals () =
   Helpers.check_bool "occamy slightly larger" true
     (occ > 1.263 && occ < 1.27)
 
+(* A component's share of the 2-core chip. *)
+let fraction arch c =
+  Area.component_mm2 arch ~cores:2 c /. Area.total_mm2 arch ~cores:2
+
 let test_figure12_fractions () =
   (* SIMD exe units 46%, LSU 23%, register file 15%. *)
-  let frac c = Area.fraction Arch.Private ~cores:2 c in
+  let frac c = fraction Arch.Private c in
   Helpers.check_bool "exe 46%" true
     (Float.abs (frac Area.Simd_exe_units -. 0.46) < 0.01);
   Helpers.check_bool "lsu 23%" true (Float.abs (frac Area.Lsu -. 0.23) < 0.01);
@@ -26,7 +30,7 @@ let test_figure12_fractions () =
 
 let test_manager_under_one_percent () =
   (* "the Manager takes less than 1% of the total area" (§7.3). *)
-  let f = Area.fraction Arch.Occamy ~cores:2 Area.Manager in
+  let f = fraction Arch.Occamy Area.Manager in
   Helpers.check_bool "manager <1%" true (f > 0.0 && f < 0.01);
   (* And it does not exist on the other architectures. *)
   Helpers.check_float "no manager on FTS" 0.0
@@ -54,7 +58,9 @@ let test_breakdown_sums_to_total () =
       List.iter
         (fun cores ->
           let sum =
-            List.fold_left (fun a (_, v) -> a +. v) 0.0 (Area.breakdown arch ~cores)
+            List.fold_left
+              (fun a c -> a +. Area.component_mm2 arch ~cores c)
+              0.0 Area.components
           in
           Helpers.check_bool
             (Printf.sprintf "%s %d-core sum" (Arch.name arch) cores)
@@ -72,8 +78,8 @@ let test_config_validation () =
        false
      with Invalid_argument _ -> true);
   Helpers.check_int "total lanes" 32 (Config.total_lanes Config.default);
-  Helpers.check_int "private lanes per core" 16
-    (Config.lanes_per_core_private Config.default);
+  Helpers.check_int "private granules per core" 4
+    (Config.granules_per_core_private Config.default);
   Helpers.check_int "4-core lanes" 64 (Config.total_lanes Config.four_core)
 
 let test_table4_rows () =

@@ -169,7 +169,7 @@ let find_counterexample ~inject_name =
 
 let test_shrink_still_fails () =
   let cx = find_counterexample ~inject_name:"stencil-off-by-one" in
-  let inject = Option.get (Fuzz.inject_of_name "stencil-off-by-one") in
+  let inject = List.assoc "stencil-off-by-one" Fuzz.injections in
   (match Diff.run ~inject cx.Fuzz.cx_shrunk with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "shrunk case no longer fails");

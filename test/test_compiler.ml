@@ -42,14 +42,16 @@ let test_analysis_simple () =
   Helpers.check_int "footprint" 12 r.Analysis.footprint_bytes;
   Helpers.check_float "oi issue" (1.0 /. 12.0) r.Analysis.oi.Oi.issue;
   Helpers.check_float "oi mem" (1.0 /. 12.0) r.Analysis.oi.Oi.mem;
-  Helpers.check_bool "no reuse" false (Analysis.has_reuse simple_loop)
+  Helpers.check_bool "no reuse" true
+    (r.Analysis.issue_bytes = r.Analysis.footprint_bytes)
 
 let test_analysis_stencil_reuse () =
   let r = Analysis.analyse stencil_loop in
   Helpers.check_int "4 loads" 4 r.Analysis.load_instrs;
   Helpers.check_int "issue bytes 20" 20 r.Analysis.issue_bytes;
   Helpers.check_int "footprint 12" 12 r.Analysis.footprint_bytes;
-  Helpers.check_bool "reuse detected" true (Analysis.has_reuse stencil_loop);
+  Helpers.check_bool "reuse detected" true
+    (r.Analysis.issue_bytes > r.Analysis.footprint_bytes);
   Helpers.check_bool "oi_issue < oi_mem" true
     (r.Analysis.oi.Oi.issue < r.Analysis.oi.Oi.mem)
 
@@ -167,7 +169,7 @@ let test_register_reuse_bounded () =
   let rec chain n = if n = 0 then "a".%[0] else chain (n - 1) +: "b".%[0] in
   let l = loop ~name:"chain" ~trip_count:16 [ store "o" (chain 40) ] in
   let wl = Codegen.compile_workload ~name:"w" ~kind:Workload.Mixed [ l ] in
-  Helpers.check_bool "compiles" true (Program.length wl.Workload.program > 0)
+  Helpers.check_bool "compiles" true (Array.length wl.Workload.program.Program.code > 0)
 
 let test_array_plan_padding () =
   let plan = Codegen.array_plan [ stencil_loop ] in

@@ -1,5 +1,4 @@
 module Rtbl = Occamy_coproc.Resource_tbl
-module Config_tbl = Occamy_coproc.Config_tbl
 module Freelist = Occamy_coproc.Freelist
 module Lsu = Occamy_coproc.Lsu
 module Ordering = Occamy_coproc.Ordering
@@ -37,46 +36,26 @@ let qcheck_rtbl_invariant =
       List.iter (fun (core, l) -> ignore (Rtbl.try_set_vl t ~core l)) reqs;
       Rtbl.invariant_holds t)
 
-let test_config_tbl_reassign () =
-  let t = Config_tbl.create ~name:"t" ~units:8 in
-  Config_tbl.reassign t ~core:0 ~count:5;
-  Config_tbl.reassign t ~core:1 ~count:3;
-  Helpers.check_int "core0 owns 5" 5 (Config_tbl.count_owned t ~core:0);
-  Helpers.check_int "core1 owns 3" 3 (Config_tbl.count_owned t ~core:1);
-  Helpers.check_int "none free" 0 (Config_tbl.count_free t);
-  (* Shrink core0; the freed units become available to core1. *)
-  Config_tbl.reassign t ~core:0 ~count:2;
-  Config_tbl.reassign t ~core:1 ~count:6;
-  Helpers.check_bool "consistent" true (Config_tbl.consistent_with t [| 2; 6 |]);
-  (* No unit owned twice. *)
-  let all_owned =
-    Config_tbl.owned_by t ~core:0 @ Config_tbl.owned_by t ~core:1
-  in
-  Helpers.check_int "partition covers all units" 8
-    (List.length (List.sort_uniq compare all_owned))
-
-let test_config_tbl_overcommit () =
-  let t = Config_tbl.create ~name:"t" ~units:4 in
-  Config_tbl.reassign t ~core:0 ~count:3;
-  Helpers.check_bool "overcommit rejected" true
-    (try
-       Config_tbl.reassign t ~core:1 ~count:2;
-       false
-     with Invalid_argument _ -> true)
-
 let test_freelist () =
   let f = Freelist.create ~depth:10 ~pinned:4 in
-  Helpers.check_int "capacity" 6 (Freelist.capacity f);
+  Helpers.check_int "capacity" 6 (Freelist.free f);
   for _ = 1 to 6 do
     Helpers.check_bool "alloc" true (Freelist.alloc f)
   done;
   Helpers.check_bool "exhausted" false (Freelist.alloc f);
-  Helpers.check_int "one failed alloc" 1 (Freelist.failed_allocs f);
+  Helpers.check_int "a failed alloc takes no row" 0 (Freelist.free f);
   Freelist.release f;
   Helpers.check_bool "after release" true (Freelist.alloc f);
-  Helpers.check_int "peak" 6 (Freelist.peak_in_use f);
-  Freelist.release_all f;
-  Helpers.check_int "drained" 0 (Freelist.in_use f)
+  for _ = 1 to 6 do
+    Freelist.release f
+  done;
+  Helpers.check_int "drained" 6 (Freelist.free f);
+  Alcotest.check_raises "release of nothing"
+    (Invalid_argument "Freelist.release: nothing allocated") (fun () ->
+      Freelist.release f);
+  Alcotest.check_raises "all pinned"
+    (Invalid_argument "Freelist.create") (fun () ->
+      ignore (Freelist.create ~depth:4 ~pinned:4))
 
 let qcheck_freelist_balance =
   QCheck2.Test.make ~name:"freelist in_use equals allocs minus releases"
@@ -94,23 +73,33 @@ let qcheck_freelist_balance =
             decr live
           end)
         ops;
-      Freelist.in_use f = !live)
+      Freelist.free f = 20 - !live)
 
 let test_lsu () =
-  let l = Lsu.create ~load_capacity:2 ~store_capacity:1 () in
+  let l = Lsu.create ~load_capacity:2 ~store_capacity:1 in
+  let into = Array.make 3 (-1) in
   Helpers.check_bool "accept load" true (Lsu.can_accept l ~is_store:false);
-  Lsu.add l ~done_at:5 ~is_store:false ~mob_id:(Some 1);
-  Lsu.add l ~done_at:9 ~is_store:false ~mob_id:None;
+  Lsu.add_slot l ~done_at:5 ~is_store:false ~mob:1;
+  Lsu.add_slot l ~done_at:9 ~is_store:false ~mob:(-1);
   Helpers.check_bool "loads full" false (Lsu.can_accept l ~is_store:false);
+  Alcotest.check_raises "add to a full queue"
+    (Invalid_argument "Lsu.add_slot: queue full") (fun () ->
+      Lsu.add_slot l ~done_at:6 ~is_store:false ~mob:3);
   Helpers.check_bool "stores open" true (Lsu.can_accept l ~is_store:true);
-  Lsu.add l ~done_at:7 ~is_store:true ~mob_id:(Some 2);
+  Lsu.add_slot l ~done_at:7 ~is_store:true ~mob:2;
   Helpers.check_int "outstanding" 3 (Lsu.outstanding l);
-  let retired = Lsu.retire l ~now:7 in
-  Helpers.check_int "two retired with mob ids" 2 (List.length retired);
+  Helpers.check_int "next completion" 5 (Lsu.next_done_at l);
+  Helpers.check_int "nothing due at 4" 0 (Lsu.retire_into l ~now:4 ~into);
+  let n = Lsu.retire_into l ~now:7 ~into in
+  Helpers.check_int "two retired with mob ids" 2 n;
+  Helpers.check_bool "their handles" true
+    (List.sort compare [ into.(0); into.(1) ] = [ 1; 2 ]);
   Helpers.check_int "one left" 1 (Lsu.outstanding l);
   Helpers.check_bool "not drained" false (Lsu.is_drained l);
-  ignore (Lsu.retire l ~now:100);
-  Helpers.check_bool "drained" true (Lsu.is_drained l)
+  Helpers.check_int "a retirement without handle is not reported" 0
+    (Lsu.retire_into l ~now:100 ~into);
+  Helpers.check_bool "drained" true (Lsu.is_drained l);
+  Helpers.check_int "drained horizon" max_int (Lsu.next_done_at l)
 
 let test_ordering_matrix () =
   let open Instr in
@@ -140,8 +129,6 @@ let suites =
       [
         Alcotest.test_case "rtbl grant/refuse" `Quick test_rtbl_grant_and_refuse;
         Alcotest.test_case "rtbl exchange" `Quick test_rtbl_exchange;
-        Alcotest.test_case "config tbl reassign" `Quick test_config_tbl_reassign;
-        Alcotest.test_case "config tbl overcommit" `Quick test_config_tbl_overcommit;
         Alcotest.test_case "freelist" `Quick test_freelist;
         Alcotest.test_case "lsu" `Quick test_lsu;
         Alcotest.test_case "ordering matrix (Table 2)" `Quick test_ordering_matrix;

@@ -165,25 +165,22 @@ let test_bitset_edges () =
 let test_freelist_exhaustion_reuse () =
   let module F = Occamy_coproc.Freelist in
   let f = F.create ~depth:8 ~pinned:3 in
-  Helpers.check_int "capacity" 5 (F.capacity f);
+  Helpers.check_int "capacity" 5 (F.free f);
   for i = 1 to 5 do
     Helpers.check_bool "alloc ok" true (F.alloc f);
-    Helpers.check_int "in_use" i (F.in_use f)
+    Helpers.check_int "free" (5 - i) (F.free f)
   done;
   Helpers.check_bool "exhausted" false (F.alloc f);
   Helpers.check_bool "exhausted again" false (F.alloc f);
-  Helpers.check_int "failed_allocs" 2 (F.failed_allocs f);
-  F.record_failures f ~count:3;
-  Helpers.check_int "batched failures" 5 (F.failed_allocs f);
-  Helpers.check_int "peak" 5 (F.peak_in_use f);
   F.release f;
-  Helpers.check_int "freed one" 4 (F.in_use f);
+  Helpers.check_int "freed one" 1 (F.free f);
   Helpers.check_bool "reuse after release" true (F.alloc f);
   Helpers.check_bool "full again" false (F.alloc f);
-  F.release_all f;
-  Helpers.check_int "release_all" 0 (F.in_use f);
-  Helpers.check_int "peak sticky" 5 (F.peak_in_use f);
-  Helpers.check_bool "reusable after release_all" true (F.alloc f)
+  for _ = 1 to 5 do
+    F.release f
+  done;
+  Helpers.check_int "all released" 5 (F.free f);
+  Helpers.check_bool "reusable after draining" true (F.alloc f)
 
 (* ------------------------------------------------------------------ *)
 (* Zero allocation in steady state: drive the dense motivating pair

@@ -6,8 +6,8 @@ module Dp = Occamy_util.Domain_pool
 
 let test_empty () =
   Helpers.check_bool "empty list" true (Dp.map ~jobs:4 (fun x -> x + 1) [] = []);
-  Helpers.check_bool "empty array" true
-    (Dp.map_array ~jobs:4 (fun x -> x + 1) [||] = [||])
+  Helpers.check_bool "empty list, oversubscribed" true
+    (Dp.map ~jobs:4 ~oversubscribe:true (fun x -> x + 1) [] = [])
 
 let test_jobs_exceed_tasks () =
   (* More workers than tasks must still produce every result, in order. *)
@@ -77,20 +77,24 @@ let test_invalid_jobs () =
       | exception Invalid_argument _ -> ())
     [ 0; -3 ]
 
-(* The oversubscribed array path validates its worker count too. *)
+(* The oversubscribed path validates its worker count too. *)
 let test_invalid_args () =
   List.iter
     (fun jobs ->
-      match Dp.map_array ~jobs ~oversubscribe:true Fun.id [| 1; 2; 3 |] with
-      | _ -> Alcotest.failf "map_array ~jobs:%d must be rejected" jobs
+      match Dp.map ~jobs ~oversubscribe:true Fun.id [ 1; 2; 3 ] with
+      | _ -> Alcotest.failf "map ~jobs:%d ~oversubscribe must be rejected" jobs
       | exception Invalid_argument _ -> ())
     [ 0; -3 ]
 
+(* With its variable unset, [jobs_from_env] falls back to the recommended
+   count: the host's domains, floored at 1 and capped. *)
+let unset_var = "OCCAMY_TEST_JOBS_NEVER_SET"
+
 let test_recommended_jobs () =
-  let j = Dp.recommended_jobs () in
+  let j = Dp.jobs_from_env ~var:unset_var () in
   Helpers.check_bool "recommended >= 1" true (j >= 1);
   Helpers.check_bool "recommended capped" true (j <= 16);
-  Helpers.check_int "cap applies" 1 (Dp.recommended_jobs ~cap:1 ())
+  Helpers.check_int "cap applies" 1 (Dp.jobs_from_env ~var:unset_var ~cap:1 ())
 
 (* A private variable keeps these tests independent of any OCCAMY_JOBS
    in the surrounding environment. *)
@@ -102,7 +106,7 @@ let test_jobs_from_env () =
     warnings := [];
     Dp.jobs_from_env ~var ~on_warning:(fun m -> warnings := m :: !warnings) ()
   in
-  let recommended = Dp.recommended_jobs () in
+  let recommended = Dp.jobs_from_env ~var:unset_var () in
   Helpers.check_int "valid value used" 3 (resolve "3");
   Helpers.check_bool "valid value: no warning" true (!warnings = []);
   Helpers.check_int "empty falls back" recommended (resolve "");
@@ -260,15 +264,15 @@ let test_all_tasks_once_all_shapes () =
           let ran = Array.init n (fun _ -> Atomic.make 0) in
           Dp.reset_totals ();
           let out =
-            Dp.map_array ~jobs:workers ~oversubscribe:true
+            Dp.map ~jobs:workers ~oversubscribe:true
               (fun i ->
                 Atomic.incr ran.(i);
                 i * 3)
-              (Array.init n Fun.id)
+              (List.init n Fun.id)
           in
           let shape = Printf.sprintf "workers=%d n=%d" workers n in
           Helpers.check_bool (shape ^ ": results") true
-            (out = Array.init n (fun i -> i * 3));
+            (out = List.init n (fun i -> i * 3));
           Array.iteri
             (fun i c ->
               if Atomic.get c <> 1 then
@@ -289,13 +293,13 @@ let test_skewed_durations () =
      correct. *)
   let n = 32 in
   let out =
-    Dp.map_array ~jobs:4 ~oversubscribe:true
+    Dp.map ~jobs:4 ~oversubscribe:true
       (fun i ->
         if i < 4 then spin 200_000 else spin (hash ~seed:7 i mod 500);
         (i * i) + 1)
-      (Array.init n Fun.id)
+      (List.init n Fun.id)
   in
-  Array.iteri
+  List.iteri
     (fun i v -> Helpers.check_int (Printf.sprintf "out.(%d)" i) ((i * i) + 1) v)
     out
 
@@ -304,11 +308,11 @@ let test_random_durations_repeated () =
     let n = 50 in
     let count = Array.init n (fun _ -> Atomic.make 0) in
     ignore
-      (Dp.map_array ~jobs:3 ~oversubscribe:true
+      (Dp.map ~jobs:3 ~oversubscribe:true
          (fun i ->
            spin (hash ~seed i mod 2_000);
            Atomic.incr count.(i))
-         (Array.init n Fun.id));
+         (List.init n Fun.id));
     Array.iteri
       (fun i c ->
         if Atomic.get c <> 1 then
@@ -324,12 +328,12 @@ let test_lowest_index_error_wins () =
   let ran = Array.init n (fun _ -> Atomic.make 0) in
   let failing = [ 11; 17; 43 ] in
   match
-    Dp.map_array ~jobs:4 ~oversubscribe:true
+    Dp.map ~jobs:4 ~oversubscribe:true
       (fun i ->
         Atomic.incr ran.(i);
         spin (hash ~seed:3 i mod 1_000);
         if List.mem i failing then failwith (Printf.sprintf "boom%d" i))
-      (Array.init n Fun.id)
+      (List.init n Fun.id)
   with
   | _ -> Alcotest.fail "expected the map to raise"
   | exception Failure msg ->
@@ -350,9 +354,9 @@ let test_observer_pairing () =
     logs.(worker) := (index, phase) :: !(logs.(worker))
   in
   ignore
-    (Dp.map_array ~jobs:workers ~oversubscribe:true ~observer
+    (Dp.map ~jobs:workers ~oversubscribe:true ~observer
        (fun i -> spin (if i mod 7 = 0 then 100_000 else 100))
-       (Array.init n Fun.id));
+       (List.init n Fun.id));
   let spans = Array.make n 0 in
   Array.iter
     (fun log ->

@@ -143,14 +143,14 @@ let qcheck_partition_symmetry =
 let test_lane_mgr_replan_flow () =
   let m = Lane_mgr.create ~total:8 ~cores:2 () in
   Lane_mgr.enter_phase m ~core:0 ~oi:(Oi.uniform 0.13) ~level:Level.L2;
-  Helpers.check_int "solo memory workload capped" 2 (Lane_mgr.decision m ~core:0);
+  Helpers.check_int "solo memory workload capped" 2 ((Lane_mgr.decisions m).(0));
   Lane_mgr.enter_phase m ~core:1 ~oi:(Oi.uniform 4.0) ~level:Level.Vec_cache;
-  let d0 = Lane_mgr.decision m ~core:0 and d1 = Lane_mgr.decision m ~core:1 in
+  let d0 = (Lane_mgr.decisions m).(0) and d1 = (Lane_mgr.decisions m).(1) in
   Helpers.check_bool "memory keeps its share" true (d0 >= 1 && d0 <= 3);
   Helpers.check_int "compute gets the rest" (8 - d0) d1;
   Lane_mgr.exit_phase m ~core:0;
-  Helpers.check_int "compute inherits everything" 8 (Lane_mgr.decision m ~core:1);
-  Helpers.check_int "exited core suggested zero" 0 (Lane_mgr.decision m ~core:0);
+  Helpers.check_int "compute inherits everything" 8 ((Lane_mgr.decisions m).(1));
+  Helpers.check_int "exited core suggested zero" 0 ((Lane_mgr.decisions m).(0));
   Helpers.check_int "three replans" 3 (Lane_mgr.replans m)
 
 let suites =

@@ -4,54 +4,82 @@ module Profile = Occamy_mem.Profile
 module Hierarchy = Occamy_mem.Hierarchy
 module Mob = Occamy_mem.Mob
 
+(* [Channel.book] through its scratch array: the request time in, the
+   completion out. *)
+let book ch ~now ~bytes =
+  let io = [| now; bytes |] in
+  Channel.book ch ~io;
+  io.(0)
+
+let next_free ch =
+  let a = [| 0.0 |] in
+  Channel.next_free_into ch a 0;
+  a.(0)
+
 let test_channel_bandwidth () =
   let ch = Channel.create ~bytes_per_cycle:64.0 in
-  let t1 = Channel.request ch ~now:0.0 ~bytes:128.0 in
+  let t1 = book ch ~now:0.0 ~bytes:128.0 in
   Helpers.check_float "first transfer 2 cycles" 2.0 t1;
   (* Second request queues behind the first. *)
-  let t2 = Channel.request ch ~now:0.0 ~bytes:64.0 in
+  let t2 = book ch ~now:0.0 ~bytes:64.0 in
   Helpers.check_float "queued transfer" 3.0 t2;
   (* A late request does not queue. *)
-  let t3 = Channel.request ch ~now:100.0 ~bytes:64.0 in
+  let t3 = book ch ~now:100.0 ~bytes:64.0 in
   Helpers.check_float "idle channel" 101.0 t3;
-  Helpers.check_float "bytes moved" 256.0 (Channel.bytes_moved ch)
+  Helpers.check_float "frees up after the last" 101.0 (next_free ch);
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Channel.book: negative size") (fun () ->
+      ignore (book ch ~now:0.0 ~bytes:(-1.0)))
 
 let test_channel_utilisation () =
+  (* 320 B at 32 B/cycle occupy the channel for 10 cycles: a request at
+     cycle 5 waits for them, one at cycle 15 finds the channel idle. *)
   let ch = Channel.create ~bytes_per_cycle:32.0 in
-  ignore (Channel.request ch ~now:0.0 ~bytes:320.0);
-  Helpers.check_float "10 busy cycles over 20" 0.5
-    (Channel.utilisation ch ~cycles:20.0)
+  Helpers.check_float "10 busy cycles" 10.0 (book ch ~now:0.0 ~bytes:320.0);
+  Helpers.check_float "queued behind them" 11.0 (book ch ~now:5.0 ~bytes:32.0);
+  Helpers.check_float "idle again" 16.0 (book ch ~now:15.0 ~bytes:32.0)
 
 let test_hierarchy_latencies () =
-  let h = Hierarchy.create () in
-  let cfg = Hierarchy.config h in
-  let t_vc = Hierarchy.access h ~now:0 ~level:Level.Vec_cache ~bytes:64 in
+  let cfg = Hierarchy.default_config in
+  (* Each access on an idle hierarchy. *)
+  let access ?(prefetched = false) level =
+    Hierarchy.book (Hierarchy.create ~cfg) ~prefetched ~now:0 ~level ~bytes:64
+  in
+  let t_vc = access Level.Vec_cache in
   Helpers.check_bool "VC latency dominates small access" true
     (t_vc >= cfg.vc_latency);
-  Hierarchy.reset h;
-  let t_l2 = Hierarchy.access h ~now:0 ~level:Level.L2 ~bytes:64 in
+  let t_l2 = access Level.L2 in
   Helpers.check_bool "L2 slower than VC" true (t_l2 > t_vc);
-  Hierarchy.reset h;
-  let t_dram = Hierarchy.access h ~now:0 ~level:Level.Dram ~bytes:64 in
-  Helpers.check_bool "DRAM slower than L2" true (t_dram > t_l2)
+  let t_dram = access Level.Dram in
+  Helpers.check_bool "DRAM slower than L2" true (t_dram > t_l2);
+  (* A prefetched stream exposes only the vector-cache latency on top of
+     its transfer through every channel: 64 B at 256, 64 and 32 B/cycle
+     end at cycle 3.25 on the DRAM channel. *)
+  Helpers.check_int "prefetched DRAM access" (4 + cfg.vc_latency)
+    (access ~prefetched:true Level.Dram);
+  Helpers.check_int "demand DRAM access"
+    (4 + cfg.vc_latency + cfg.l2_latency + cfg.dram_latency)
+    t_dram
 
 let test_hierarchy_contention () =
   (* Saturating DRAM: completion times must spread out at the DRAM
      bandwidth, not the VC bandwidth. *)
-  let h = Hierarchy.create () in
+  let cfg = Hierarchy.default_config in
+  let h = Hierarchy.create ~cfg in
   let n = 32 in
   let last = ref 0 in
   for _ = 1 to n do
-    last := Hierarchy.access h ~now:0 ~level:Level.Dram ~bytes:64
+    last := Hierarchy.book h ~prefetched:false ~now:0 ~level:Level.Dram ~bytes:64
   done;
-  let cfg = Hierarchy.config h in
   let min_spread =
     float_of_int (n * 64) /. cfg.dram_bytes_per_cycle
   in
   Helpers.check_bool "DRAM bandwidth limits throughput" true
     (float_of_int !last >= min_spread);
-  Helpers.check_int "accesses counted" n (Hierarchy.accesses h);
-  Helpers.check_int "at dram" n (Hierarchy.accesses_at h Level.Dram)
+  Helpers.check_int "at dram" n (Hierarchy.accesses_at h Level.Dram);
+  Helpers.check_int "none at l2" 0 (Hierarchy.accesses_at h Level.L2);
+  Helpers.check_float "bytes at dram" (float_of_int (n * 64))
+    (Hierarchy.bytes_at h Level.Dram)
 
 let test_profile_classify () =
   let rng = Occamy_util.Rng.create ~seed:11 in
@@ -73,15 +101,27 @@ let test_profile_validation () =
        ignore (Profile.make ~vc:0.5 ~l2:0.1 ~dram:0.1);
        false
      with Invalid_argument _ -> true);
-  Helpers.check_bool "dominant streaming" true
-    (Profile.dominant Profile.streaming = Level.Dram);
-  Helpers.check_bool "dominant resident" true
-    (Profile.dominant Profile.cache_resident = Level.Vec_cache);
-  Helpers.check_bool "dominant l2" true
-    (Profile.dominant Profile.l2_resident = Level.L2)
+  Helpers.check_bool "negative fraction rejected" true
+    (try
+       ignore (Profile.make ~vc:1.5 ~l2:(-0.5) ~dram:0.0);
+       false
+     with Invalid_argument _ -> true);
+  (* The named profiles are pure: every draw lands on their level. *)
+  let rng = Occamy_util.Rng.create ~seed:3 in
+  List.iter
+    (fun (name, p, level) ->
+      Helpers.check_bool (name ^ " is pure") true (Profile.deterministic p);
+      Helpers.check_bool (name ^ " level") true (Profile.classify p rng = level))
+    [
+      ("streaming", Profile.streaming, Level.Dram);
+      ("resident", Profile.cache_resident, Level.Vec_cache);
+      ("l2", Profile.l2_resident, Level.L2);
+    ];
+  Helpers.check_bool "a mixed profile is not pure" false
+    (Profile.deterministic (Profile.make ~vc:0.5 ~l2:0.5 ~dram:0.0))
 
 let test_mob_overlap () =
-  let m = Mob.create ~capacity:4 () in
+  let m = Mob.create ~capacity:4 in
   let s1 = Mob.insert_slot m ~arr:1 ~base:0 ~len:8 ~is_store:true in
   (* A read overlapping an in-flight store conflicts. *)
   Helpers.check_bool "read vs store conflicts" true
@@ -101,7 +141,7 @@ let test_mob_overlap () =
     (Mob.conflicts m ~arr:1 ~base:4 ~len:4 ~is_store:false)
 
 let test_mob_capacity () =
-  let m = Mob.create ~capacity:2 () in
+  let m = Mob.create ~capacity:2 in
   ignore (Mob.insert_slot m ~arr:0 ~base:0 ~len:1 ~is_store:false);
   let s = Mob.insert_slot m ~arr:0 ~base:1 ~len:1 ~is_store:false in
   Helpers.check_bool "full" true (Mob.is_full m);
@@ -129,7 +169,7 @@ let qcheck_channel_monotone =
       let ch = Channel.create ~bytes_per_cycle:16.0 in
       let times =
         List.map
-          (fun b -> Channel.request ch ~now:0.0 ~bytes:(float_of_int b))
+          (fun b -> book ch ~now:0.0 ~bytes:(float_of_int b))
           sizes
       in
       let rec mono = function
@@ -142,7 +182,7 @@ let qcheck_mob_no_leak =
   QCheck2.Test.make ~name:"mob insert/remove never leaks"
     QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 7))
     (fun ops ->
-      let m = Mob.create ~capacity:8 () in
+      let m = Mob.create ~capacity:8 in
       let live = ref [] in
       List.iter
         (fun base ->
@@ -210,7 +250,7 @@ let qcheck_mob_model =
   in
   QCheck2.Test.make ~count:300 ~name:"mob matches a list model" ~print gen
     (fun (cap, ids, ops) ->
-      let m = Mob.create ~capacity:cap () in
+      let m = Mob.create ~capacity:cap in
       (* live entries: (slot, arr, base, len, is_store) *)
       let live = ref [] in
       let nids = Array.length ids in
@@ -262,7 +302,7 @@ let qcheck_mob_model =
             done;
             insert ids.(0) 0 1 false
           | Clear ->
-            Mob.clear m;
+            List.iter (fun (s, _, _, _, _) -> Mob.remove_slot m s) !live;
             live := []);
           if Mob.size m <> List.length !live then
             QCheck2.Test.fail_reportf "size %d, model %d" (Mob.size m)
@@ -292,28 +332,42 @@ let suites =
 (* --- additional properties ----------------------------------------- *)
 
 let qcheck_hierarchy_conserves_bytes =
-  (* Every byte requested shows up in exactly the traversed channels. *)
+  (* Every byte requested occupies exactly the traversed channels: with
+     every request made at cycle 0, a channel that carried [b] bytes is
+     busy at least until [b / bandwidth] (the vector cache, which every
+     request enters at cycle 0, exactly until then), and a channel no
+     request reached stays free. *)
   QCheck2.Test.make ~name:"hierarchy books bytes on every traversed level"
     QCheck2.Gen.(list_size (int_range 1 40) (pair (int_range 0 2) (int_range 1 256)))
     (fun reqs ->
-      let h = Hierarchy.create () in
-      let expected = Array.make 3 0.0 in
+      let cfg = Hierarchy.default_config in
+      let h = Hierarchy.create ~cfg in
+      let crossed = Array.make 3 0.0 and served = Array.make 3 0.0 in
       List.iter
         (fun (lvl, bytes) ->
           let level =
             match lvl with 0 -> Level.Vec_cache | 1 -> Level.L2 | _ -> Level.Dram
           in
-          ignore (Hierarchy.access h ~now:0 ~level ~bytes);
-          for d = 0 to Level.depth level do
-            expected.(d) <- expected.(d) +. float_of_int bytes
+          ignore (Hierarchy.book h ~prefetched:false ~now:0 ~level ~bytes);
+          served.(lvl) <- served.(lvl) +. float_of_int bytes;
+          for d = 0 to lvl do
+            crossed.(d) <- crossed.(d) +. float_of_int bytes
           done)
         reqs;
+      let bw = function
+        | Level.Vec_cache -> cfg.vc_bytes_per_cycle
+        | Level.L2 -> cfg.l2_bytes_per_cycle
+        | Level.Dram -> cfg.dram_bytes_per_cycle
+      in
       List.for_all
         (fun level ->
-          Float.abs
-            (Channel.bytes_moved (Hierarchy.channel h level)
-            -. expected.(Level.depth level))
-          < 1e-9)
+          let d = Level.depth level in
+          let busy = crossed.(d) /. bw level in
+          let free_at = next_free (Hierarchy.channel h level) in
+          Hierarchy.bytes_at h level = served.(d)
+          && (if level = Level.Vec_cache then free_at = busy
+              else if crossed.(d) = 0.0 then free_at = 0.0
+              else free_at >= busy))
         Level.all)
 
 let qcheck_prefetch_only_changes_latency =
@@ -322,14 +376,20 @@ let qcheck_prefetch_only_changes_latency =
   QCheck2.Test.make ~name:"prefetch cuts latency, keeps bandwidth"
     QCheck2.Gen.(int_range 1 512)
     (fun bytes ->
-      let h1 = Hierarchy.create () and h2 = Hierarchy.create () in
-      let t_norm = Hierarchy.access h1 ~now:0 ~level:Level.Dram ~bytes in
+      let cfg = Hierarchy.default_config in
+      let h1 = Hierarchy.create ~cfg and h2 = Hierarchy.create ~cfg in
+      let t_norm =
+        Hierarchy.book h1 ~prefetched:false ~now:0 ~level:Level.Dram ~bytes
+      in
       let t_pre =
-        Hierarchy.access ~prefetched:true h2 ~now:0 ~level:Level.Dram ~bytes
+        Hierarchy.book h2 ~prefetched:true ~now:0 ~level:Level.Dram ~bytes
       in
       t_pre <= t_norm
-      && Channel.bytes_moved (Hierarchy.channel h1 Level.Dram)
-         = Channel.bytes_moved (Hierarchy.channel h2 Level.Dram))
+      && List.for_all
+           (fun level ->
+             next_free (Hierarchy.channel h1 level)
+             = next_free (Hierarchy.channel h2 level))
+           Level.all)
 
 let qcheck_hierarchy_repeat =
   (* [Hierarchy.repeat] books [times] more shifted copies of a pattern in
@@ -360,7 +420,8 @@ let qcheck_hierarchy_repeat =
         Hierarchy.state_into h a;
         a
       in
-      let h = Hierarchy.create () and naive = Hierarchy.create () in
+      let cfg = Hierarchy.default_config in
+      let h = Hierarchy.create ~cfg and naive = Hierarchy.create ~cfg in
       for j = 0 to warm - 1 do copy h j done;
       let since = image h in
       copy h warm;

@@ -158,27 +158,24 @@ let test_for_sim_layout () =
   check_int "tracks" 3 (Trace.num_tracks t);
   check_string "core0" "core0" (Trace.track_name t ~track:0);
   check_string "lanemgr" "LaneMgr"
-    (Trace.track_name t ~track:(Trace.lanemgr_track t))
+    (Trace.track_name t ~track:2)
 
 (* ---------------- Counters ----------------------------------------- *)
 
 let test_counters () =
   let c = Counters.create () in
-  Counters.incr c "a.hits";
-  Counters.incr ~by:4 c "a.hits";
+  Counters.set c "b.gauge" 1.0;
+  Counters.set c "a.hits" 5.0;
   Counters.set c "b.gauge" 2.5;
-  check_bool "mem" true (Counters.mem c "a.hits");
-  Alcotest.(check (float 0.0)) "incr" 5.0 (Counters.get_exn c "a.hits");
-  Alcotest.(check (float 0.0)) "set" 2.5 (Counters.get_exn c "b.gauge");
+  Alcotest.(check (float 0.0)) "set" 5.0 (Counters.get_exn c "a.hits");
+  Alcotest.(check (float 0.0)) "overwritten" 2.5 (Counters.get_exn c "b.gauge");
   check_bool "missing" true (Counters.get c "nope" = None);
-  check_int "length" 2 (Counters.length c);
+  Alcotest.check_raises "get_exn on a missing name"
+    (Invalid_argument "Counters.get_exn: no counter named \"nope\"") (fun () ->
+      ignore (Counters.get_exn c "nope"));
   (match Counters.to_list c with
-  | [ ("a.hits", _); ("b.gauge", _) ] -> ()
-  | _ -> Alcotest.fail "to_list not name-sorted");
-  check_int "with_prefix" 1 (List.length (Counters.with_prefix c ~prefix:"a."));
-  let csv = Counters.to_csv c in
-  check_bool "csv header" true
-    (String.length csv > 10 && String.sub csv 0 10 = "name,value")
+  | [ ("a.hits", 5.0); ("b.gauge", 2.5) ] -> ()
+  | _ -> Alcotest.fail "to_list not name-sorted")
 
 (* ---------------- simulation: non-perturbation --------------------- *)
 
@@ -221,7 +218,9 @@ let test_traced_run_content () =
   done;
   (* The lane-manager track has replans carrying a full decision vector
      and per-core roofline verdicts. *)
-  let mgr = List.map snd (Trace.events trace ~track:(Trace.lanemgr_track trace)) in
+  let mgr =
+    List.map snd (Trace.events trace ~track:(Trace.num_tracks trace - 1))
+  in
   let replan_shapes =
     List.filter_map
       (function
@@ -554,7 +553,9 @@ let test_metrics_counters () =
          > 0.0)
        Occamy_mem.Level.all);
   check_bool "per-phase counters present" true
-    (Counters.with_prefix reg ~prefix:"core0.phase." <> [])
+    (List.exists
+       (fun (name, _) -> Helpers.contains name "core0.phase.")
+       (Counters.to_list reg))
 
 (* ---------------- Domain_pool observer ------------------------------ *)
 

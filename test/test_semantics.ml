@@ -70,7 +70,7 @@ let test_stencil_negative_offsets () =
     loop ~name:"stencil" ~trip_count:301
       [
         store "o" ((("a".%[-1] +: "a".%[0]) +: "a".%[1]) *: param "w" 0.25);
-        store_at "p" 1 ("b".%[0] -: "a".%[-1]);
+        Store ({ base = "p"; offset = 1 }, "b".%[0] -: "a".%[-1]);
       ]
   in
   check_with_schedules ~name:"stencil" ~seeds:[ 7; 8; 9 ] [ l ]
@@ -86,7 +86,7 @@ let test_reduction_carry () =
 
 let test_reduction_max () =
   let l =
-    loop ~name:"amax" ~trip_count:277 [ reduce_max "amax" (abs_ "a".%[0]) ]
+    loop ~name:"amax" ~trip_count:277 [ Reduce (Occamy_isa.Vop.Red.Maxr, "amax", abs_ "a".%[0]) ]
   in
   check_with_schedules ~name:"amax" ~seeds:[ 21; 22 ] [ l ]
 

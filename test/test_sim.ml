@@ -230,7 +230,41 @@ let test_bad_configs_rejected () =
   Helpers.check_bool "3 cores, 2 workloads" true
     (match Sim.create ~cfg ~arch:Arch.Occamy wls with
      | _ -> false
-     | exception Invalid_argument _ -> true)
+     | exception Invalid_argument _ -> true);
+  (* A forced static partition must name one decision per core, each in
+     0..exebus, that fit the ExeBUs together. *)
+  let pair = Occamy_workloads.Motivating.pair ~tc0:64 ~tc1:64 () in
+  List.iter
+    (fun (arch, decisions, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Sim.create: decisions" ^ msg)) (fun () ->
+          ignore (Sim.create ~decisions ~arch pair)))
+    [
+      (Arch.Private, [| 4 |], " has 1 entries for 2 cores");
+      (Arch.Private, [| 4; 4; 4 |], " has 3 entries for 2 cores");
+      (Arch.Vls, [| -1; 4 |], ".(0) = -1 is outside 0..8");
+      (Arch.Private, [| 4; 9 |], ".(1) = 9 is outside 0..8");
+      (Arch.Private, [| 8; 8 |], " sum to 16, above the 8 ExeBUs");
+    ];
+  Helpers.check_bool "a full static split runs" true
+    (Sim.simulate ~decisions:[| 3; 5 |] ~arch:Arch.Private pair
+       |> fun r -> r.Metrics.total_cycles > 0)
+
+(* The scalar FP values are not simulated, so a malformed scalar mirror
+   of a vector op is caught when the program is pre-decoded. *)
+let test_fvop_arity_rejected () =
+  let wl = mem_wl ~tc:64 () in
+  let prog = wl.Workload.program in
+  let code = Array.copy prog.Occamy_isa.Program.code in
+  let targets = Array.copy prog.Occamy_isa.Program.targets in
+  let pc = Array.length code - 1 in
+  code.(pc) <- Occamy_isa.(Instr.Fvop (Vop.Add, Reg.F 0, [ Reg.F 1 ]));
+  targets.(pc) <- -1;
+  let bad = { wl with Workload.program = { prog with code; targets } } in
+  Alcotest.check_raises "fadd.s with one source"
+    (Invalid_argument
+       (Printf.sprintf "Sim: core1 fadd.s at pc=%d has 1 sources, needs 2" pc))
+    (fun () -> ignore (Sim.create ~arch:Arch.Private [ mem_wl ~tc:64 (); bad ]))
 
 let suites =
   [
@@ -252,6 +286,8 @@ let suites =
         Alcotest.test_case "four-core machine" `Quick test_four_core_machine;
         Alcotest.test_case "workload count" `Quick test_workload_count_mismatch_rejected;
         Alcotest.test_case "bad configs rejected" `Quick test_bad_configs_rejected;
+        Alcotest.test_case "fvop arity rejected at create" `Quick
+          test_fvop_arity_rejected;
       ] );
   ]
 
@@ -309,13 +345,19 @@ let test_context_switch_on_halted_core_ignored () =
   Helpers.check_bool "late switch ignored" true (r.Metrics.total_cycles > 0)
 
 let test_context_switch_rejects_bad_args () =
-  Helpers.check_bool "bad core rejected" true
-    (try
-       ignore
-         (Sim.simulate ~context_switches:[ (7, 100) ] ~arch:Arch.Private
-            [ mem_wl (); compute_wl () ]);
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun (sw, msg) ->
+      Alcotest.check_raises msg
+        (Invalid_argument ("Sim.create: bad context switch: " ^ msg))
+        (fun () ->
+          ignore
+            (Sim.create ~context_switches:[ sw ] ~arch:Arch.Private
+               [ mem_wl (); compute_wl () ])))
+    [
+      ((7, 100), "core 7 is outside 0..1");
+      ((-1, 100), "core -1 is outside 0..1");
+      ((1, 0), "cycle 0 for core 1 is not positive");
+    ]
 
 let cs_suite =
   ( "sim.context-switch",

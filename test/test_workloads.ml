@@ -113,7 +113,8 @@ let test_motivating_oi () =
      wsm5 stencil's data reuse (WL#1). *)
   let wsm5 = Motivating.wsm5_loop ~tc:128 in
   let a = Analysis.analyse wsm5 in
-  Helpers.check_bool "wsm5 reuse" true (Analysis.has_reuse wsm5);
+  Helpers.check_bool "wsm5 reuse" true
+    (a.Analysis.issue_bytes > a.Analysis.footprint_bytes);
   Helpers.check_int "wsm5 4 loads" 4 a.Analysis.load_instrs;
   let rh3d = Analysis.analyse (Motivating.rh3d_phase1 ~tc:128) in
   Helpers.check_int "rh3d loads" 6 rh3d.Analysis.load_instrs;
