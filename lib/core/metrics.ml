@@ -121,7 +121,8 @@ let populate_counters reg t =
     Occamy_mem.Level.all;
   Array.iter
     (fun c ->
-      let p name = Printf.sprintf "core%d.%s" c.core name in
+      let prefix = "core" ^ Int.to_string c.core ^ "." in
+      let p name = prefix ^ name in
       seti (p "finish") c.finish;
       seti (p "issued_compute") c.issued_compute;
       seti (p "issued_mem") c.issued_mem;
@@ -141,7 +142,7 @@ let populate_counters reg t =
           (fun b ->
             let v = row.(Occamy_obs.Attrib.index b) in
             let key suffix =
-              p (Printf.sprintf "attrib.%s%s" (Occamy_obs.Attrib.name b) suffix)
+              p ("attrib." ^ Occamy_obs.Attrib.name b ^ suffix)
             in
             seti (key "") v;
             set (key ".share")
@@ -151,7 +152,7 @@ let populate_counters reg t =
       end;
       List.iter
         (fun ph ->
-          let pp name = p (Printf.sprintf "phase.%s.%s" ph.ps_name name) in
+          let pp name = p ("phase." ^ ph.ps_name ^ "." ^ name) in
           seti (pp "cycles") (ps_cycles ph);
           seti (pp "issued_compute") ph.ps_issued_compute;
           seti (pp "issued_mem") ph.ps_issued_mem;

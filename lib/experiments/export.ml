@@ -106,12 +106,6 @@ let table3_csv () =
   in
   buf_csv ([ "workload"; "phase"; "paper_oi"; "analysed_oi" ] :: rows)
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
 (** Write the full figure-data set into [dir] (created if missing):
     `fig2_<arch>.csv`, `pairs.csv`, `table3.csv`, `attrib.csv`. Returns
     the file names. *)
@@ -120,7 +114,7 @@ let write_all ~dir ?tc_scale ?jobs ?oversubscribe () =
   let files = ref [] in
   let emit name contents =
     let path = Filename.concat dir name in
-    write_file path contents;
+    Occamy_util.Json.write_file ~path contents;
     files := path :: !files
   in
   let f2 = Fig2.run () in

@@ -1,6 +1,7 @@
 (* Top-down cycle accounting. Storage is a flat [cores * num_buckets]
    int array plus a window accumulator and a ring of completed windows;
-   the recording paths allocate nothing. See the mli for the contract. *)
+   the recording paths allocate only when the ring doubles. See the mli
+   for the contract. *)
 
 module Table = Occamy_util.Table
 module Json = Occamy_util.Json
@@ -80,8 +81,8 @@ type t = {
   cell : int array;  (* cores x num_buckets, row-major *)
   win_size : int;
   win : int array;  (* current window accumulator, summed over cores *)
-  ring : int array;  (* capacity x num_buckets completed windows *)
-  capacity : int;
+  mutable ring : int array;  (* capacity x num_buckets completed windows *)
+  mutable capacity : int;  (* doubles from [first_windows] to [ring_windows] *)
   mutable head : int;  (* windows pushed so far; slot = head mod capacity *)
   mutable win_end : int;  (* last cycle of the current window *)
 }
@@ -99,8 +100,11 @@ let disabled =
     win_end = 0;
   }
 
-(* Completed windows the time-series ring holds. *)
+(* Completed windows the time-series ring holds at most, and at first:
+   a short run fills a handful, so the ring starts small and doubles
+   when full until it reaches [ring_windows]; only then does it wrap. *)
 let ring_windows = 512
+let first_windows = 4
 
 let create ?(window = 1024) ~cores () =
   if cores <= 0 then invalid_arg "Attrib.create: cores must be positive";
@@ -111,8 +115,8 @@ let create ?(window = 1024) ~cores () =
     cell = Array.make (cores * num_buckets) 0;
     win_size = window;
     win = Array.make num_buckets 0;
-    ring = Array.make (ring_windows * num_buckets) 0;
-    capacity = ring_windows;
+    ring = Array.make (first_windows * num_buckets) 0;
+    capacity = first_windows;
     head = 0;
     win_end = window;
   }
@@ -125,6 +129,13 @@ let window t = t.win_size
    attributed strictly in order, so a window is complete exactly when
    the first cycle beyond [win_end] arrives. *)
 let flush t =
+  if t.head = t.capacity && t.capacity < ring_windows then begin
+    (* Not wrapped yet, so slots 0 .. head-1 hold the windows in order. *)
+    let ring = Array.make (2 * t.capacity * num_buckets) 0 in
+    Array.blit t.ring 0 ring 0 (t.capacity * num_buckets);
+    t.ring <- ring;
+    t.capacity <- 2 * t.capacity
+  end;
   let slot = t.head mod t.capacity in
   Array.blit t.win 0 t.ring (slot * num_buckets) num_buckets;
   t.head <- t.head + 1;

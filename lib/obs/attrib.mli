@@ -10,7 +10,8 @@
     Like {!Trace} and {!Prof}, attribution is observational: it never
     feeds back into timing, a disabled recorder costs one branch per
     cycle in the simulator, and an enabled one allocates nothing in
-    steady state (all storage is preallocated int arrays). *)
+    steady state (int arrays; the window ring doubles at most seven
+    times, then never allocates again). *)
 
 (** Cause buckets. [index] follows declaration order, so bucket [i] of
     a counts row is [of_index i]; the simulator's classification
@@ -54,11 +55,14 @@ val disabled : t
 val create : ?window:int -> cores:int -> unit -> t
 (** A recorder for [cores] cores. [window] (default 1024 cycles) is the
     time-series sampling window: per-bucket deltas are aggregated over
-    all cores for [window] cycles, then pushed into a ring of 512
-    windows; when the ring wraps, the oldest windows are dropped (see
-    {!dropped_windows}) while the cumulative per-core counts remain
-    exact. Raises [Invalid_argument] on non-positive [cores] or
-    [window]. *)
+    all cores for [window] cycles, then pushed into a ring of at most
+    512 windows. The ring starts at 4 windows and doubles whenever it
+    is full, up to 512 (a short run allocates a few hundred words, not
+    48 KB); only a 512-window ring wraps, dropping the oldest windows
+    (see {!dropped_windows}) while the cumulative per-core counts
+    remain exact. What {!samples} and {!dropped_windows} report does
+    not depend on the growth. Raises [Invalid_argument] on non-positive
+    [cores] or [window]. *)
 
 val enabled : t -> bool
 val cores : t -> int

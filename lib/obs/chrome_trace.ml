@@ -15,117 +15,113 @@
 
     Timestamps are microseconds in the format; we map 1 cycle = 1 us. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Occamy_util.Json
 
-let json_args args =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
-         args)
-  ^ "}"
+let add_int b n = Buffer.add_string b (Int.to_string n)
 
-(* One trace-event JSON object. [ts]/[dur] are ints (cycles ~ us). *)
-let obj ~name ~ph ~ts ?dur ~tid ?args () =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"pid\":0,\"tid\":%d"
-       (escape name) ph tid);
-  (match ph with
-  | "M" -> ()  (* metadata events carry no timestamp *)
-  | _ -> Buffer.add_string b (Printf.sprintf ",\"ts\":%d" ts));
+(* The head of one trace-event object, through its [tid]; the caller
+   appends the remaining fields and the closing brace. *)
+let add_head b ~name ~ph ~tid =
+  Buffer.add_string b "{\"name\":";
+  Json.add_quoted b name;
+  Buffer.add_string b ",\"ph\":\"";
+  Buffer.add_string b ph;
+  Buffer.add_string b "\",\"pid\":0,\"tid\":";
+  add_int b tid
+
+(* One trace-event JSON object. [ts]/[dur] are ints (cycles ~ us);
+   metadata ("M") events carry no timestamp. *)
+let add_obj b ~name ~ph ~ts ?dur ~tid ?args () =
+  add_head b ~name ~ph ~tid;
+  if ph <> "M" then begin
+    Buffer.add_string b ",\"ts\":";
+    add_int b ts
+  end;
   (match dur with
-  | Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%d" d)
+  | Some d ->
+    Buffer.add_string b ",\"dur\":";
+    add_int b d
   | None -> ());
   if ph = "i" then Buffer.add_string b ",\"s\":\"t\"";
   (match args with
-  | Some a -> Buffer.add_string b (",\"args\":" ^ json_args a)
+  | Some a ->
+    Buffer.add_string b ",\"args\":{";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        Json.add_quoted b k;
+        Buffer.add_char b ':';
+        Json.add_quoted b v)
+      a;
+    Buffer.add_char b '}'
   | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Buffer.add_char b '}'
 
-let event_objs ~tid ~cycle (ev : Event.t) =
-  let args = Event.args ev in
+let add_event b ~tid ~cycle (ev : Event.t) =
   match ev with
   | Event.Phase_begin { phase; _ } ->
-    [ obj ~name:phase ~ph:"B" ~ts:cycle ~tid ~args () ]
+    add_obj b ~name:phase ~ph:"B" ~ts:cycle ~tid ~args:(Event.args ev) ()
   | Event.Phase_end { phase; _ } ->
-    [ obj ~name:phase ~ph:"E" ~ts:cycle ~tid () ]
+    add_obj b ~name:phase ~ph:"E" ~ts:cycle ~tid ()
   | Event.Task_begin { label; _ } ->
-    [ obj ~name:label ~ph:"B" ~ts:cycle ~tid ~args () ]
+    add_obj b ~name:label ~ph:"B" ~ts:cycle ~tid ~args:(Event.args ev) ()
   | Event.Task_end { label; _ } ->
-    [ obj ~name:label ~ph:"E" ~ts:cycle ~tid () ]
+    add_obj b ~name:label ~ph:"E" ~ts:cycle ~tid ()
   | Event.Rename_stall { start_cycle; cycles; _ } ->
-    [ obj ~name:"rename-stall" ~ph:"X" ~ts:start_cycle ~dur:(max 1 cycles)
-        ~tid ~args () ]
+    add_obj b ~name:"rename-stall" ~ph:"X" ~ts:start_cycle
+      ~dur:(max 1 cycles) ~tid ~args:(Event.args ev) ()
   | Event.Reconfig_blocked { start_cycle; cycles; _ } ->
-    [ obj ~name:"reconfig-blocked" ~ph:"X" ~ts:start_cycle ~dur:(max 1 cycles)
-        ~tid ~args () ]
-  | ev -> [ obj ~name:(Event.kind ev) ~ph:"i" ~ts:cycle ~tid ~args () ]
+    add_obj b ~name:"reconfig-blocked" ~ph:"X" ~ts:start_cycle
+      ~dur:(max 1 cycles) ~tid ~args:(Event.args ev) ()
+  | ev ->
+    add_obj b ~name:(Event.kind ev) ~ph:"i" ~ts:cycle ~tid
+      ~args:(Event.args ev) ()
 
-(* Counter ("C") events need *numeric* args values to chart — the
-   string-valued [json_args] above would render as flat zero lines. *)
-let counter_obj ~name ~ts ~tid args =
-  Printf.sprintf "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"ts\":%d,\"args\":{%s}}"
-    (escape name) tid ts
-    (String.concat ","
-       (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\":%d" (escape k) v)
-          args))
-
-(* One counter event per completed attribution window (stamped at the
-   window's end cycle) plus the final partial window: a stacked
-   cycles-per-bucket track Perfetto draws alongside the span lanes. *)
-let attrib_counter_objs a =
-  if not (Attrib.enabled a) then []
-  else begin
-    let name = "attrib (cycles/window)" in
+(* One counter ("C") event per completed attribution window (stamped at
+   the window's end cycle) plus the final partial window: a stacked
+   cycles-per-bucket track Perfetto draws alongside the span lanes.
+   Counter args need *numeric* values to chart — string values would
+   render as flat zero lines. *)
+let add_attrib_counters b ~sep a =
+  if Attrib.enabled a then begin
     let event (end_cycle, deltas) =
-      counter_obj ~name ~ts:end_cycle ~tid:0
-        (List.filter_map
-           (fun b ->
-             let v = deltas.(Attrib.index b) in
-             if v = 0 then None else Some (Attrib.name b, v))
-           Attrib.all)
+      sep ();
+      add_head b ~name:"attrib (cycles/window)" ~ph:"C" ~tid:0;
+      Buffer.add_string b ",\"ts\":";
+      add_int b end_cycle;
+      Buffer.add_string b ",\"args\":{";
+      let first = ref true in
+      List.iter
+        (fun bucket ->
+          let v = deltas.(Attrib.index bucket) in
+          if v <> 0 then begin
+            if !first then first := false else Buffer.add_char b ',';
+            Json.add_quoted b (Attrib.name bucket);
+            Buffer.add_char b ':';
+            add_int b v
+          end)
+        Attrib.all;
+      Buffer.add_string b "}}"
     in
-    List.map event
-      (Attrib.samples a
-      @ match Attrib.pending a with Some s -> [ s ] | None -> [])
+    List.iter event (Attrib.samples a);
+    Option.iter event (Attrib.pending a)
   end
 
 let to_json ?(attrib = Attrib.disabled) trace =
   let b = Buffer.create 65536 in
   Buffer.add_string b "{\"traceEvents\":[";
   let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b s
-  in
+  let sep () = if !first then first := false else Buffer.add_string b ",\n" in
   for track = 0 to Trace.num_tracks trace - 1 do
-    emit
-      (obj
-         ~name:"thread_name" ~ph:"M" ~ts:0 ~tid:track
-         ~args:[ ("name", Trace.track_name trace ~track) ]
-         ())
+    sep ();
+    add_obj b ~name:"thread_name" ~ph:"M" ~ts:0 ~tid:track
+      ~args:[ ("name", Trace.track_name trace ~track) ]
+      ()
   done;
-  List.iter emit (attrib_counter_objs attrib);
+  add_attrib_counters b ~sep attrib;
   Trace.iter trace (fun ~track ~cycle ev ->
-      List.iter emit (event_objs ~tid:track ~cycle ev));
+      sep ();
+      add_event b ~tid:track ~cycle ev);
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
 
@@ -135,20 +131,25 @@ let to_csv trace =
   let b = Buffer.create 16384 in
   Buffer.add_string b "track,cycle,event,core,args\n";
   Trace.iter trace (fun ~track ~cycle ev ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%s,%s,%s\n"
-           (Trace.track_name trace ~track)
-           cycle (Event.kind ev)
-           (match Event.core ev with Some c -> string_of_int c | None -> "")
-           (String.concat "|"
-              (List.map (fun (k, v) -> k ^ "=" ^ v) (Event.args ev)))));
+      Buffer.add_string b (Trace.track_name trace ~track);
+      Buffer.add_char b ',';
+      add_int b cycle;
+      Buffer.add_char b ',';
+      Buffer.add_string b (Event.kind ev);
+      Buffer.add_char b ',';
+      Option.iter (add_int b) (Event.core ev);
+      Buffer.add_char b ',';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b '|';
+          Buffer.add_string b k;
+          Buffer.add_char b '=';
+          Buffer.add_string b v)
+        (Event.args ev);
+      Buffer.add_char b '\n');
   Buffer.contents b
 
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+let write_json ?attrib ~path trace =
+  Json.write_file ~path (to_json ?attrib trace)
 
-let write_json ?attrib ~path trace = write_file path (to_json ?attrib trace)
-let write_csv ~path trace = write_file path (to_csv trace)
+let write_csv ~path trace = Json.write_file ~path (to_csv trace)

@@ -12,8 +12,12 @@ val to_json : ?attrib:Attrib.t -> Trace.t -> string
 
 val to_csv : Trace.t -> string
 (** [track,cycle,event,core,args] rows, args as [k=v|k=v]. Outside this
-    module only test_obs reads {!to_json} and [to_csv]: the documents the
-    writers below save, checked in memory. *)
+    module only the tests read {!to_json} and [to_csv]: the documents the
+    writers below save, checked in memory (test_obs) and pinned to their
+    bytes (test_attrib). *)
 
 val write_json : ?attrib:Attrib.t -> path:string -> Trace.t -> unit
+(** {!to_json} saved with {!Occamy_util.Json.write_file}. *)
+
 val write_csv : path:string -> Trace.t -> unit
+(** {!to_csv} saved with {!Occamy_util.Json.write_file}. *)

@@ -19,12 +19,11 @@ let is_name_char c =
   || c = '_' || c = ':'
 
 let sanitize s =
-  let b = Buffer.create (String.length s + 1) in
-  String.iter (fun c -> Buffer.add_char b (if is_name_char c then c else '_')) s;
-  let s = Buffer.contents b in
-  if s = "" then "_"
-  else if s.[0] >= '0' && s.[0] <= '9' then "_" ^ s
-  else s
+  let s =
+    if String.for_all is_name_char s then s
+    else String.map (fun c -> if is_name_char c then c else '_') s
+  in
+  if s = "" then "_" else if s.[0] >= '0' && s.[0] <= '9' then "_" ^ s else s
 
 let type_name = function
   | `Gauge -> "gauge"
@@ -32,59 +31,66 @@ let type_name = function
   | `Summary -> "summary"
 
 (* Label values and help text share the same escaping rules. *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let add_escaped b s =
+  if not (String.exists (fun c -> c = '\\' || c = '"' || c = '\n') s) then
+    Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '"' -> Buffer.add_string b "\\\""
+        | '\n' -> Buffer.add_string b "\\n"
+        | c -> Buffer.add_char b c)
+      s
 
+(* [%.0f] of an integral float below 1e15 prints its exact digits, as
+   [Int.to_string] does, except for [-0.0], which it prints as "-0". *)
 let value_str v =
   if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
+    if v = 0.0 && Float.sign_bit v then "-0" else Int.to_string (Float.to_int v)
   else Printf.sprintf "%.9g" v
 
 let render families =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create 16384 in
   List.iter
     (fun f ->
-      Buffer.add_string b
-        (Printf.sprintf "# HELP %s %s\n" f.fam_name (escape f.fam_help));
-      Buffer.add_string b
-        (Printf.sprintf "# TYPE %s %s\n" f.fam_name (type_name f.fam_type));
+      Buffer.add_string b "# HELP ";
+      Buffer.add_string b f.fam_name;
+      Buffer.add_char b ' ';
+      add_escaped b f.fam_help;
+      Buffer.add_string b "\n# TYPE ";
+      Buffer.add_string b f.fam_name;
+      Buffer.add_char b ' ';
+      Buffer.add_string b (type_name f.fam_type);
+      Buffer.add_char b '\n';
       List.iter
         (fun s ->
           (* OpenMetrics requires the _total suffix on counter samples;
              summaries carry their own _sum/_count suffixes in labels
              passed as part of the family's sample list. *)
-          let name =
-            match f.fam_type with
-            | `Counter -> f.fam_name ^ "_total"
-            | `Gauge | `Summary -> (
-              match List.assoc_opt "__suffix__" s.s_labels with
-              | Some suffix -> f.fam_name ^ suffix
-              | None -> f.fam_name)
-          in
-          let labels =
-            List.filter (fun (k, _) -> k <> "__suffix__") s.s_labels
-          in
-          let label_str =
-            if labels = [] then ""
-            else
-              "{"
-              ^ String.concat ","
-                  (List.map
-                     (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape v))
-                     labels)
-              ^ "}"
-          in
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %s\n" name label_str (value_str s.s_value)))
+          Buffer.add_string b f.fam_name;
+          (match f.fam_type with
+          | `Counter -> Buffer.add_string b "_total"
+          | `Gauge | `Summary ->
+            Option.iter (Buffer.add_string b)
+              (List.assoc_opt "__suffix__" s.s_labels));
+          let first = ref true in
+          List.iter
+            (fun (k, v) ->
+              if k <> "__suffix__" then begin
+                Buffer.add_string b (if !first then "{" else ",");
+                first := false;
+                Buffer.add_string b k;
+                Buffer.add_string b "=\"";
+                add_escaped b v;
+                Buffer.add_char b '"'
+              end)
+            s.s_labels;
+          if not !first then Buffer.add_char b '}';
+          Buffer.add_char b ' ';
+          Buffer.add_string b (value_str s.s_value);
+          Buffer.add_char b '\n')
         f.fam_samples)
     families;
   Buffer.add_string b "# EOF\n";

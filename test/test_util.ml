@@ -1,6 +1,7 @@
 module Rng = Occamy_util.Rng
 module Stats = Occamy_util.Stats
 module Table = Occamy_util.Table
+module Json = Occamy_util.Json
 
 let test_rng_deterministic () =
   let a = Rng.create ~seed:123 and b = Rng.create ~seed:123 in
@@ -137,6 +138,77 @@ let qcheck_buckets_add_ratios =
         ~num:(List.fold_left ( + ) 0 nums) ~den:2;
       Stats.Buckets.rates a = Stats.Buckets.rates b)
 
+(* Numbers print as [%.0f] when integral and below 1e15, else [%.17g]:
+   the integer fast path must keep every digit, and "-0". *)
+let special_floats =
+  [ 0.0; -0.0; 1.0; -1.0; 42.0; 1e14; -999999999999999.0; 1e15; -1e15;
+    0.5; 1e-7; Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_json_numbers () =
+  List.iter
+    (fun v ->
+      let want =
+        if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+        else Printf.sprintf "%.17g" v
+      in
+      Alcotest.(check string) want want (Json.value_to_string (Json.Num v)))
+    special_floats
+
+(* ---------------- the artifact writer --------------------------------- *)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "occamy-writer" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun n -> Sys.remove (Filename.concat dir n))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let read path =
+  match Json.read_file ~path with
+  | Ok s -> s
+  | Error m -> Alcotest.fail m
+
+let test_writer_shorter_rewrite () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "out.json" in
+      Json.write_file ~path (String.make 4096 'x');
+      let ino = (Unix.stat path).Unix.st_ino in
+      Json.write_file ~path "short\n";
+      Alcotest.(check string) "exactly the new bytes" "short\n" (read path);
+      Alcotest.(check int) "rewritten in place" ino
+        (Unix.stat path).Unix.st_ino;
+      Json.write_file ~path "";
+      Alcotest.(check string) "empty rewrite" "" (read path))
+
+let test_writer_through_symlink () =
+  with_temp_dir (fun dir ->
+      let target = Filename.concat dir "target.om"
+      and link = Filename.concat dir "link.om" in
+      Json.write_file ~path:target "old contents, longer than the new\n";
+      Unix.symlink target link;
+      Json.write_file ~path:link "new\n";
+      Alcotest.(check string) "target updated" "new\n" (read target);
+      Alcotest.(check bool) "link kept" true
+        ((Unix.lstat link).Unix.st_kind = Unix.S_LNK))
+
+let test_writer_devices () =
+  Json.write_file ~path:"/dev/null" "discarded\n";
+  let path = "/nonexistent-dir/out.om" in
+  let expected =
+    match open_out path with
+    | oc ->
+      close_out oc;
+      Alcotest.fail "the directory exists"
+    | exception Sys_error m -> m
+  in
+  match Json.write_file ~path "x" with
+  | () -> Alcotest.fail "wrote into a missing directory"
+  | exception Sys_error m ->
+    Alcotest.(check string) "open_out's message" expected m
+
 let suites =
   [
     ( "util",
@@ -149,6 +221,13 @@ let suites =
         Alcotest.test_case "buckets growth" `Quick test_buckets_growth;
         Alcotest.test_case "mix3 pure" `Quick test_mix3_pure;
         Alcotest.test_case "table render" `Quick test_table_render;
+        Alcotest.test_case "json numbers" `Quick test_json_numbers;
+        Alcotest.test_case "writer: shorter rewrite" `Quick
+          test_writer_shorter_rewrite;
+        Alcotest.test_case "writer: through a symlink" `Quick
+          test_writer_through_symlink;
+        Alcotest.test_case "writer: /dev/null and a missing directory" `Quick
+          test_writer_devices;
       ] );
     Helpers.qsuite "util.qcheck"
       [
